@@ -5,7 +5,7 @@
 // Y*/(Delta+1) and the brute-force optimum.
 #include <cstdio>
 
-#include "baselines/optimal.hpp"
+#include "baselines/kai.hpp"
 #include "common.hpp"
 #include "core/allocation.hpp"
 #include "util/table.hpp"
@@ -51,8 +51,9 @@ int main() {
 
     std::string optimal = "-";
     if (n <= 3) {
+      const core::CachedOracle oracle(wlan, assoc);
       optimal = bench::mbps(
-          baselines::optimal_assignment(wlan, assoc, plan).total_bps);
+          baselines::kai_exact_allocation(oracle, plan).total_bps);
     }
     t.add_row({std::to_string(n), std::to_string(delta), std::to_string(n),
                bench::mbps(upper), bench::mbps(upper / (delta + 1)),

@@ -1,11 +1,12 @@
 // Kai et al., "To Bond or not to Bond" — optimal joint channel/width
-// allocation as a yardstick baseline. For small deployments the optimum
-// is exact (the same exhaustive odometer as `optimal_assignment`, driven
-// through the memoizing CachedOracle); above the exact budget it falls
-// back to a bounded multi-restart steepest-ascent search over single-AP
-// color flips, which is not guaranteed optimal and says so in the
-// result. The gap-to-optimal report (dcb::run_gap_report) uses the
-// exact branch only.
+// allocation as a yardstick baseline, and the repository's one
+// exhaustive search. For small deployments the optimum is exact: every
+// assignment of the plan's colors, scored through the memoizing
+// CachedOracle's batched scan. Above the exact budget it falls back to a
+// bounded multi-restart steepest-ascent search over single-AP color
+// flips, which is not guaranteed optimal and says so in the result. The
+// gap-to-optimal report (dcb::run_gap_report) uses the exact branch
+// only.
 #pragma once
 
 #include "core/oracle_cache.hpp"
@@ -21,7 +22,8 @@ struct KaiConfig {
   /// Bounded-search branch: independent restarts from random initial
   /// assignments, each run to a local optimum by steepest ascent.
   int restarts = 4;
-  /// Total oracle-evaluation budget for the bounded-search branch.
+  /// Total oracle-evaluation budget for the bounded-search branch; the
+  /// search never exceeds it.
   long long max_search_evaluations = 200'000;
 };
 
@@ -34,10 +36,21 @@ struct KaiResult {
   long long evaluations = 0;
 };
 
+/// The exact branch on its own: scores all |colors|^n_aps assignments
+/// in lexicographic order (AP 0's color varies fastest) and returns the
+/// first one reaching the maximum, with `evaluations` = |colors|^n_aps.
+/// Throws std::invalid_argument when that count exceeds
+/// `max_evaluations`.
+KaiResult kai_exact_allocation(const core::CachedOracle& oracle,
+                               const net::ChannelPlan& plan,
+                               long long max_evaluations = 1'000'000);
+
 /// Compute Kai et al.'s allocation against an existing oracle (bound to
 /// the wlan/association under study). `rng` feeds only the bounded
 /// branch's random restarts; the exact branch never draws from it, so
-/// exact results are rng-independent.
+/// exact results are rng-independent. The bounded branch throws
+/// std::invalid_argument unless restarts and max_search_evaluations are
+/// both at least 1.
 KaiResult kai_optimal_allocation(const core::CachedOracle& oracle,
                                  const net::ChannelPlan& plan,
                                  util::Rng& rng,

@@ -1,5 +1,6 @@
 #include "core/oracle_cache.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <utility>
@@ -43,9 +44,115 @@ double overlap_fraction_fast(const net::Channel& a, const net::Channel& b) {
          static_cast<double>(occupied_count(a));
 }
 
+// The channel AP `b` holds under `base` with AP `flip_ap` moved to
+// `flip` (flip_ap < 0 leaves the base as is).
+const net::Channel& flipped(const net::ChannelAssignment& base, int b,
+                            int flip_ap, const net::Channel& flip) {
+  return b == flip_ap ? flip : base[static_cast<std::size_t>(b)];
+}
+
+// Weighted share of cell `x` under the flipped base — the exact ordered
+// sum NetSnapshot::weighted_share runs on the flipped assignment
+// (overlap terms must NOT be delta-patched: only the full ascending-b
+// accumulation reproduces its rounding).
+double weighted_share_flip(const net::InterferenceGraph& graph,
+                           const net::ChannelAssignment& base, int x,
+                           int flip_ap, const net::Channel& flip) {
+  const net::Channel& own = flipped(base, x, flip_ap, flip);
+  double load = 1.0;
+  for (int b = 0; b < graph.num_aps(); ++b) {
+    if (b == x || !graph.adjacent(x, b)) continue;
+    load += overlap_fraction_fast(own, flipped(base, b, flip_ap, flip));
+  }
+  return 1.0 / load;
+}
+
+// Cell `x`'s memo key under the flipped base, written into `out` — word
+// for word what CachedOracle::cell_key computes on the flipped
+// assignment, so batch and serial calls share one memo.
+void flip_key_into(std::vector<std::uint64_t>& out,
+                   const net::InterferenceGraph& graph, bool sinr,
+                   const net::ChannelAssignment& base, int x, int flip_ap,
+                   const net::Channel& flip, double share,
+                   const double* activity) {
+  const net::Channel& own = flipped(base, x, flip_ap, flip);
+  out.clear();
+  out.push_back(channel_code(own));
+  out.push_back(double_bits(share));
+  if (!sinr) return;
+  for (int other = 0; other < graph.num_aps(); ++other) {
+    if (other == x || graph.adjacent(x, other)) continue;
+    const net::Channel& other_ch = flipped(base, other, flip_ap, flip);
+    if (shared_basics(other_ch, own) == 0) continue;
+    out.push_back(static_cast<std::uint64_t>(other));
+    out.push_back(channel_code(other_ch));
+    out.push_back(double_bits(activity[static_cast<std::size_t>(other)]));
+  }
+}
+
+// How one candidate sees one touched cell.
+struct Touch {
+  int cell_idx;
+  int kind;  // 0 = full lane, 1 = share-only rescale, 2 = memoized
+  int slot;
+};
+
+// Without SINR coupling, the touch serving one (width, share) of a
+// cell's own flips.
+struct OwnFlip {
+  phy::ChannelWidth width;
+  std::uint64_t share_bits;
+  Touch touch;
+};
+
+// One base cell's lanes within a total_bps_batch call.
+struct CellWork {
+  std::vector<OwnFlip> own_flips;
+  std::vector<sim::CellLane> full_lanes;
+  std::vector<std::uint64_t> key_words;  // full lanes' memo keys, end to end
+  std::vector<std::size_t> key_end;      // per full lane: its key's end
+  std::vector<double> full_vals;
+  std::vector<double> memo_vals;
+  std::vector<double> rescale_shares;
+  std::vector<double> rescale_vals;
+
+  std::span<const std::uint64_t> key(std::size_t lane) const {
+    const std::size_t begin = lane == 0 ? 0 : key_end[lane - 1];
+    return std::span<const std::uint64_t>(key_words)
+        .subspan(begin, key_end[lane] - begin);
+  }
+  void clear() {
+    own_flips.clear();
+    full_lanes.clear();
+    key_words.clear();
+    key_end.clear();
+    memo_vals.clear();
+    rescale_shares.clear();
+  }
+};
+
+// total_bps_batch's scratch. Thread-local, so concurrent scans never
+// share it, and reused across calls and oracles: vectors only grow, so
+// a warm call allocates nothing (the same idea as the cell kernel's
+// BatchScratch in sim/netkernel_batch.cpp).
+struct ScanScratch {
+  std::vector<std::uint64_t> base_key;  // per-AP channel codes of the base
+  std::vector<std::uint64_t> key;       // one memo key under construction
+  std::vector<double> act;              // per-candidate activity vectors
+  std::vector<Touch> touches;           // candidate by candidate
+  std::vector<std::size_t> touch_end;   // per candidate: its touches' end
+  std::vector<int> ylist;  // activity-changed APs (≠ a) of one candidate
+  std::vector<CellWork> cells;          // per base cell; only grows
+};
+
+ScanScratch& scan_scratch() {
+  static thread_local ScanScratch s;
+  return s;
+}
+
 }  // namespace
 
-std::size_t CachedOracle::CellKeyHash::operator()(const CellKey& k) const {
+std::size_t CachedOracle::CellKeyHash::operator()(KeyView k) const {
   // FNV-1a over the key words.
   std::uint64_t h = 1469598103934665603ull;
   for (std::uint64_t w : k) {
@@ -53,6 +160,10 @@ std::size_t CachedOracle::CellKeyHash::operator()(const CellKey& k) const {
     h *= 1099511628211ull;
   }
   return static_cast<std::size_t>(h);
+}
+
+bool CachedOracle::CellKeyEq::operator()(KeyView a, KeyView b) const {
+  return std::ranges::equal(a, b);
 }
 
 CachedOracle::CachedOracle(const sim::Wlan& wlan, net::Association assoc,
@@ -63,7 +174,8 @@ CachedOracle::CachedOracle(const sim::Wlan& wlan, net::Association assoc,
       traffic_(traffic),
       weights_(std::move(client_weights)),
       snap_(wlan, assoc_),
-      memo_(static_cast<std::size_t>(wlan.topology().num_aps())) {
+      memo_(static_cast<std::size_t>(wlan.topology().num_aps())),
+      scan_memo_(static_cast<std::size_t>(wlan.topology().num_aps())) {
   if (!weights_.empty() &&
       static_cast<int>(weights_.size()) != wlan.topology().num_clients()) {
     throw std::invalid_argument("client weight vector size != client count");
@@ -177,29 +289,40 @@ double CachedOracle::total_bps(const net::ChannelAssignment& assignment) const {
   return total;
 }
 
-std::shared_ptr<const CachedOracle::BatchBase> CachedOracle::batch_base_for(
-    const net::ChannelAssignment& base, sim::BatchKernel kernel) const {
-  const int n_aps = snap_.num_aps();
-  CellKey key(static_cast<std::size_t>(n_aps));
-  for (int ap = 0; ap < n_aps; ++ap) {
-    key[static_cast<std::size_t>(ap)] =
-        channel_code(base[static_cast<std::size_t>(ap)]);
+CachedOracle::BatchBase& CachedOracle::lease_batch_base(
+    const net::ChannelAssignment& base, KeyView key,
+    sim::BatchKernel kernel) const {
+  BatchBase* idle = nullptr;
+  for (const std::unique_ptr<BatchBase>& bb : bases_) {
+    if (std::ranges::equal(bb->key, key)) {
+      ++bb->readers;
+      return *bb;
+    }
+    if (idle == nullptr && bb->readers == 0) idle = bb.get();
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (batch_base_ && batch_base_->key == key) return batch_base_;
-  // Build under the lock: one base change per allocator round, and a
-  // duplicate concurrent build would waste far more than the wait.
-  // The previous base (one committed flip away) seeds the new one:
-  // cells whose memo key is unchanged copy value + scan cache outright,
-  // and share-only changes rescale the value and keep the cache (the
-  // per-client products in a CellScanCache do not depend on the share).
-  const std::shared_ptr<const BatchBase> prev = batch_base_;
-  auto bb = std::make_shared<BatchBase>();
-  bb->key = std::move(key);
-  bb->assignment = base;
+  if (idle == nullptr) {
+    bases_.push_back(std::make_unique<BatchBase>());
+    idle = bases_.back().get();
+  }
+  // Build under the lock: a duplicate concurrent build of one base would
+  // waste far more than the wait.
+  build_batch_base(*idle, base, key, kernel);
+  ++idle->readers;
+  return *idle;
+}
+
+void CachedOracle::build_batch_base(BatchBase& bb,
+                                    const net::ChannelAssignment& base,
+                                    KeyView key,
+                                    sim::BatchKernel kernel) const {
+  const int n_aps = snap_.num_aps();
   const net::InterferenceGraph& graph = snap_.graph();
-  bb->conflict_count.resize(static_cast<std::size_t>(n_aps));
-  bb->activity.resize(static_cast<std::size_t>(n_aps));
+  // The key is set last, so a build cut short by an exception leaves a
+  // base no lease can match.
+  bb.key.clear();
+  bb.assignment = base;
+  bb.conflict_count.resize(static_cast<std::size_t>(n_aps));
+  bb.activity.resize(static_cast<std::size_t>(n_aps));
   for (int ap = 0; ap < n_aps; ++ap) {
     const net::Channel& own = base[static_cast<std::size_t>(ap)];
     int count = 0;
@@ -209,61 +332,68 @@ std::shared_ptr<const CachedOracle::BatchBase> CachedOracle::batch_base_for(
         ++count;
       }
     }
-    bb->conflict_count[static_cast<std::size_t>(ap)] = count;
+    bb.conflict_count[static_cast<std::size_t>(ap)] = count;
     // The exact expression unweighted_shares evaluates.
-    bb->activity[static_cast<std::size_t>(ap)] =
+    bb.activity[static_cast<std::size_t>(ap)] =
         1.0 / (static_cast<double>(count) + 1.0);
   }
-  // Two memo keys describe the same cell context up to the medium share
-  // iff every word but the share one (index 1) matches.
-  const auto same_but_share = [](const CellKey& a, const CellKey& b) {
-    if (a.size() != b.size() || a[0] != b[0]) return false;
-    for (std::size_t w = 2; w < a.size(); ++w) {
-      if (a[w] != b[w]) return false;
-    }
-    return true;
-  };
+  bb.cells.clear();
+  bb.cell_share.clear();
+  bb.cell_value.clear();
+  bb.cell_cache.clear();
+  bb.total = 0.0;
+  const bool sinr = wlan_.config().sinr_interference;
   const bool weighted = wlan_.config().weighted_contention;
+  const net::Channel no_flip = net::Channel::basic(0);
   for (int ap = 0; ap < n_aps; ++ap) {
     if (snap_.cell_clients(ap).empty()) continue;  // goodput is exactly 0
     const double share =
-        weighted ? snap_.weighted_share(base, ap)
-                 : bb->activity[static_cast<std::size_t>(ap)];
-    CellKey ck = cell_key(ap, base, share, bb->activity);
-    const std::size_t idx = bb->cells.size();  // prev->cells has same order
+        weighted ? weighted_share_flip(graph, base, ap, -1, no_flip)
+                 : bb.activity[static_cast<std::size_t>(ap)];
+    flip_key_into(build_key_, graph, sinr, base, ap, -1, no_flip, share,
+                  bb.activity.data());
+    // The share-independent context: the memo key without its share
+    // word. A context any earlier base scored is rescaled from its scan
+    // cache, which is bit-identical to a full evaluation.
+    build_ctx_.assign(build_key_.begin(), build_key_.end());
+    build_ctx_.erase(build_ctx_.begin() + 1);
+    auto& memo = memo_[static_cast<std::size_t>(ap)];
+    auto& scans = scan_memo_[static_cast<std::size_t>(ap)];
+    const auto hit = memo.find(KeyView(build_key_));
+    auto scan = scans.find(KeyView(build_ctx_));
     double value = 0.0;
-    sim::CellScanCache cache;
-    if (prev && prev->cell_memo_key[idx] == ck) {
-      value = prev->cell_value[idx];
-      cache = prev->cell_cache[idx];
-    } else if (prev && same_but_share(prev->cell_memo_key[idx], ck)) {
-      snap_.rescale_cell_shares(ap, std::span<const double>(&share, 1),
-                                prev->cell_cache[idx], traffic_, weights_,
-                                std::span<double>(&value, 1), kernel);
-      cache = prev->cell_cache[idx];
-      memo_[static_cast<std::size_t>(ap)].emplace(ck, value);
-    } else {
-      const sim::CellLane lane{share, bb->activity.data(), -1,
-                               net::Channel::basic(0)};
+    if (scan == scans.end()) {
+      sim::CellScanCache cache;
+      const sim::CellLane lane{share, bb.activity.data(), -1, no_flip};
       snap_.evaluate_cells_batch(ap, base,
                                  std::span<const sim::CellLane>(&lane, 1),
                                  traffic_, weights_,
                                  std::span<double>(&value, 1), &cache,
                                  kernel);
-      // Seed the persistent cell memo (already under mutex_): candidate
-      // lanes and later serial calls whose cell context matches the base
-      // replay this value instead of re-running the kernel.
-      memo_[static_cast<std::size_t>(ap)].emplace(ck, value);
+      scan = scans.emplace(CellKey(build_ctx_.begin(), build_ctx_.end()),
+                           std::move(cache))
+                 .first;
+      ++stats_.batch_base_full_evals;
+    } else if (hit == memo.end()) {
+      snap_.rescale_cell_shares(ap, std::span<const double>(&share, 1),
+                                scan->second, traffic_, weights_,
+                                std::span<double>(&value, 1), kernel);
     }
-    bb->cells.push_back(ap);
-    bb->cell_share.push_back(share);
-    bb->cell_value.push_back(value);
-    bb->cell_cache.push_back(std::move(cache));
-    bb->cell_memo_key.push_back(std::move(ck));
-    bb->total += value;
+    if (hit != memo.end()) {
+      value = hit->second;
+    } else {
+      // Seed the persistent cell memo: candidate lanes and later serial
+      // calls whose cell context matches the base replay this value
+      // instead of re-running the kernel.
+      memo.emplace(CellKey(build_key_.begin(), build_key_.end()), value);
+    }
+    bb.cells.push_back(ap);
+    bb.cell_share.push_back(share);
+    bb.cell_value.push_back(value);
+    bb.cell_cache.push_back(&scan->second);
+    bb.total += value;
   }
-  batch_base_ = bb;
-  return bb;
+  bb.key.assign(key.begin(), key.end());
 }
 
 void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
@@ -283,74 +413,59 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
       throw std::invalid_argument("candidate AP out of range");
     }
   }
-  const std::shared_ptr<const BatchBase> bb = batch_base_for(base, kernel);
   const net::InterferenceGraph& graph = snap_.graph();
   const bool sinr = wlan_.config().sinr_interference;
   const bool weighted = wlan_.config().weighted_contention;
   const std::size_t n = static_cast<std::size_t>(n_aps);
   const std::size_t n_cands = candidates.size();
-  const std::size_t n_cells = bb->cells.size();
 
-  // Weighted share of cell `x` with AP `a` flipped to ch_new — the exact
-  // ordered sum NetSnapshot::weighted_share runs on the flipped
-  // assignment (overlap terms must NOT be delta-patched: only the full
-  // ascending-b accumulation reproduces its rounding).
-  const auto weighted_share_flip = [&](int x, int a,
-                                       const net::Channel& ch_new) {
-    const net::Channel& own =
-        x == a ? ch_new : bb->assignment[static_cast<std::size_t>(x)];
-    double load = 1.0;
-    for (int b = 0; b < n_aps; ++b) {
-      if (b == x || !graph.adjacent(x, b)) continue;
-      const net::Channel& ch_b =
-          b == a ? ch_new : bb->assignment[static_cast<std::size_t>(b)];
-      load += overlap_fraction_fast(own, ch_b);
+  ScanScratch& s = scan_scratch();
+  s.base_key.resize(n);
+  for (std::size_t ap = 0; ap < n; ++ap) {
+    s.base_key[ap] = channel_code(base[ap]);
+  }
+
+  // Holds the leased base for this call. Its destructor hands the base
+  // back and publishes the call's counters in one critical section, on
+  // every exit path.
+  class Lease {
+   public:
+    Lease(const CachedOracle& oracle, KeyView key,
+          const net::ChannelAssignment& base, sim::BatchKernel kernel)
+        : oracle_(oracle) {
+      std::lock_guard<std::mutex> lock(oracle_.mutex_);
+      bb_ = &oracle_.lease_batch_base(base, key, kernel);
     }
-    return 1.0 / load;
-  };
-
-  // Per-candidate incremental state + per-cell lane lists.
-  std::vector<double> act(n_cands * n);  // per-candidate activity vectors
-  std::vector<char> trivial(n_cands, 0);
-  struct Touch {
-    int cell_idx;
-    int kind;  // 0 = full lane, 1 = share-only rescale, 2 = memoized
-    int slot;
-  };
-  std::vector<std::vector<Touch>> touches(n_cands);
-  std::vector<std::vector<sim::CellLane>> full_lanes(n_cells);
-  std::vector<std::vector<CellKey>> full_keys(n_cells);
-  std::vector<std::vector<double>> memo_vals(n_cells);
-  std::vector<std::vector<double>> rescale_shares(n_cells);
-  std::vector<int> ylist;  // activity-changed APs (≠ a) of one candidate
-  std::uint64_t n_reuse = 0;
-
-  // The serial path's cell-memo key for cell `x` under the flip
-  // (a -> ch_new), built without materializing the flipped assignment —
-  // word for word what cell_key computes, so batch and serial calls
-  // share one memo.
-  const auto flip_key = [&](int x, int a, const net::Channel& ch_new,
-                            double share, const double* act_j) {
-    const net::Channel& own =
-        x == a ? ch_new : bb->assignment[static_cast<std::size_t>(x)];
-    CellKey key;
-    key.reserve(2);
-    key.push_back(channel_code(own));
-    key.push_back(double_bits(share));
-    if (sinr) {
-      for (int other = 0; other < n_aps; ++other) {
-        if (other == x || graph.adjacent(x, other)) continue;
-        const net::Channel& other_ch =
-            other == a ? ch_new
-                       : bb->assignment[static_cast<std::size_t>(other)];
-        if (overlap_fraction_fast(other_ch, own) <= 0.0) continue;
-        key.push_back(static_cast<std::uint64_t>(other));
-        key.push_back(channel_code(other_ch));
-        key.push_back(double_bits(act_j[static_cast<std::size_t>(other)]));
-      }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    ~Lease() {
+      std::lock_guard<std::mutex> lock(oracle_.mutex_);
+      --bb_->readers;
+      OracleCacheStats& st = oracle_.stats_;
+      ++st.batch_calls;
+      st.batch_candidates += counts.batch_candidates;
+      st.batch_full_evals += counts.batch_full_evals;
+      st.batch_rescales += counts.batch_rescales;
+      st.batch_reuses += counts.batch_reuses;
     }
-    return key;
+    const BatchBase& base() const { return *bb_; }
+    OracleCacheStats counts;
+
+   private:
+    const CachedOracle& oracle_;
+    BatchBase* bb_ = nullptr;
   };
+  Lease lease(*this, s.base_key, base, kernel);
+  const BatchBase& bb = lease.base();
+  const std::size_t n_cells = bb.cells.size();
+  lease.counts.batch_candidates = n_cands;
+
+  // Per-candidate incremental state and per-cell lane lists.
+  s.act.resize(n_cands * n);
+  s.touches.clear();
+  s.touch_end.clear();
+  if (s.cells.size() < n_cells) s.cells.resize(n_cells);
+  for (std::size_t idx = 0; idx < n_cells; ++idx) s.cells[idx].clear();
 
   // Route one needed full evaluation: persistent memo hit first (values
   // computed by any earlier round, batch or serial call — bit-identical
@@ -358,44 +473,47 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
   // same key, else a fresh lane.
   const auto full_lane_slot = [&](std::size_t idx, int x, int a,
                                   const net::Channel& ch_new, double share,
-                                  double* act_j) -> Touch {
-    CellKey key = flip_key(x, a, ch_new, share, act_j);
+                                  const double* act_j) -> Touch {
+    flip_key_into(s.key, graph, sinr, bb.assignment, x, a, ch_new, share,
+                  act_j);
+    const KeyView key(s.key);
+    CellWork& w = s.cells[idx];
     {
       std::lock_guard<std::mutex> lock(mutex_);
       const auto& memo = memo_[static_cast<std::size_t>(x)];
       const auto it = memo.find(key);
       if (it != memo.end()) {
         ++stats_.cell_hits;
-        memo_vals[idx].push_back(it->second);
+        w.memo_vals.push_back(it->second);
         return Touch{static_cast<int>(idx), 2,
-                     static_cast<int>(memo_vals[idx].size()) - 1};
+                     static_cast<int>(w.memo_vals.size()) - 1};
       }
     }
-    for (std::size_t k = 0; k < full_keys[idx].size(); ++k) {
-      if (full_keys[idx][k] == key) {
+    for (std::size_t k = 0; k < w.full_lanes.size(); ++k) {
+      if (std::ranges::equal(w.key(k), key)) {
         return Touch{static_cast<int>(idx), 0, static_cast<int>(k)};
       }
     }
-    full_keys[idx].push_back(std::move(key));
-    full_lanes[idx].push_back(sim::CellLane{share, act_j, a, ch_new});
+    w.key_words.insert(w.key_words.end(), key.begin(), key.end());
+    w.key_end.push_back(w.key_words.size());
+    w.full_lanes.push_back(sim::CellLane{share, act_j, a, ch_new});
     return Touch{static_cast<int>(idx), 0,
-                 static_cast<int>(full_lanes[idx].size()) - 1};
+                 static_cast<int>(w.full_lanes.size()) - 1};
   };
 
   for (std::size_t j = 0; j < n_cands; ++j) {
     const int a = candidates[j].ap;
     const net::Channel ch_new = candidates[j].channel;
-    const net::Channel ch_old =
-        bb->assignment[static_cast<std::size_t>(a)];
+    const net::Channel ch_old = bb.assignment[static_cast<std::size_t>(a)];
     if (ch_new == ch_old) {
-      trivial[j] = 1;
-      out[j] = bb->total;
+      out[j] = bb.total;
+      s.touch_end.push_back(s.touches.size());
       continue;
     }
     // Incremental activity shares: integer contender-count deltas (only
     // `a` and its graph neighbors can change), then the exact
     // 1/(count+1) expression — bit-identical to a full recount.
-    double* act_j = act.data() + j * n;
+    double* act_j = s.act.data() + j * n;
     for (int x = 0; x < n_aps; ++x) {
       int count;
       if (x == a) {
@@ -403,15 +521,15 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
         for (int b = 0; b < n_aps; ++b) {
           if (b != a && graph.adjacent(a, b) &&
               conflicts_fast(ch_new,
-                             bb->assignment[static_cast<std::size_t>(b)])) {
+                             bb.assignment[static_cast<std::size_t>(b)])) {
             ++count;
           }
         }
       } else {
-        count = bb->conflict_count[static_cast<std::size_t>(x)];
+        count = bb.conflict_count[static_cast<std::size_t>(x)];
         if (graph.adjacent(x, a)) {
           const net::Channel& ch_x =
-              bb->assignment[static_cast<std::size_t>(x)];
+              bb.assignment[static_cast<std::size_t>(x)];
           count += static_cast<int>(conflicts_fast(ch_x, ch_new)) -
                    static_cast<int>(conflicts_fast(ch_x, ch_old));
         }
@@ -420,66 +538,72 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
           1.0 / (static_cast<double>(count) + 1.0);
     }
     if (sinr) {
-      ylist.clear();
+      s.ylist.clear();
       for (int b = 0; b < n_aps; ++b) {
         if (b != a &&
             double_bits(act_j[static_cast<std::size_t>(b)]) !=
-                double_bits(bb->activity[static_cast<std::size_t>(b)])) {
-          ylist.push_back(b);
+                double_bits(bb.activity[static_cast<std::size_t>(b)])) {
+          s.ylist.push_back(b);
         }
       }
     }
     // Classify every non-empty cell: untouched / share-only / full.
     for (std::size_t idx = 0; idx < n_cells; ++idx) {
-      const int x = bb->cells[idx];
+      const int x = bb.cells[idx];
       if (x == a) {
         const double share_new =
-            weighted ? weighted_share_flip(x, a, ch_new)
+            weighted ? weighted_share_flip(graph, bb.assignment, x, a, ch_new)
                      : act_j[static_cast<std::size_t>(a)];
         // Without SINR coupling the flipped cell's value depends on its
         // channel only through the width (rate table + SNR column), so
         // a same-width same-share flip replays the base value, and
         // same-width same-share lanes within the batch share one eval.
         if (!sinr && ch_new.width() == ch_old.width() &&
-            double_bits(share_new) == double_bits(bb->cell_share[idx])) {
-          ++n_reuse;
+            double_bits(share_new) == double_bits(bb.cell_share[idx])) {
+          ++lease.counts.batch_reuses;
           continue;
         }
-        int slot = -1;
-        if (!sinr) {
-          // In non-SINR mode every full lane on this cell is a flip of
-          // this cell's own AP, so (width, share) pins the value even
-          // across different primaries (the memo key cannot see that).
-          for (std::size_t k = 0; k < full_lanes[idx].size(); ++k) {
-            const sim::CellLane& lane = full_lanes[idx][k];
-            if (lane.flip_channel.width() == ch_new.width() &&
-                double_bits(lane.medium_share) == double_bits(share_new)) {
-              slot = static_cast<int>(k);
-              break;
-            }
-          }
+        if (sinr) {
+          s.touches.push_back(
+              full_lane_slot(idx, x, a, ch_new, share_new, act_j));
+          continue;
         }
-        touches[j].push_back(
-            slot >= 0 ? Touch{static_cast<int>(idx), 0, slot}
-                      : full_lane_slot(idx, x, a, ch_new, share_new, act_j));
+        // In non-SINR mode every full lane and memo value on this cell
+        // is a flip of this cell's own AP, so (width, share) pins the
+        // value even across different primaries (the memo key cannot
+        // see that).
+        std::vector<OwnFlip>& own = s.cells[idx].own_flips;
+        const auto same = std::ranges::find_if(own, [&](const OwnFlip& f) {
+          return f.width == ch_new.width() &&
+                 f.share_bits == double_bits(share_new);
+        });
+        if (same != own.end()) {
+          s.touches.push_back(same->touch);
+        } else {
+          own.push_back(OwnFlip{
+              ch_new.width(), double_bits(share_new),
+              full_lane_slot(idx, x, a, ch_new, share_new, act_j)});
+          s.touches.push_back(own.back().touch);
+        }
         continue;
       }
       double share_new;
       if (weighted) {
-        share_new = graph.adjacent(x, a) ? weighted_share_flip(x, a, ch_new)
-                                         : bb->cell_share[idx];
+        share_new = graph.adjacent(x, a)
+                        ? weighted_share_flip(graph, bb.assignment, x, a,
+                                              ch_new)
+                        : bb.cell_share[idx];
       } else {
         share_new = act_j[static_cast<std::size_t>(x)];
       }
       const bool share_changed =
-          double_bits(share_new) != double_bits(bb->cell_share[idx]);
+          double_bits(share_new) != double_bits(bb.cell_share[idx]);
       bool hidden_touched = false;
       if (sinr) {
         // Cell x's hidden-interference signature moves iff some changed
         // AP (the flipped one, or an activity-changed neighbor of it)
         // is a hidden interferer of x before or after the flip.
-        const net::Channel& own =
-            bb->assignment[static_cast<std::size_t>(x)];
+        const net::Channel& own = bb.assignment[static_cast<std::size_t>(x)];
         if (!graph.adjacent(x, a)) {
           const double cap_old = overlap_fraction_fast(ch_old, own);
           const double cap_new = overlap_fraction_fast(ch_new, own);
@@ -495,15 +619,14 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
                 double_bits(cap_old) != double_bits(cap_new) ||
                 ch_old.width() != ch_new.width() ||
                 double_bits(act_j[static_cast<std::size_t>(a)]) !=
-                    double_bits(bb->activity[static_cast<std::size_t>(a)]);
+                    double_bits(bb.activity[static_cast<std::size_t>(a)]);
           }
         }
         if (!hidden_touched) {
-          for (const int b : ylist) {
+          for (const int b : s.ylist) {
             if (b == x || graph.adjacent(x, b)) continue;
-            if (overlap_fraction_fast(
-                    bb->assignment[static_cast<std::size_t>(b)], own) >
-                0.0) {
+            if (shared_basics(bb.assignment[static_cast<std::size_t>(b)],
+                              own) > 0) {
               hidden_touched = true;
               break;
             }
@@ -511,77 +634,71 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
         }
       }
       if (hidden_touched) {
-        touches[j].push_back(
+        s.touches.push_back(
             full_lane_slot(idx, x, a, ch_new, share_new, act_j));
       } else if (share_changed) {
-        const int slot = static_cast<int>(rescale_shares[idx].size());
-        rescale_shares[idx].push_back(share_new);
-        touches[j].push_back(Touch{static_cast<int>(idx), 1, slot});
+        std::vector<double>& shares = s.cells[idx].rescale_shares;
+        s.touches.push_back(Touch{static_cast<int>(idx), 1,
+                                  static_cast<int>(shares.size())});
+        shares.push_back(share_new);
       } else {
-        ++n_reuse;
+        ++lease.counts.batch_reuses;
       }
     }
+    s.touch_end.push_back(s.touches.size());
   }
 
   // Batched kernel passes, one call per touched cell.
-  std::vector<std::vector<double>> full_vals(n_cells);
-  std::vector<std::vector<double>> rescale_vals(n_cells);
-  std::uint64_t n_full = 0;
-  std::uint64_t n_rescale = 0;
   for (std::size_t idx = 0; idx < n_cells; ++idx) {
-    const int x = bb->cells[idx];
-    if (!full_lanes[idx].empty()) {
-      n_full += full_lanes[idx].size();
-      full_vals[idx].resize(full_lanes[idx].size());
-      snap_.evaluate_cells_batch(x, bb->assignment, full_lanes[idx],
-                                 traffic_, weights_, full_vals[idx], nullptr,
-                                 kernel);
+    const int x = bb.cells[idx];
+    CellWork& w = s.cells[idx];
+    if (!w.full_lanes.empty()) {
+      lease.counts.batch_full_evals += w.full_lanes.size();
+      w.full_vals.resize(w.full_lanes.size());
+      snap_.evaluate_cells_batch(x, bb.assignment, w.full_lanes, traffic_,
+                                 weights_, w.full_vals, nullptr, kernel);
       // Publish into the persistent memo so later rounds (and serial
       // calls) replay these values for free.
       std::lock_guard<std::mutex> lock(mutex_);
       auto& memo = memo_[static_cast<std::size_t>(x)];
-      for (std::size_t k = 0; k < full_keys[idx].size(); ++k) {
-        memo.emplace(std::move(full_keys[idx][k]), full_vals[idx][k]);
+      for (std::size_t k = 0; k < w.full_lanes.size(); ++k) {
+        const KeyView key = w.key(k);
+        memo.emplace(CellKey(key.begin(), key.end()), w.full_vals[k]);
       }
     }
-    if (!rescale_shares[idx].empty()) {
-      n_rescale += rescale_shares[idx].size();
-      rescale_vals[idx].resize(rescale_shares[idx].size());
-      snap_.rescale_cell_shares(x, rescale_shares[idx], bb->cell_cache[idx],
-                                traffic_, weights_, rescale_vals[idx],
-                                kernel);
+    if (!w.rescale_shares.empty()) {
+      lease.counts.batch_rescales += w.rescale_shares.size();
+      w.rescale_vals.resize(w.rescale_shares.size());
+      snap_.rescale_cell_shares(x, w.rescale_shares, *bb.cell_cache[idx],
+                                traffic_, weights_, w.rescale_vals, kernel);
     }
   }
 
   // Assemble each candidate's total in ascending-cell order — the exact
   // summation order total_bps uses.
+  std::size_t ti = 0;
   for (std::size_t j = 0; j < n_cands; ++j) {
-    if (trivial[j]) continue;
-    const std::vector<Touch>& tl = touches[j];  // ascending cell_idx
-    std::size_t ti = 0;
+    const std::size_t t_end = s.touch_end[j];
+    if (candidates[j].channel ==
+        bb.assignment[static_cast<std::size_t>(candidates[j].ap)]) {
+      continue;  // no-op flip, already the base total
+    }
     double total = 0.0;
     for (std::size_t idx = 0; idx < n_cells; ++idx) {
-      double v;
-      if (ti < tl.size() && tl[ti].cell_idx == static_cast<int>(idx)) {
-        const Touch& t = tl[ti++];
+      double v = bb.cell_value[idx];
+      if (ti < t_end &&
+          s.touches[ti].cell_idx == static_cast<int>(idx)) {
+        const Touch& t = s.touches[ti++];
+        const CellWork& w = s.cells[idx];
         const auto slot = static_cast<std::size_t>(t.slot);
-        v = t.kind == 0   ? full_vals[idx][slot]
-            : t.kind == 1 ? rescale_vals[idx][slot]
-                          : memo_vals[idx][slot];
-      } else {
-        v = bb->cell_value[idx];
+        v = t.kind == 0   ? w.full_vals[slot]
+            : t.kind == 1 ? w.rescale_vals[slot]
+                          : w.memo_vals[slot];
       }
       total += v;
     }
     out[j] = total;
   }
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.batch_calls;
-  stats_.batch_candidates += n_cands;
-  stats_.batch_full_evals += n_full;
-  stats_.batch_rescales += n_rescale;
-  stats_.batch_reuses += n_reuse;
 }
 
 OracleCacheStats CachedOracle::stats() const {

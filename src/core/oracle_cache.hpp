@@ -52,6 +52,9 @@ struct OracleCacheStats {
   std::uint64_t batch_full_evals = 0;  // full cell-lane evaluations
   std::uint64_t batch_rescales = 0;    // share-only cell rescales
   std::uint64_t batch_reuses = 0;      // untouched cells replayed from base
+  // Base cells evaluated in full; every other base cell is rescaled from
+  // a memoized scan cache or replayed from the cell memo.
+  std::uint64_t batch_base_full_evals = 0;
 };
 
 /// One candidate move of Algorithm 2's scan: AP `ap` flipped to
@@ -91,10 +94,14 @@ class CachedOracle {
   /// untouched (replay the base cell value), share-only (batched
   /// rescale) or fully touched (batched re-evaluation through
   /// NetSnapshot::evaluate_cells_batch); per-candidate activity vectors
-  /// are derived incrementally from the base conflict counts. Safe to
-  /// call concurrently from many threads on disjoint candidate spans —
-  /// the per-base analysis is built once under the cache mutex and
-  /// shared read-only.
+  /// are derived incrementally from the base conflict counts. A base
+  /// cell whose share-independent context was scored before, under any
+  /// earlier base, is rescaled from the memoized scan cache instead of
+  /// re-running its rate/PER pipeline. Safe to call concurrently from
+  /// many threads, on one base or on different ones — each per-base
+  /// analysis is built under the cache mutex and shared read-only by
+  /// the calls using it. Scratch is per thread, so a repeated call on
+  /// an unchanged base allocates nothing.
   void total_bps_batch(const net::ChannelAssignment& base,
                        std::span<const FlipCandidate> candidates,
                        std::span<double> out,
@@ -110,34 +117,54 @@ class CachedOracle {
   // A cell's memo key: the invalidation signature described above,
   // packed into 64-bit words (channel code, bit pattern of the medium
   // share, then per hidden interferer: id, channel code, activity bits).
+  // Every word but the share one is the cell's share-independent
+  // context, which alone determines its sim::CellScanCache. The maps
+  // below also look keys up by span, so the batched scan builds its
+  // keys in reusable scratch instead of allocating one per lookup.
   using CellKey = std::vector<std::uint64_t>;
+  using KeyView = std::span<const std::uint64_t>;
   struct CellKeyHash {
-    std::size_t operator()(const CellKey& k) const;
+    using is_transparent = void;
+    std::size_t operator()(KeyView k) const;
   };
+  struct CellKeyEq {
+    using is_transparent = void;
+    bool operator()(KeyView a, KeyView b) const;
+  };
+  template <class Value>
+  using KeyMap = std::unordered_map<CellKey, Value, CellKeyHash, CellKeyEq>;
 
   CellKey cell_key(int ap, const net::ChannelAssignment& assignment,
                    double medium_share,
                    std::span<const double> activity) const;
 
   // Shared per-base-assignment analysis for the batched scan: everything
-  // a single-AP flip perturbs incrementally. Built once per distinct
-  // base assignment (one per allocator round) and shared read-only by
-  // all scan threads.
+  // a single-AP flip perturbs incrementally. Built under mutex_ once per
+  // distinct base assignment and read without the lock by every call
+  // leasing it; `readers` counts those calls, and a base nobody leases
+  // is rebuilt in place for the next assignment, so its vectors keep
+  // their capacity.
   struct BatchBase {
-    CellKey key;  // per-AP packed channel codes of the base
+    std::vector<std::uint64_t> key;  // per-AP packed channel codes
     net::ChannelAssignment assignment;
     std::vector<double> activity;    // unweighted shares, all APs
     std::vector<int> conflict_count; // integer contender counts, all APs
     std::vector<int> cells;          // non-empty cells, ascending AP id
     std::vector<double> cell_share;  // medium share per cells[] entry
     std::vector<double> cell_value;  // objective value per cells[] entry
-    std::vector<sim::CellScanCache> cell_cache;  // per cells[] entry
-    std::vector<CellKey> cell_memo_key;          // per cells[] entry
+    // Per cells[] entry, the cell's scan cache in scan_memo_.
+    std::vector<const sim::CellScanCache*> cell_cache;
     double total = 0.0;              // == total_bps(assignment)
+    int readers = 0;                 // leasing calls, guarded by mutex_
   };
 
-  std::shared_ptr<const BatchBase> batch_base_for(
-      const net::ChannelAssignment& base, sim::BatchKernel kernel) const;
+  // Leases the analysis of `base` (`key` = its packed channel codes),
+  // building it into an idle pooled base if no pooled base holds it.
+  // Both run under mutex_.
+  BatchBase& lease_batch_base(const net::ChannelAssignment& base,
+                              KeyView key, sim::BatchKernel kernel) const;
+  void build_batch_base(BatchBase& bb, const net::ChannelAssignment& base,
+                        KeyView key, sim::BatchKernel kernel) const;
 
   const sim::Wlan& wlan_;
   net::Association assoc_;
@@ -145,16 +172,25 @@ class CachedOracle {
   std::vector<double> weights_;  // empty = unweighted objective
   sim::NetSnapshot snap_;        // graph + flat link state, built once
 
-  mutable std::mutex mutex_;  // guards memo_, share_memo_ and stats_
-  mutable std::vector<std::unordered_map<CellKey, double, CellKeyHash>> memo_;
+  // Guards memo_, scan_memo_, share_memo_, bases_ (with each base's
+  // readers count), the build buffers and stats_.
+  mutable std::mutex mutex_;
+  mutable std::vector<KeyMap<double>> memo_;
+  // Per AP, the scan cache of every share-independent cell context a
+  // batch base has scored, keyed by the cell memo key without its share
+  // word. Read through pointers like share_memo_.
+  mutable std::vector<KeyMap<sim::CellScanCache>> scan_memo_;
   // Unweighted activity-share vectors memoized per assignment (keyed by
   // the per-AP channel codes), replacing an O(APs^2) adjacency scan per
   // oracle call with a hash lookup. Values are read through pointers
   // into the map: unordered_map nodes are address-stable under rehash
   // and a stored vector is never mutated after insertion.
-  mutable std::unordered_map<CellKey, std::vector<double>, CellKeyHash>
-      share_memo_;
-  mutable std::shared_ptr<const BatchBase> batch_base_;
+  mutable KeyMap<std::vector<double>> share_memo_;
+  // Batch bases: never more than the calls ever concurrent.
+  mutable std::vector<std::unique_ptr<BatchBase>> bases_;
+  // build_batch_base's key and context buffers.
+  mutable std::vector<std::uint64_t> build_key_;
+  mutable std::vector<std::uint64_t> build_ctx_;
   mutable OracleCacheStats stats_;
 };
 

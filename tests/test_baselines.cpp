@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "baselines/kai.hpp"
 #include "baselines/kauffmann17.hpp"
-#include "core/allocation.hpp"
-#include "baselines/optimal.hpp"
 #include "baselines/simple.hpp"
+#include "core/allocation.hpp"
 #include "testutil.hpp"
 
 namespace acorn::baselines {
@@ -150,9 +150,8 @@ TEST(RandomConfiguration, ShapesAreConsistent) {
 TEST(Optimal, ThrowsWhenSearchSpaceTooLarge) {
   const ScenarioBuilder b = testutil::topology1_builder();
   const sim::Wlan wlan = b.build();
-  EXPECT_THROW(optimal_assignment(wlan, b.intended_association(),
-                                  net::ChannelPlan(12),
-                                  mac::TrafficType::kUdp, 10),
+  const core::CachedOracle oracle(wlan, b.intended_association());
+  EXPECT_THROW(kai_exact_allocation(oracle, net::ChannelPlan(12), 10),
                std::invalid_argument);
 }
 
@@ -163,10 +162,11 @@ TEST(Optimal, FindsIsolationWhenPossible) {
   b.ap_ap_loss_db = 85.0;
   const sim::Wlan wlan = b.build();
   const net::Association assoc = b.intended_association();
-  const OptimalResult best =
-      optimal_assignment(wlan, assoc, net::ChannelPlan(4));
+  const core::CachedOracle oracle(wlan, assoc);
+  const KaiResult best = kai_exact_allocation(oracle, net::ChannelPlan(4));
+  EXPECT_TRUE(best.exact);
   EXPECT_FALSE(best.assignment[0].conflicts(best.assignment[1]));
-  EXPECT_EQ(best.evaluated, 36);  // 6 colors ^ 2 APs
+  EXPECT_EQ(best.evaluations, 36);  // 6 colors ^ 2 APs
 }
 
 TEST(Optimal, DominatesGreedyAllocator) {
@@ -178,7 +178,8 @@ TEST(Optimal, DominatesGreedyAllocator) {
   const sim::Wlan wlan = b.build();
   const net::Association assoc = b.intended_association();
   const net::ChannelPlan plan(4);
-  const OptimalResult best = optimal_assignment(wlan, assoc, plan);
+  const core::CachedOracle oracle(wlan, assoc);
+  const KaiResult best = kai_exact_allocation(oracle, plan);
   const core::ChannelAllocator alloc{plan};
   util::Rng rng(5);
   const core::AllocationResult greedy =

@@ -9,12 +9,56 @@
 // degenerate networks. Equality is ==, never near.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <thread>
 #include <vector>
 
 #include "core/allocation.hpp"
 #include "core/oracle_cache.hpp"
 #include "testutil.hpp"
 #include "util/rng.hpp"
+
+// Global allocation counter for the zero-allocation test. Overriding
+// operator new here affects this test binary only.
+namespace {
+std::atomic<std::size_t> g_alloc_count{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+// std::stable_sort's temporary buffer comes from the nothrow forms.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+// GCC flags free() on operator-new memory once these are inlined; here
+// operator new is malloc, so the pairing is right.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace acorn::core {
 namespace {
@@ -128,6 +172,227 @@ TEST(BatchScan, TotalBpsBatchBitIdenticalToSerialFlips) {
   }
   // Make sure the loop actually exercised a meaningful corpus.
   EXPECT_GT(checked, 500);
+}
+
+// One model combination of the multi-base suites: sinr x weighted x
+// client weights x transport, from the low four bits of `combo`.
+struct Model {
+  bool sinr;
+  bool weighted;
+  bool client_weights;
+  mac::TrafficType traffic;
+};
+
+Model model_of(int combo) {
+  return Model{(combo & 1) != 0, (combo & 2) != 0, (combo & 4) != 0,
+               (combo & 8) != 0 ? mac::TrafficType::kTcp
+                                : mac::TrafficType::kUdp};
+}
+
+// A deployment with at least two APs under one model combination.
+struct MemoCase {
+  ScenarioBuilder builder;
+  sim::Wlan wlan;
+  net::Association assoc;
+  std::vector<double> weights;
+  mac::TrafficType traffic;
+
+  MemoCase(util::Rng& rng, const Model& m)
+      : builder(two_or_more_aps(rng, m)),
+        wlan(builder.build()),
+        assoc(random_association(builder, rng)),
+        traffic(m.traffic) {
+    if (m.client_weights) {
+      for (int c = 0; c < wlan.topology().num_clients(); ++c) {
+        weights.push_back(c % 3 == 0 ? 0.0 : rng.uniform(0.1, 1.0));
+      }
+    }
+  }
+
+  static ScenarioBuilder two_or_more_aps(util::Rng& rng, const Model& m) {
+    ScenarioBuilder b = random_builder(rng, m.sinr, m.weighted);
+    while (b.cells.size() < 2) b = random_builder(rng, m.sinr, m.weighted);
+    return b;
+  }
+};
+
+// A base sequence that revisits earlier bases out of order and mixes in
+// multi-AP jumps: a few random anchors, then each step either returns to
+// an anchor or to an earlier step, or perturbs one with 1..n random APs.
+std::vector<net::ChannelAssignment> base_sequence(
+    util::Rng& rng, int n_aps, const std::vector<net::Channel>& colors,
+    int length) {
+  const auto color = [&] {
+    return colors[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(colors.size()) - 1))];
+  };
+  std::vector<net::ChannelAssignment> seq;
+  for (int i = 0; i < 3; ++i) {
+    net::ChannelAssignment a(static_cast<std::size_t>(n_aps), colors.front());
+    for (net::Channel& ch : a) ch = color();
+    seq.push_back(a);
+  }
+  while (static_cast<int>(seq.size()) < length) {
+    net::ChannelAssignment a = seq[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(seq.size()) - 1))];
+    if (rng.uniform() < 0.6) {
+      const int changes = static_cast<int>(rng.uniform_int(1, n_aps));
+      for (int c = 0; c < changes; ++c) {
+        a[static_cast<std::size_t>(rng.uniform_int(0, n_aps - 1))] = color();
+      }
+    }
+    seq.push_back(a);
+  }
+  return seq;
+}
+
+std::vector<FlipCandidate> all_flips(int n_aps,
+                                     const std::vector<net::Channel>& colors) {
+  std::vector<FlipCandidate> flips;
+  for (int ap = 0; ap < n_aps; ++ap) {
+    for (const net::Channel& c : colors) flips.push_back(FlipCandidate{ap, c});
+  }
+  return flips;
+}
+
+// Serial scores of every flip of `base` from an oracle that has never
+// seen a batch.
+std::vector<double> serial_scores(const MemoCase& mc,
+                                  const net::ChannelAssignment& base,
+                                  const std::vector<FlipCandidate>& flips) {
+  const CachedOracle ref(mc.wlan, mc.assoc, mc.traffic, mc.weights);
+  std::vector<double> want;
+  for (const FlipCandidate& f : flips) {
+    net::ChannelAssignment flipped = base;
+    flipped[static_cast<std::size_t>(f.ap)] = f.channel;
+    want.push_back(ref.total_bps(flipped));
+  }
+  return want;
+}
+
+TEST(BatchScan, ScanCacheMemoServesLaterBasesBitIdentically) {
+  // One oracle scores a base sequence that revisits contexts out of
+  // order; every batch must equal a fresh oracle's serial calls, and a
+  // base rebuilt after others must be served wholly by the scan-cache
+  // memo (no full base-cell evaluation).
+  util::Rng rng(0x5CA7);
+  const net::ChannelPlan plan(4);
+  const std::vector<net::Channel> colors = plan.all_channels();
+  int revisits = 0;
+  for (int combo = 0; combo < 16; ++combo) {
+    const MemoCase mc(rng, model_of(combo));
+    const int n_aps = mc.wlan.topology().num_aps();
+    const std::vector<FlipCandidate> flips = all_flips(n_aps, colors);
+    const CachedOracle oracle(mc.wlan, mc.assoc, mc.traffic, mc.weights);
+    const std::vector<net::ChannelAssignment> seq =
+        base_sequence(rng, n_aps, colors, 14);
+    for (std::size_t step = 0; step < seq.size(); ++step) {
+      const bool seen_before =
+          std::find(seq.begin(), seq.begin() + static_cast<long>(step),
+                    seq[step]) != seq.begin() + static_cast<long>(step);
+      const bool same_as_last = step > 0 && seq[step] == seq[step - 1];
+      const std::uint64_t full_before = oracle.stats().batch_base_full_evals;
+      std::vector<double> got(flips.size(), -1.0);
+      oracle.total_bps_batch(seq[step], flips, got,
+                             step % 3 == 2 ? sim::BatchKernel::kScalar
+                                           : sim::BatchKernel::kAuto);
+      const std::vector<double> want = serial_scores(mc, seq[step], flips);
+      for (std::size_t j = 0; j < flips.size(); ++j) {
+        ASSERT_EQ(want[j], got[j]) << "combo " << combo << " step " << step
+                                   << " flip " << j;
+      }
+      if (seen_before && !same_as_last) {
+        EXPECT_EQ(oracle.stats().batch_base_full_evals, full_before)
+            << "combo " << combo << " step " << step;
+        ++revisits;
+      }
+    }
+    EXPECT_EQ(oracle.stats().batch_calls, seq.size());
+  }
+  EXPECT_GT(revisits, 16);
+}
+
+TEST(BatchScan, ScanCacheMemoSharedAcrossThreads) {
+  // 2-4 threads share one oracle, each scoring its own base sequence
+  // (different bases at the same time, revisits included) against
+  // serial references computed up front.
+  util::Rng rng(0x7EAD);
+  const net::ChannelPlan plan(4);
+  const std::vector<net::Channel> colors = plan.all_channels();
+  for (int combo = 0; combo < 16; ++combo) {
+    const MemoCase mc(rng, model_of(combo));
+    const int n_aps = mc.wlan.topology().num_aps();
+    const std::vector<FlipCandidate> flips = all_flips(n_aps, colors);
+    const int n_threads = 2 + combo % 3;
+    std::vector<std::vector<net::ChannelAssignment>> seqs;
+    std::vector<std::vector<std::vector<double>>> want;
+    for (int t = 0; t < n_threads; ++t) {
+      seqs.push_back(base_sequence(rng, n_aps, colors, 8));
+      want.emplace_back();
+      for (const net::ChannelAssignment& base : seqs.back()) {
+        want.back().push_back(serial_scores(mc, base, flips));
+      }
+    }
+    const CachedOracle oracle(mc.wlan, mc.assoc, mc.traffic, mc.weights);
+    std::vector<std::vector<std::vector<double>>> got(
+        static_cast<std::size_t>(n_threads));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < n_threads; ++t) {
+      threads.emplace_back([&, t] {
+        const auto ti = static_cast<std::size_t>(t);
+        for (const net::ChannelAssignment& base : seqs[ti]) {
+          std::vector<double> out(flips.size(), -1.0);
+          oracle.total_bps_batch(base, flips, out);
+          got[ti].push_back(std::move(out));
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (int t = 0; t < n_threads; ++t) {
+      const auto ti = static_cast<std::size_t>(t);
+      ASSERT_EQ(got[ti].size(), want[ti].size());
+      for (std::size_t b = 0; b < want[ti].size(); ++b) {
+        for (std::size_t j = 0; j < flips.size(); ++j) {
+          ASSERT_EQ(want[ti][b][j], got[ti][b][j])
+              << "combo " << combo << " thread " << t << " base " << b
+              << " flip " << j;
+        }
+      }
+    }
+    EXPECT_EQ(oracle.stats().batch_calls,
+              static_cast<std::uint64_t>(n_threads) * 8u);
+  }
+}
+
+TEST(BatchScanAllocation, WarmCallOnUnchangedBaseIsAllocationFree) {
+  // Once a base, its memo entries and the thread's scratch are warm,
+  // scoring the same flips again allocates nothing, in every model
+  // combination and on both kernels.
+  util::Rng rng(0xA11C);
+  const net::ChannelPlan plan(4);
+  const std::vector<net::Channel> colors = plan.all_channels();
+  for (int combo = 0; combo < 16; ++combo) {
+    const MemoCase mc(rng, model_of(combo));
+    const int n_aps = mc.wlan.topology().num_aps();
+    const std::vector<FlipCandidate> flips = all_flips(n_aps, colors);
+    const ChannelAllocator alloc{plan};
+    const net::ChannelAssignment base = alloc.random_assignment(n_aps, rng);
+    const CachedOracle oracle(mc.wlan, mc.assoc, mc.traffic, mc.weights);
+    std::vector<double> out(flips.size(), -1.0);
+    for (const sim::BatchKernel kernel :
+         {sim::BatchKernel::kAuto, sim::BatchKernel::kScalar}) {
+      // The first call fills the memo, the second replays it.
+      oracle.total_bps_batch(base, flips, out, kernel);
+      oracle.total_bps_batch(base, flips, out, kernel);
+      const std::size_t before =
+          g_alloc_count.load(std::memory_order_relaxed);
+      for (int i = 0; i < 4; ++i) {
+        oracle.total_bps_batch(base, flips, out, kernel);
+      }
+      const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+      EXPECT_EQ(after - before, 0u) << "combo " << combo;
+    }
+  }
 }
 
 TEST(BatchScan, AllocateIdenticalAcrossBatchSizesThreadsAndKernels) {

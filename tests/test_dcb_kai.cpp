@@ -1,11 +1,15 @@
 // Kai et al. optimal channel/width baseline: the exact branch must agree
-// with the existing exhaustive search, the bounded branch must stay
-// within budget and never lose to its own starting points.
+// with a plain exhaustive odometer over the full evaluator, the bounded
+// branch must stay within budget and never lose to its own starting
+// points.
 #include "baselines/kai.hpp"
 
 #include <gtest/gtest.h>
 
-#include "baselines/optimal.hpp"
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "baselines/simple.hpp"
 #include "dcb/random_drop.hpp"
 #include "testutil.hpp"
@@ -32,22 +36,149 @@ sim::Wlan random_wlan(std::uint64_t seed, int num_aps = 4) {
   return dcb::random_drop(cfg, rng).build();
 }
 
-TEST(Kai, ExactBranchMatchesExhaustiveSearch) {
-  // Same search space, same oracle kernel: the exact branch must land on
-  // the same total as optimal_assignment (assignments may differ only if
-  // tied, so compare the achieved objective, bit-exactly).
+// The executable spec of the exact branch: a plain odometer over every
+// assignment (AP 0's color varies fastest), each scored by a full
+// Wlan::evaluate, the first strict maximum kept. With client weights the
+// objective is the oracle's: each cell's weighted client goodputs summed
+// in client order, the cells summed in AP order. `maxima` receives how
+// many assignments reach the maximum.
+KaiResult reference_search(const sim::Wlan& wlan,
+                           const net::Association& assoc,
+                           const net::ChannelPlan& plan,
+                           mac::TrafficType traffic,
+                           const std::vector<double>& weights,
+                           int& maxima) {
+  const std::vector<net::Channel> colors = plan.all_channels();
+  const std::size_t n = static_cast<std::size_t>(wlan.topology().num_aps());
+  std::vector<std::size_t> idx(n, 0);
+  net::ChannelAssignment current(n, colors.front());
+  KaiResult best;
+  best.exact = true;
+  best.total_bps = -1.0;
+  while (true) {
+    for (std::size_t i = 0; i < n; ++i) current[i] = colors[idx[i]];
+    const sim::Evaluation eval = wlan.evaluate(assoc, current, traffic);
+    double total = eval.total_goodput_bps;
+    if (!weights.empty()) {
+      total = 0.0;
+      for (const sim::ApStats& cell : eval.per_ap) {
+        double value = 0.0;
+        for (std::size_t i = 0; i < cell.client_ids.size(); ++i) {
+          value += weights[static_cast<std::size_t>(cell.client_ids[i])] *
+                   cell.client_goodput_bps[i];
+        }
+        total += value;
+      }
+    }
+    ++best.evaluations;
+    if (total > best.total_bps) {
+      best.total_bps = total;
+      best.assignment = current;
+      maxima = 1;
+    } else if (total == best.total_bps) {
+      ++maxima;
+    }
+    std::size_t pos = 0;
+    while (pos < n) {
+      if (++idx[pos] < colors.size()) break;
+      idx[pos] = 0;
+      ++pos;
+    }
+    if (pos == n) break;
+  }
+  return best;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Returns how many assignments reach the optimum.
+int expect_matches_reference(const sim::Wlan& wlan,
+                             const net::Association& assoc,
+                             const net::ChannelPlan& plan,
+                             mac::TrafficType traffic,
+                             const std::vector<double>& weights,
+                             const std::string& what) {
+  const core::CachedOracle oracle(wlan, assoc, traffic, weights);
+  const KaiResult got = kai_exact_allocation(oracle, plan);
+  int maxima = 0;
+  const KaiResult want = reference_search(wlan, assoc, plan, traffic,
+                                          weights, maxima);
+  EXPECT_TRUE(got.exact) << what;
+  EXPECT_TRUE(same_bits(got.total_bps, want.total_bps))
+      << what << ": " << got.total_bps << " vs " << want.total_bps;
+  EXPECT_EQ(got.assignment, want.assignment) << what;
+  EXPECT_EQ(got.evaluations, want.evaluations) << what;
+  return maxima;
+}
+
+TEST(Kai, ExactSearchMatchesReferenceOdometer) {
+  // Random dense drops across every model switch the oracle keys on.
   const net::ChannelPlan plan(4);
-  for (std::uint64_t seed : {3u, 4u, 5u}) {
-    const Bench b(random_wlan(seed));
-    util::Rng rng(99);
-    const KaiResult kai = kai_optimal_allocation(b.oracle, plan, rng);
-    ASSERT_TRUE(kai.exact) << "seed " << seed;
-    const OptimalResult ref =
-        optimal_assignment(b.wlan, b.assoc, plan);
-    EXPECT_DOUBLE_EQ(kai.total_bps, ref.total_bps) << "seed " << seed;
-    EXPECT_EQ(kai.evaluations, ref.evaluated);
-    // The reported assignment really achieves the reported total.
-    EXPECT_DOUBLE_EQ(b.oracle.total_bps(kai.assignment), kai.total_bps);
+  std::uint64_t seed = 40;
+  for (const bool sinr : {false, true}) {
+    for (const bool weighted : {false, true}) {
+      for (const bool client_weights : {false, true}) {
+        for (const mac::TrafficType traffic :
+             {mac::TrafficType::kUdp, mac::TrafficType::kTcp}) {
+          dcb::RandomDropConfig cfg;
+          cfg.num_aps = 4;
+          cfg.num_clients = 10;
+          util::Rng rng(++seed);
+          sim::WlanConfig wlan_cfg;
+          wlan_cfg.sinr_interference = sinr;
+          wlan_cfg.weighted_contention = weighted;
+          const sim::Wlan wlan = dcb::random_drop(cfg, rng).build(wlan_cfg);
+          const net::Association assoc = rss_associate_all(wlan);
+          std::vector<double> weights;
+          if (client_weights) {
+            for (int c = 0; c < wlan.topology().num_clients(); ++c) {
+              weights.push_back(c % 4 == 0 ? 0.0 : rng.uniform());
+            }
+          }
+          expect_matches_reference(
+              wlan, assoc, plan, traffic, weights,
+              "seed " + std::to_string(seed) + " sinr " +
+                  std::to_string(sinr) + " weighted " +
+                  std::to_string(weighted) + " weights " +
+                  std::to_string(client_weights) + " tcp " +
+                  std::to_string(traffic == mac::TrafficType::kTcp));
+        }
+      }
+    }
+  }
+}
+
+TEST(Kai, ExactSearchMatchesReferenceOnOneAp) {
+  testutil::ScenarioBuilder b;
+  b.cells = {testutil::CellSpec{{testutil::kGoodLinkLoss,
+                                 testutil::kMarginalLinkLoss}}};
+  const sim::Wlan wlan = b.build();
+  expect_matches_reference(wlan, b.intended_association(),
+                           net::ChannelPlan(6), mac::TrafficType::kUdp, {},
+                           "one AP");
+}
+
+TEST(Kai, ExactSearchMatchesReferenceOnSymmetricFloor) {
+  // Four identical cells: permuting an assignment's colors across the
+  // APs mostly leaves the total bit-identical, so many assignments tie
+  // for the optimum and the result rests on the first-in-order
+  // tie-break.
+  for (const bool sinr : {false, true}) {
+    testutil::ScenarioBuilder b;
+    for (int ap = 0; ap < 4; ++ap) {
+      b.cells.push_back(testutil::CellSpec{
+          {testutil::kGoodLinkLoss, testutil::kMediumLinkLoss}});
+    }
+    b.ap_ap_loss_db = sinr ? 110.0 : 85.0;
+    b.cross_loss_db = sinr ? 100.0 : testutil::kIsolatedLoss;
+    b.config.sinr_interference = sinr;
+    const sim::Wlan wlan = b.build();
+    const int maxima = expect_matches_reference(
+        wlan, b.intended_association(), net::ChannelPlan(4),
+        mac::TrafficType::kUdp, {}, sinr ? "symmetric sinr" : "symmetric");
+    EXPECT_GT(maxima, 1) << "sinr " << sinr;
   }
 }
 
@@ -77,6 +208,44 @@ TEST(Kai, BoundedBranchEngagesAboveBudgetAndRespectsIt) {
   EXPECT_GT(r.total_bps, 0.0);
   EXPECT_EQ(r.assignment.size(), 6u);
   EXPECT_DOUBLE_EQ(b.oracle.total_bps(r.assignment), r.total_bps);
+}
+
+TEST(Kai, BoundedBranchStopsExactlyAtItsBudget) {
+  // Every restart's first evaluation and every steepest-ascent scan (30
+  // flips on 6 APs x 6 colors) counts against the budget; the last scan
+  // is cut short instead of overshooting. Four restarts need more than
+  // 100 evaluations here, so each budget is spent exactly.
+  const net::ChannelPlan plan(4);
+  for (std::uint64_t seed : {8u, 9u, 10u}) {
+    const Bench b(random_wlan(seed, /*num_aps=*/6));
+    for (long long budget : {1LL, 5LL, 40LL, 100LL}) {
+      KaiConfig cfg;
+      cfg.max_exact_evaluations = 100;  // 6^6 >> 100: force search
+      cfg.restarts = 4;
+      cfg.max_search_evaluations = budget;
+      util::Rng rng(21);
+      const KaiResult r = kai_optimal_allocation(b.oracle, plan, rng, cfg);
+      EXPECT_FALSE(r.exact);
+      EXPECT_EQ(r.evaluations, budget) << "seed " << seed;
+      ASSERT_EQ(r.assignment.size(), 6u);
+      EXPECT_DOUBLE_EQ(b.oracle.total_bps(r.assignment), r.total_bps);
+    }
+  }
+}
+
+TEST(Kai, BoundedBranchRejectsAnEmptyBudget) {
+  const net::ChannelPlan plan(4);
+  const Bench b(random_wlan(8, /*num_aps=*/6));
+  KaiConfig cfg;
+  cfg.max_exact_evaluations = 100;
+  cfg.max_search_evaluations = 0;
+  util::Rng rng(21);
+  EXPECT_THROW(kai_optimal_allocation(b.oracle, plan, rng, cfg),
+               std::invalid_argument);
+  cfg.max_search_evaluations = 10;
+  cfg.restarts = 0;
+  EXPECT_THROW(kai_optimal_allocation(b.oracle, plan, rng, cfg),
+               std::invalid_argument);
 }
 
 TEST(Kai, BoundedBranchFindsTheOptimumOnEasyInstances) {

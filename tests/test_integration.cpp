@@ -4,8 +4,8 @@
 // benches then report in full.
 #include <gtest/gtest.h>
 
+#include "baselines/kai.hpp"
 #include "baselines/kauffmann17.hpp"
-#include "baselines/optimal.hpp"
 #include "baselines/simple.hpp"
 #include "core/controller.hpp"
 #include "core/width_switch.hpp"
@@ -239,8 +239,9 @@ TEST(Integration, AcornGroupsPoorJoinerAwayFromGoodCell) {
 TEST(Integration, OptimalConfirmsGreedyOnSmallDense) {
   DenseFixture f;
   const net::ChannelPlan plan(4);
-  const baselines::OptimalResult best =
-      baselines::optimal_assignment(f.wlan, f.assoc, plan);
+  const core::CachedOracle oracle(f.wlan, f.assoc);
+  const baselines::KaiResult best =
+      baselines::kai_exact_allocation(oracle, plan);
   core::ChannelAllocator alloc{plan};
   util::Rng rng(11);
   const core::AllocationResult greedy =
