@@ -94,16 +94,6 @@ int main(int argc, char** argv) {
       epoch_every_s = std::atof(value());
     } else if (std::strcmp(argv[i], "--state-dir") == 0) {
       config.state_dir = value();
-    } else if (std::strcmp(argv[i], "--wal-mode") == 0) {
-      const char* mode = value();
-      if (std::strcmp(mode, "shared") == 0) {
-        config.wal_mode = WalMode::kShared;
-      } else if (std::strcmp(mode, "per-shard") == 0) {
-        config.wal_mode = WalMode::kPerShard;
-      } else {
-        std::fprintf(stderr, "--wal-mode must be shared or per-shard\n");
-        return 2;
-      }
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;

@@ -3,18 +3,25 @@
 // Usage:
 //   acornd --unix /run/acorn.sock [--tcp PORT] [--state-dir DIR]
 //          [--epoch-s SECONDS] [--hysteresis FACTOR] [--wal-flush-us N]
-//          [--wal-mode shared|per-shard] [--wal-segment-bytes N]
-//          [--workers M] [--follow ENDPOINT] [--log]
+//          [--wal-segment-bytes N] [--workers M] [--follow ENDPOINT]
+//          [--log]
 //
 // Runs until SIGINT/SIGTERM or a Shutdown request arrives on the wire;
 // either way every shard drains its queue and writes a final snapshot
-// before the process exits.
+// before the process exits. A malformed or out-of-range flag value
+// exits with status 2 before anything starts.
 
+#include <charconv>
+#include <chrono>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <system_error>
 
 #include "service/daemon.hpp"
 
@@ -26,20 +33,51 @@ void on_signal(int) {
   if (g_daemon != nullptr) g_daemon->request_stop();
 }
 
+[[noreturn]] void bad_value(const char* flag, const char* text,
+                            const char* expected) {
+  std::fprintf(stderr, "acornd: invalid value '%s' for %s: expected %s\n",
+               text, flag, expected);
+  std::exit(2);
+}
+
+/// The whole of `text` as an integer in [lo, hi], or exit 2.
+long long parse_int(const char* flag, const char* text, long long lo,
+                    long long hi, const char* expected) {
+  const char* end = text + std::strlen(text);
+  long long v = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+    bad_value(flag, text, expected);
+  }
+  return v;
+}
+
+/// The whole of `text` as a finite double in [lo, hi], or exit 2.
+double parse_double(const char* flag, const char* text, double lo,
+                    double hi, const char* expected) {
+  const char* end = text + std::strlen(text);
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < lo ||
+      v > hi) {
+    bad_value(flag, text, expected);
+  }
+  return v;
+}
+
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--unix PATH] [--tcp PORT] [--state-dir DIR]\n"
                "          [--epoch-s SECONDS] [--hysteresis FACTOR]\n"
-               "          [--wal-flush-us N] [--wal-mode shared|per-shard]\n"
-               "          [--wal-segment-bytes N] [--follow ENDPOINT] "
-               "[--log]\n"
+               "          [--wal-flush-us N] [--wal-segment-bytes N]\n"
+               "          [--workers M] [--follow ENDPOINT] [--log]\n"
                "\n"
                "At least one of --unix / --tcp is required.\n"
                "  --unix PATH        listen on a Unix domain socket\n"
                "  --tcp PORT         listen on 127.0.0.1:PORT (0 = ephemeral,\n"
                "                     chosen port is printed on startup)\n"
-               "  --state-dir DIR    persist per-WLAN snapshots + event logs\n"
-               "                     and recover them on startup\n"
+               "  --state-dir DIR    persist per-WLAN snapshots + a shared\n"
+               "                     event log and recover them on startup\n"
                "  --epoch-s SECONDS  reconfiguration period (default 1.0;\n"
                "                     0 = only on force-reconfigure)\n"
                "  --hysteresis F     width-switch advantage factor "
@@ -49,13 +87,7 @@ int usage(const char* argv0) {
                "under\n"
                "                     backlog (default 200; 0 = sync per "
                "event)\n"
-               "  --wal-mode MODE    durability layout: 'shared' (default)\n"
-               "                     coalesces every WLAN's records into\n"
-               "                     shared seg_<n>.walseg files behind one\n"
-               "                     fdatasync; 'per-shard' keeps a private\n"
-               "                     wlan_<id>.wal per WLAN. Either mode\n"
-               "                     recovers the other's files.\n"
-               "  --wal-segment-bytes N  shared-mode segment rotation size\n"
+               "  --wal-segment-bytes N  event-log segment rotation size\n"
                "                     (default 67108864)\n"
                "  --workers M        shard execution: M pooled workers "
                "shared\n"
@@ -89,31 +121,40 @@ int main(int argc, char** argv) {
       config.unix_path = value();
     } else if (arg == "--tcp") {
       config.tcp = true;
-      config.tcp_port = static_cast<std::uint16_t>(std::atoi(value()));
+      config.tcp_port = static_cast<std::uint16_t>(parse_int(
+          "--tcp", value(), 0, 65535, "a port number in [0, 65535]"));
     } else if (arg == "--state-dir") {
       config.state_dir = value();
     } else if (arg == "--epoch-s") {
-      config.epoch_s = std::atof(value());
+      // The period is added to steady_clock::now(); half the clock's
+      // range leaves room for any uptime.
+      const double max_epoch_s =
+          std::chrono::duration<double>(
+              std::chrono::steady_clock::duration::max())
+              .count() /
+          2;
+      config.epoch_s = parse_double(
+          "--epoch-s", value(), 0.0, max_epoch_s,
+          "a finite number of seconds >= 0 that fits the steady clock");
     } else if (arg == "--hysteresis") {
-      config.width_hysteresis = std::atof(value());
+      config.width_hysteresis =
+          parse_double("--hysteresis", value(), 1.0,
+                       std::numeric_limits<double>::max(),
+                       "a finite factor >= 1");
     } else if (arg == "--wal-flush-us") {
-      config.wal_flush_us = static_cast<std::uint32_t>(std::atol(value()));
-    } else if (arg == "--wal-mode") {
-      const std::string mode = value();
-      if (mode == "shared") {
-        config.wal_mode = acorn::service::WalMode::kShared;
-      } else if (mode == "per-shard") {
-        config.wal_mode = acorn::service::WalMode::kPerShard;
-      } else {
-        std::fprintf(stderr, "%s: --wal-mode must be shared or per-shard\n",
-                     argv[0]);
-        return 2;
-      }
+      config.wal_flush_us = static_cast<std::uint32_t>(
+          parse_int("--wal-flush-us", value(), 0,
+                    std::numeric_limits<std::uint32_t>::max(),
+                    "microseconds in [0, 4294967295]"));
     } else if (arg == "--wal-segment-bytes") {
-      config.wal_segment_bytes =
-          static_cast<std::uint64_t>(std::atoll(value()));
+      config.wal_segment_bytes = static_cast<std::uint64_t>(
+          parse_int("--wal-segment-bytes", value(), 0,
+                    std::numeric_limits<long long>::max(),
+                    "a non-negative byte count"));
     } else if (arg == "--workers") {
-      config.workers = std::atoi(value());
+      // Each worker is a thread; 4096 is far past any useful count.
+      config.workers = static_cast<int>(parse_int(
+          "--workers", value(), 0, 4096, "a worker count in [0, 4096]"));
     } else if (arg == "--follow") {
       config.follow = value();
     } else if (arg == "--log") {

@@ -67,14 +67,12 @@ void Daemon::start() {
 
   if (!config_.state_dir.empty()) {
     ::mkdir(config_.state_dir.c_str(), 0755);  // EEXIST is fine
-    if (config_.wal_mode == WalMode::kShared) {
-      SyncCoordinator::Options co;
-      co.dir = config_.state_dir;
-      co.segment_bytes = config_.wal_segment_bytes;
-      co.metrics = &metrics_;
-      co.log = config_.log;
-      coordinator_ = std::make_unique<SyncCoordinator>(std::move(co));
-    }
+    SyncCoordinator::Options co;
+    co.dir = config_.state_dir;
+    co.segment_bytes = config_.wal_segment_bytes;
+    co.metrics = &metrics_;
+    co.log = config_.log;
+    coordinator_ = std::make_unique<SyncCoordinator>(std::move(co));
     recover_shards();
   }
 
@@ -180,7 +178,6 @@ ShardOptions Daemon::shard_options(double epoch_s) {
   opts.executor = executor_.get();
   opts.epoch_latency = &metrics_.epoch_latency;
   opts.coordinator = coordinator_.get();
-  opts.metrics = &metrics_;
   return opts;
 }
 
@@ -201,29 +198,27 @@ void Daemon::recover_shards() {
   // once the leader stream attaches, epochs arrive as log records.
   const double epoch_s = config_.follow.empty() ? config_.epoch_s : 0.0;
 
-  // Both modes replay both layouts, so a state dir can move between
-  // --wal-mode settings across restarts without losing acknowledged
-  // events: the per-WLAN files are the pre-shared-mode layout (and the
-  // shared mode's upgrade input), the segments the shared layout.
   SegmentLoadResult segments = load_wal_segments(config_.state_dir);
   if (!segments.clean) {
     std::fprintf(stderr,
                  "acornd: shared WAL tail torn/corrupt, replaying the "
                  "intact prefix\n");
   }
-  if (coordinator_) {
-    coordinator_->seed(segments);
-    coordinator_->start();
-  }
+  coordinator_->seed(segments);
+  coordinator_->start();
 
   for (WlanSnapshot& snap : load_snapshots(config_.state_dir)) {
     const std::uint32_t id = snap.wlan_id;
     try {
+      // A legacy per-WLAN log (written by older builds) is the upgrade
+      // input: its records precede or overlap the segment records, and
+      // the shard deletes the file once its start() checkpoint covers
+      // them.
       WalLoadResult wal = load_wal(config_.state_dir, id);
       if (!wal.clean) {
         std::fprintf(stderr,
-                     "acornd: wlan %u: WAL tail torn/corrupt, replaying "
-                     "%zu intact records\n",
+                     "acornd: wlan %u: legacy WAL tail torn/corrupt, "
+                     "replaying %zu intact records\n",
                      id, wal.records.size());
       }
       std::vector<WalRecord> replay = std::move(wal.records);
@@ -250,32 +245,30 @@ void Daemon::recover_shards() {
     }
   }
 
-  if (coordinator_) {
-    // Records for WLANs with no snapshot belong to removed (or never
-    // durably registered) ids — the tombstone that fenced them may have
-    // died with the crash. Re-assert it so a later re-registration of
-    // the id cannot merge a dead incarnation's records.
-    for (const auto& [id, records] : segments.records) {
-      bool live;
-      {
-        const std::lock_guard<std::mutex> lock(shards_mutex_);
-        live = shards_.count(id) != 0;
-      }
-      if (!live) coordinator_->remove_wlan(id);
+  // Records for WLANs with no snapshot belong to removed (or never
+  // durably registered) ids — the tombstone that fenced them may have
+  // died with the crash. Re-assert it so a later re-registration of the
+  // id cannot merge a dead incarnation's records.
+  for (const auto& [id, records] : segments.records) {
+    bool live;
+    {
+      const std::lock_guard<std::mutex> lock(shards_mutex_);
+      live = shards_.count(id) != 0;
     }
-  } else {
-    // Per-shard mode: every recovered shard just checkpointed past the
-    // merged replay in start(), so the segments are fully superseded —
-    // and records of unknown ids are removed with them, matching this
-    // mode's delete-on-remove semantics. Dropping the files keeps a
-    // later switch back to shared mode from re-reading stale history.
-    bool removed = false;
-    for (const SegmentCoverage& seg : segments.segments) {
-      ::unlink(wal_segment_path(config_.state_dir, seg.index).c_str());
-      removed = true;
-    }
-    if (removed) fsync_dir(config_.state_dir);
+    if (!live) coordinator_->remove_wlan(id);
   }
+}
+
+void Daemon::remove_durable_state(std::uint32_t wlan_id) {
+  if (!coordinator_) return;
+  remove_snapshot(config_.state_dir, wlan_id);
+  remove_wal(config_.state_dir, wlan_id);
+  // Persist the unlinks: a power cut must not resurrect the WLAN.
+  fsync_dir(config_.state_dir);
+  // Fence the WLAN's segment records with a durable tombstone before
+  // the removal is acknowledged (the reply promises it survives a crash
+  // — including against id reuse).
+  coordinator_->remove_wlan(wlan_id);
 }
 
 void Daemon::post_completion(Completion c) {
@@ -469,7 +462,7 @@ void Daemon::dispatch(std::uint64_t conn_id, Frame frame,
         return;
       }
     }
-    // Re-registration of an id whose records still sit in shared WAL
+    // Re-registration of an id whose records still sit in WAL
     // segments: append a durable tombstone first, so a crash can never
     // merge the dead incarnation's records (per-WLAN ordinals restart
     // at zero) into the new one's replay.
@@ -524,16 +517,7 @@ void Daemon::dispatch(std::uint64_t conn_id, Frame frame,
       return;
     }
     shard->stop();
-    if (!config_.state_dir.empty()) {
-      remove_snapshot(config_.state_dir, rem->wlan_id);
-      remove_wal(config_.state_dir, rem->wlan_id);
-      // Persist the unlinks: a power cut must not resurrect the WLAN.
-      fsync_dir(config_.state_dir);
-    }
-    // Shared mode: fence the removed WLAN's segment records with a
-    // durable tombstone before acknowledging (the reply promises the
-    // removal survives a crash — including against id reuse).
-    if (coordinator_) coordinator_->remove_wlan(rem->wlan_id);
+    remove_durable_state(rem->wlan_id);
     // Tell followers to tear the WLAN down too. record_seq 0 marks a
     // control record (not part of any shard's event ordinals).
     if (!follower_conns_.empty()) {
@@ -745,8 +729,7 @@ void Daemon::follow_session() {
       const std::uint64_t base_seq = snap.events_applied;
       // Retire any previous incarnation *before* the replacement is
       // built: stop() writes a final snapshot, which must not clobber
-      // the fresh checkpoint the new shard writes in start() (both
-      // would also hold the same wlan_<id>.wal open). A standby
+      // the fresh checkpoint the new shard writes in start(). A standby
       // restarted after a resubscribe would otherwise recover the old
       // shard's stale state and discard every streamed record above it
       // as a sequence gap.
@@ -787,12 +770,7 @@ void Daemon::follow_session() {
             }
           }
           if (victim) victim->stop();
-          if (!config_.state_dir.empty()) {
-            remove_snapshot(config_.state_dir, id);
-            remove_wal(config_.state_dir, id);
-            fsync_dir(config_.state_dir);
-          }
-          if (coordinator_) coordinator_->remove_wlan(id);
+          remove_durable_state(id);
           applied.erase(id);
         }
         continue;

@@ -15,12 +15,13 @@
 // truncated body) closes that connection: once the stream is
 // desynchronized no later frame boundary can be trusted.
 //
-// On startup with a state directory, every `wlan_*.snap` snapshot is
-// recovered into a live shard — followed by a replay of that WLAN's
-// write-ahead log suffix (service/eventlog.hpp), so events acknowledged
-// after the last epoch snapshot survive a crash too — before the
-// listeners open, so clients see the pre-crash state from the first
-// accepted connection.
+// With a state directory, one SyncCoordinator journals every shard's
+// events into shared WAL segments (service/sync_coordinator.hpp). On
+// startup every `wlan_*.snap` snapshot is recovered into a live shard —
+// followed by a replay of that WLAN's write-ahead log suffix
+// (service/eventlog.hpp), so events acknowledged after the last epoch
+// snapshot survive a crash too — before the listeners open, so clients
+// see the pre-crash state from the first accepted connection.
 //
 // Replication: a connection that sends FollowLog becomes a *follower* —
 // it receives every shard's state as a SnapshotFrame and from then on
@@ -49,15 +50,10 @@
 
 namespace acorn::service {
 
-/// Durability layout. kShared (the default) funnels every shard's
-/// records through one SyncCoordinator into shared `seg_<n>.walseg`
-/// files — one fdatasync acknowledges the whole fleet's pending batches
-/// instead of one per shard. kPerShard keeps PR 6's private
-/// `wlan_<id>.wal` per shard as the reference implementation. Both
-/// modes recover each other's files, so a state dir can move between
-/// them across restarts.
+/// Durability layout. The shared `seg_<n>.walseg` segments are the only
+/// one, so nothing reads this; it remains while benchmark code still
+/// assigns DaemonConfig::wal_mode.
 enum class WalMode {
-  kPerShard,
   kShared,
 };
 
@@ -76,10 +72,11 @@ struct DaemonConfig {
   double width_hysteresis = 1.05;
   /// WAL group-commit window (microseconds); see ShardOptions.
   std::uint32_t wal_flush_us = 200;
-  /// Durability layout; see WalMode.
+  /// Unused: the daemon always journals to shared segments. Kept only
+  /// because benchmark code still assigns it; see WalMode.
   WalMode wal_mode = WalMode::kShared;
-  /// Shared mode: rotate to a fresh segment past this many bytes
-  /// (tests shrink it to exercise rotation + retirement).
+  /// Rotate to a fresh WAL segment past this many bytes (tests shrink it
+  /// to exercise rotation + retirement).
   std::uint64_t wal_segment_bytes = 64ull << 20;
   /// Shard execution model: -1 = pooled over hardware_concurrency()
   /// workers (the default), N > 0 = pooled over N workers, 0 = the
@@ -157,6 +154,9 @@ class Daemon {
   void drain_completions();
   void post_completion(Completion c);
   void recover_shards();
+  /// Delete a removed WLAN's snapshot and legacy log and fence its
+  /// segment records (no-op without a state dir).
+  void remove_durable_state(std::uint32_t wlan_id);
   WlanShard* find_shard(std::uint32_t wlan_id);
   ShardOptions shard_options(double epoch_s);
   std::unique_ptr<WlanShard> make_shard(ShardOptions opts, WlanSnapshot state,
@@ -172,9 +172,9 @@ class Daemon {
   /// Created before any shard starts, destroyed after every shard has
   /// stopped (shards detach through it).
   std::unique_ptr<util::PooledExecutor> executor_;
-  /// Shared-WAL group-commit thread (null in per-shard mode or without
-  /// a state dir). Started before any shard, stopped after every shard
-  /// has stopped (shards wait out their in-flight batches in stop()).
+  /// WAL group-commit thread (null without a state dir). Started before
+  /// any shard, stopped after every shard has stopped (shards wait out
+  /// their in-flight batches in stop()).
   std::unique_ptr<SyncCoordinator> coordinator_;
 
   int tcp_listen_fd_ = -1;

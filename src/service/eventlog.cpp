@@ -15,8 +15,10 @@ namespace acorn::service {
 
 namespace {
 
-constexpr std::size_t kHeaderBytes = 6;        // u32 magic + u16 version
-constexpr std::size_t kRecordOverhead = 20;    // u32 len + u64 seq + u64 fnv
+// Legacy per-WLAN logs: u32 magic + u16 version, then records of
+// u32 len + u64 seq + payload + u64 fnv.
+constexpr std::size_t kHeaderBytes = 6;
+constexpr std::size_t kRecordOverhead = 20;
 // Segment files: u32 magic + u16 version + u64 index.
 constexpr std::size_t kSegHeaderBytes = 14;
 // u32 len + u32 wlan_id + u64 seq + u64 fnv.
@@ -29,11 +31,6 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-void put_header(ByteWriter& w) {
-  w.u32(kWalMagic);
-  w.u16(kWalVersion);
 }
 
 bool write_all(int fd, const std::uint8_t* data, std::size_t n) {
@@ -93,17 +90,9 @@ std::vector<std::uint8_t> encode_wal_record(
 
 WalLoadResult load_wal(const std::string& dir, std::uint32_t wlan_id) {
   WalLoadResult out;
-  const std::string path = wal_path(dir, wlan_id);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return out;  // no log: empty, clean
   std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
-  std::fclose(f);
-  if (bytes.empty()) return out;  // freshly truncated: empty, clean
+  if (!slurp(wal_path(dir, wlan_id), bytes)) return out;  // no log: clean
+  if (bytes.empty()) return out;  // truncated after a snapshot: clean
   if (bytes.size() < kHeaderBytes) {
     out.clean = false;  // torn mid-header
     return out;
@@ -153,83 +142,7 @@ WalLoadResult load_wal(const std::string& dir, std::uint32_t wlan_id) {
   return out;
 }
 
-bool WalWriter::open(const std::string& dir, std::uint32_t wlan_id) {
-  close();
-  const std::string path = wal_path(dir, wlan_id);
-  const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-  if (fd < 0) return false;
-  const off_t size = ::lseek(fd, 0, SEEK_END);
-  if (size < 0) {
-    ::close(fd);
-    return false;
-  }
-  // O_CREAT may have made a brand-new dir entry; without a directory
-  // fsync a power cut could drop the *file* while its fdatasync'd
-  // records were already acknowledged.
-  if (size == 0 && !fsync_dir(dir)) {
-    ::close(fd);
-    return false;
-  }
-  fd_ = fd;
-  file_size_ = static_cast<std::uint64_t>(size);
-  buf_.clear();
-  return true;
-}
-
-void WalWriter::append(std::uint64_t seq,
-                       std::span<const std::uint8_t> payload) {
-  if (fd_ < 0) return;
-  if (file_size_ == 0 && buf_.empty()) {
-    ByteWriter w;
-    put_header(w);
-    buf_.insert(buf_.end(), w.data().begin(), w.data().end());
-  }
-  const std::vector<std::uint8_t> rec = encode_wal_record(seq, payload);
-  buf_.insert(buf_.end(), rec.begin(), rec.end());
-}
-
-bool WalWriter::sync() {
-  if (fd_ < 0) return false;
-  if (!buf_.empty()) {
-    if (!write_all(fd_, buf_.data(), buf_.size())) {
-      // The failed write may have appended a *prefix* of the buffer — a
-      // torn record that a later successful retry (which re-appends the
-      // whole buffer) would leave sitting in front of live records,
-      // making load_wal stop at the tear and lose everything after it.
-      // Cut the file back to the last known-good boundary so a retry
-      // starts clean; if even that fails the tail cannot be trusted, so
-      // stop logging through this writer entirely.
-      if (::ftruncate(fd_, static_cast<off_t>(file_size_)) != 0) close();
-      return false;
-    }
-    file_size_ += buf_.size();
-    buf_.clear();
-  }
-  // fdatasync: the record payload and the file-size extension reach the
-  // journal; mtime/atime churn does not have to.
-  return ::fdatasync(fd_) == 0;
-}
-
-bool WalWriter::reset() {
-  buf_.clear();
-  if (fd_ < 0) return false;
-  if (file_size_ == 0) return true;
-  if (::ftruncate(fd_, 0) != 0) return false;
-  file_size_ = 0;
-  return true;
-}
-
-void WalWriter::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  file_size_ = 0;
-  buf_.clear();
-}
-
-// ---- Shared, segmented WAL ----------------------------------------------
+// ---- Shared segments ----------------------------------------------------
 
 std::string wal_segment_path(const std::string& dir, std::uint64_t index) {
   return dir + "/seg_" + std::to_string(index) + ".walseg";
@@ -252,9 +165,9 @@ namespace {
 
 /// Parse the valid record prefix of one segment file into `out`,
 /// returning false on the first torn/corrupt record (the prefix is
-/// kept). Unlike per-shard logs, seq gaps are not policed here: records
-/// from many WLANs interleave, so contiguity is a per-WLAN property the
-/// shard replay loop enforces.
+/// kept). Unlike legacy per-WLAN logs, seq gaps are not policed here:
+/// records from many WLANs interleave, so contiguity is a per-WLAN
+/// property the shard replay loop enforces.
 bool scan_segment(const std::string& path, std::uint64_t index,
                   SegmentLoadResult& out) {
   std::vector<std::uint8_t> bytes;
@@ -393,9 +306,13 @@ bool WalSegmentWriter::sync() {
   if (fd_ < 0) return false;
   if (!buf_.empty()) {
     if (!write_all(fd_, buf_.data(), buf_.size())) {
-      // Same torn-tail discipline as WalWriter::sync(): cut back to the
-      // durable boundary so a retry re-appends the whole buffer cleanly,
-      // and close the writer if even the truncate fails.
+      // The failed write may have appended a *prefix* of the buffer — a
+      // torn record that a later successful retry (which re-appends the
+      // whole buffer) would leave sitting in front of live records,
+      // making the scan stop at the tear and lose everything after it.
+      // Cut the file back to the last known-good boundary so a retry
+      // starts clean; if even that fails the tail cannot be trusted, so
+      // stop logging through this writer entirely.
       if (::ftruncate(fd_, static_cast<off_t>(file_size_)) != 0) close();
       return false;
     }

@@ -1,56 +1,58 @@
-// Per-shard write-ahead event log for acornd.
+// Write-ahead event log for acornd.
 //
 // Snapshots (snapshot.hpp) persist full WLAN state once per epoch, which
 // leaves every event applied *between* epochs volatile: a crash loses
 // them even though the daemon already acknowledged them to the client.
-// The WAL closes that hole. Each shard appends every state-mutating wire
-// message (ClientJoin, ClientLeave, SnrUpdate, LoadUpdate,
-// ForceReconfigure) to `<dir>/wlan_<id>.wal` *before* the reply is
-// released, and recovery replays the log suffix on top of the newest
-// snapshot. Because the whole controller pipeline is deterministic,
-// replaying the same records reproduces byte-identical state.
+// The WAL closes that hole. Every state-mutating wire message
+// (ClientJoin, ClientLeave, SnrUpdate, LoadUpdate, ForceReconfigure) is
+// journaled *before* its reply is released, and recovery replays the
+// log suffix on top of the newest snapshot. Because the whole controller
+// pipeline is deterministic, replaying the same records reproduces
+// byte-identical state.
 //
-// File layout: a fixed header, then records back to back.
-//
-//   header:  [u32 magic "ACWL"][u16 version]
-//   record:  [u32 payload_len][u64 seq][payload][u64 fnv1a]
-//
-// `payload` is a wire payload (version/type/seq/body — the bytes
-// encode_payload produces, no length prefix), so the WAL reuses the wire
-// codec verbatim. `seq` is the shard's events-applied ordinal after the
-// record's message was applied; recovery replays only records with
-// seq > snapshot.events_applied, which makes a crash *between* the epoch
-// snapshot rename and the log truncation harmless (the stale prefix is
-// skipped, not replayed twice). The trailing checksum is the same FNV-1a
-// the snapshot trailer uses, computed over the record's header bytes and
-// payload.
-//
-// Appends are buffered in memory and hit the disk in one write+fsync per
-// `sync()` — the group-commit flush the shard batches acknowledgements
-// behind. A crash can therefore tear the final record (partial write) or
-// lose buffered-but-unsynced records; both only affect events whose
-// replies were never released, so an *acknowledged* event is always
-// durable. `load_wal` stops at the first torn, corrupt, or out-of-order
-// record and returns the valid prefix.
-// Shared-WAL mode (the fleet default) replaces the per-WLAN files with
-// per-state-dir *segments*: `seg_<index>.walseg` files holding records
-// from every shard, each tagged with its WLAN id
+// The log lives in per-state-dir *segments*: `seg_<index>.walseg` files
+// holding records from every shard, each tagged with its WLAN id
 //
 //   header:  [u32 magic "ACWS"][u16 version][u64 index]
 //   record:  [u32 payload_len][u32 wlan_id][u64 seq][payload][u64 fnv1a]
 //
 // so one fdatasync (issued by service::SyncCoordinator) acknowledges
-// every shard's pending batch instead of one per shard. `seq` is still
-// the owning shard's events-applied ordinal: recovery scans the segments
-// in index order, splits records per WLAN, and replays exactly as in
-// per-shard mode. Truncation becomes *retirement*: a closed segment is
-// deleted once every WLAN with records in it has checkpointed (written a
-// snapshot) past its newest record — oldest segment first, so the live
-// segments always form a contiguous index suffix. A record with seq 0 is
-// a removal *tombstone*: it fences off every earlier record of its WLAN
+// every shard's pending batch. `payload` is a wire payload
+// (version/type/seq/body — the bytes encode_payload produces, no length
+// prefix), so the WAL reuses the wire codec verbatim. `seq` is the
+// owning shard's events-applied ordinal after the record's message was
+// applied; recovery scans the segments in index order, splits records
+// per WLAN, and replays only records with seq > snapshot.events_applied,
+// which makes a crash *between* a snapshot rename and segment
+// retirement harmless (the stale prefix is skipped, not replayed
+// twice). The trailing checksum is the same FNV-1a the snapshot trailer
+// uses, computed over the record's header bytes and payload.
+//
+// Appends are buffered in memory and hit the disk in one write +
+// fdatasync per `sync()` — the group-commit flush. A crash can
+// therefore tear the final record (partial write) or lose
+// buffered-but-unsynced records; both only affect events whose replies
+// were never released, so an *acknowledged* event is always durable.
+// The scan stops at the first torn or corrupt record of a segment and
+// keeps the valid prefix. A closed segment is *retired* (deleted) once
+// every WLAN with records in it has checkpointed (written a snapshot)
+// past its newest record — oldest segment first, so the live segments
+// always form a contiguous index suffix. A record with seq 0 is a
+// removal *tombstone*: it fences off every earlier record of its WLAN
 // (RemoveWlan, or a re-registration reusing the id — per-WLAN ordinals
 // restart, so a dead incarnation's records must never merge into a new
 // one's replay).
+//
+// Legacy per-WLAN logs: older builds could also journal each WLAN to a
+// private `<dir>/wlan_<id>.wal`
+//
+//   header:  [u32 magic "ACWL"][u16 version]
+//   record:  [u32 payload_len][u64 seq][payload][u64 fnv1a]
+//
+// Nothing writes that layout any more; `load_wal` reads it so a state
+// dir from such a build still recovers every acknowledged event.
+// Recovery merges its records with the segment records by ordinal, and
+// the shard deletes the file once its start-up checkpoint covers them.
 #pragma once
 
 #include <cstdint>
@@ -84,61 +86,27 @@ struct WalLoadResult {
 /// Returns false on failure; callers treat that as the write failing.
 bool fsync_dir(const std::string& dir);
 
-/// `<dir>/wlan_<id>.wal`, shared by the writer and recovery.
+// ---- Legacy per-WLAN logs (read only) ----------------------------------
+
+/// `<dir>/wlan_<id>.wal`.
 std::string wal_path(const std::string& dir, std::uint32_t wlan_id);
 
-/// Delete a WLAN's log (after an explicit RemoveWlan).
+/// Delete a WLAN's legacy log (once a snapshot covers it, or on
+/// RemoveWlan).
 void remove_wal(const std::string& dir, std::uint32_t wlan_id);
 
-/// Read and verify a log. A missing file is an empty, clean log.
+/// Read and verify a legacy per-WLAN log, stopping at the first torn,
+/// corrupt or out-of-order record. A missing file is an empty, clean
+/// log.
 WalLoadResult load_wal(const std::string& dir, std::uint32_t wlan_id);
 
-/// Serialize one record (header + payload + checksum) — exposed so tests
-/// can craft logs byte-for-byte.
+/// Serialize one legacy per-WLAN log record (header + payload +
+/// checksum) — exposed so tests can craft legacy logs byte-for-byte.
 std::vector<std::uint8_t> encode_wal_record(std::uint64_t seq,
                                             std::span<const std::uint8_t>
                                                 payload);
 
-/// Buffered appender. Not thread-safe: owned by one shard thread.
-class WalWriter {
- public:
-  WalWriter() = default;
-  ~WalWriter() { close(); }
-  WalWriter(const WalWriter&) = delete;
-  WalWriter& operator=(const WalWriter&) = delete;
-
-  /// Open (creating if absent) `<dir>/wlan_<id>.wal` for appending.
-  /// Returns false on I/O failure, leaving the writer closed.
-  bool open(const std::string& dir, std::uint32_t wlan_id);
-  bool is_open() const { return fd_ >= 0; }
-
-  /// Queue one record in the in-memory buffer (no syscall). The header
-  /// is queued first on an empty file.
-  void append(std::uint64_t seq, std::span<const std::uint8_t> payload);
-
-  /// Flush the buffer to disk and fsync — the group-commit barrier.
-  /// Returns false on I/O failure. The buffer is retained for retry,
-  /// and a partially written tail is truncated off the file first so a
-  /// retry can never leave a torn record in front of live ones; if the
-  /// truncate itself fails the writer closes (is_open() goes false)
-  /// rather than risk appending after an untrustworthy tail.
-  bool sync();
-
-  /// Drop all log contents (buffered and on disk): the snapshot that
-  /// was just written covers them. Returns false on I/O failure.
-  bool reset();
-
-  std::size_t buffered_bytes() const { return buf_.size(); }
-
-  void close();
-
- private:
-  int fd_ = -1;
-  std::uint64_t file_size_ = 0;  // bytes durably on disk
-  std::vector<std::uint8_t> buf_;
-};
-
-// ---- Shared, segmented WAL ----------------------------------------------
+// ---- Shared segments ----------------------------------------------------
 
 /// `<dir>/seg_<index>.walseg`.
 std::string wal_segment_path(const std::string& dir, std::uint64_t index);
@@ -178,8 +146,7 @@ struct SegmentLoadResult {
 SegmentLoadResult load_wal_segments(const std::string& dir);
 
 /// Buffered appender for one shared segment. Owned by the
-/// SyncCoordinator's commit thread; same torn-tail discipline as
-/// WalWriter (failed writes truncate back to the durable boundary).
+/// SyncCoordinator's commit thread.
 class WalSegmentWriter {
  public:
   WalSegmentWriter() = default;
@@ -204,7 +171,12 @@ class WalSegmentWriter {
               std::span<const std::uint8_t> payload);
 
   /// Flush the buffer + fdatasync — the fleet-wide group-commit
-  /// barrier. Retry-safe exactly like WalWriter::sync().
+  /// barrier. Returns false on I/O failure. The buffer is retained for
+  /// retry, and a partially written tail is truncated off the file
+  /// first so a retry can never leave a torn record in front of live
+  /// ones; if the truncate itself fails the writer closes (is_open()
+  /// goes false) rather than risk appending after an untrustworthy
+  /// tail.
   bool sync();
 
   void close();

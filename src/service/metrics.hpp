@@ -78,10 +78,9 @@ struct ServiceMetrics {
   /// (pooled workers and dedicated threads record into the same
   /// histogram).
   LatencyHistogram epoch_latency;
-  /// Group-commit observability, fed by every WAL fsync in either mode
-  /// (per-shard WalWriter flushes and shared-segment SyncCoordinator
-  /// commits alike): how many fsyncs hit the device, how many logged
-  /// events each one acknowledged, and how long the write+sync took.
+  /// Group-commit observability, fed by every SyncCoordinator commit:
+  /// how many fsyncs hit the device, how many logged events each one
+  /// acknowledged, and how long the write+sync took.
   std::atomic<std::uint64_t> wal_syncs{0};
   std::atomic<std::uint64_t> wal_coalesced_events{0};
   /// Distribution of events-acknowledged-per-fsync (the coalescing

@@ -12,12 +12,6 @@ namespace acorn::service {
 
 namespace {
 
-/// Consecutive WAL fsync failures tolerated (each retried after
-/// kWalSyncRetryBackoff) before the shard gives up on durability and
-/// releases the withheld batch anyway.
-constexpr std::uint32_t kMaxWalSyncFailures = 3;
-constexpr auto kWalSyncRetryBackoff = std::chrono::milliseconds(10);
-
 /// Pooled mode: jobs one scheduling pass may drain before the shard is
 /// requeued behind the other ready shards. Bounds how long one
 /// backlogged WLAN can monopolize a worker; the WAL flush window caps
@@ -48,6 +42,9 @@ WlanShard::WlanShard(ShardOptions options, WlanSnapshot state,
   const int n_aps = wlan_.topology().num_aps();
   const int n_clients = wlan_.topology().num_clients();
   if (n_aps == 0) throw std::invalid_argument("deployment has no APs");
+  if (!options_.state_dir.empty() && options_.coordinator == nullptr) {
+    throw std::invalid_argument("a state dir needs a SyncCoordinator");
+  }
 
   if (state.association.empty()) {
     assoc_.assign(static_cast<std::size_t>(n_clients), net::kUnassociated);
@@ -129,14 +126,6 @@ WlanShard::WlanShard(ShardOptions options, WlanSnapshot state,
                    wlan_id_, static_cast<unsigned long long>(replayed));
     }
   }
-
-  // Shared mode writes through the coordinator's segments instead of a
-  // private log file.
-  if (options_.coordinator == nullptr && !options_.state_dir.empty() &&
-      !wal_.open(options_.state_dir, wlan_id_)) {
-    std::fprintf(stderr, "acornd: wlan %u: cannot open WAL in %s\n", wlan_id_,
-                 options_.state_dir.c_str());
-  }
 }
 
 WlanShard::~WlanShard() { stop(); }
@@ -152,19 +141,11 @@ void WlanShard::start() {
   // replayed WAL prefix is compacted into the snapshot it rebuilt.
   {
     const std::lock_guard<std::mutex> lock(state_mutex_);
-    if (write_snapshot_locked()) {
-      wal_base_seq_ = events_applied_;
-      if (shared_mode()) {
-        options_.coordinator->note_checkpoint(wlan_id_, events_applied_);
-        // Upgrade path: the snapshot just compacted any legacy
-        // per-shard log that recovery merged in; drop the file so a
-        // later boot cannot re-merge its stale records.
-        remove_wal(options_.state_dir, wlan_id_);
-      } else if (wal_.is_open()) {
-        wal_.reset();
-        wal_unsynced_records_ = 0;
-      }
-      wal_sync_failures_ = 0;
+    if (checkpoint_locked()) {
+      // Upgrade path: the snapshot just compacted any legacy per-WLAN
+      // log that recovery merged in; drop the file so a later boot
+      // cannot re-merge its stale records.
+      remove_wal(options_.state_dir, wlan_id_);
     }
     publish_counters_locked();
   }
@@ -233,9 +214,8 @@ void WlanShard::run() {
       // Under a sustained backlog the mailbox never drains, so bound
       // how long buffered records (and their withheld replies) can
       // wait: sync mid-backlog once the flush window expires.
-      const auto now = std::chrono::steady_clock::now();
-      if (wal_dirty_ && now >= flush_deadline() &&
-          now >= wal_retry_after_) {
+      if (wal_dirty_ &&
+          std::chrono::steady_clock::now() >= flush_deadline()) {
         lock.unlock();
         flush(/*need_sync=*/true);
         lock.lock();
@@ -249,25 +229,22 @@ void WlanShard::run() {
       continue;
     }
     if (!running_) break;  // stop() flushes after the join
-    const auto now = std::chrono::steady_clock::now();
-    if (wal_dirty_ && now >= wal_retry_after_) {
-      // Idle with buffered records: nothing is queued behind them, so
-      // waiting out the flush window buys no extra batching — sync now
-      // and release the withheld replies.
+    if (wal_dirty_) {
+      // Idle with pending records: nothing is queued behind them, so
+      // waiting out the flush window buys no extra batching — commit
+      // now and release the withheld replies.
       lock.unlock();
       flush(/*need_sync=*/true);
       lock.lock();
       continue;
     }
-    if (now >= next_epoch_) {
+    if (std::chrono::steady_clock::now() >= next_epoch_) {
       lock.unlock();
       run_epoch();
       lock.lock();
       continue;
     }
-    auto wake = next_epoch_;
-    if (wal_dirty_ && wal_retry_after_ < wake) wake = wal_retry_after_;
-    queue_cv_.wait_until(lock, wake);
+    queue_cv_.wait_until(lock, next_epoch_);
   }
 }
 
@@ -285,9 +262,8 @@ std::chrono::steady_clock::time_point WlanShard::run_pass() {
         // requeue behind the other ready shards.
         return std::chrono::steady_clock::time_point::min();
       }
-      const auto now = std::chrono::steady_clock::now();
-      if (wal_dirty_ && now >= flush_deadline() &&
-          now >= wal_retry_after_) {
+      if (wal_dirty_ &&
+          std::chrono::steady_clock::now() >= flush_deadline()) {
         lock.unlock();
         flush(/*need_sync=*/true);
         lock.lock();
@@ -304,24 +280,21 @@ std::chrono::steady_clock::time_point WlanShard::run_pass() {
     // stop() detaches and then drains/flushes inline, mirroring the
     // dedicated thread's exit before its final snapshot.
     if (!running_) return std::chrono::steady_clock::time_point::max();
-    const auto now = std::chrono::steady_clock::now();
-    if (wal_dirty_ && now >= wal_retry_after_) {
+    if (wal_dirty_) {
       lock.unlock();
       flush(/*need_sync=*/true);
       lock.lock();
       continue;
     }
-    if (now >= next_epoch_) {
+    if (std::chrono::steady_clock::now() >= next_epoch_) {
       lock.unlock();
       run_epoch();
       lock.lock();
       continue;
     }
-    // Idle: hand the next deadline (epoch timer, or WAL retry backoff)
-    // to the executor's timer wheel; max() means "until notify()".
-    auto wake = next_epoch_;
-    if (wal_dirty_ && wal_retry_after_ < wake) wake = wal_retry_after_;
-    return wake;
+    // Idle: hand the epoch deadline to the executor's timer wheel;
+    // max() means "until notify()".
+    return next_epoch_;
   }
 }
 
@@ -348,7 +321,7 @@ void WlanShard::process(Job& job) {
   const auto now = std::chrono::steady_clock::now();
   if (job.kind == Job::Kind::kAttachFollower) {
     // Snapshot-then-stream: the frame carries everything applied so
-    // far; every later durable record is forwarded in flush_wal. (Any
+    // far; every later durable record is forwarded by flush. (Any
     // records already pending re-cover a prefix of the snapshot — the
     // follower skips them by ordinal.)
     std::vector<std::uint8_t> bytes;
@@ -375,33 +348,7 @@ void WlanShard::process(Job& job) {
     Message reply = apply_locked(job.msg);
     frame = encode_frame(job.seq, reply);
     if (mutating && events_applied_ != before) {
-      const std::uint64_t seq = events_applied_;
-      std::vector<std::uint8_t> payload = encode_payload(0, job.msg);
-      // seq <= wal_base_seq_ means an epoch inside apply_locked already
-      // snapshotted this event; the log does not need it.
-      if (shared_mode()) {
-        // Records ride to the coordinator inside the CommitBatch; a
-        // degraded coordinator means non-durable operation, same as a
-        // disabled local WAL.
-        if (options_.coordinator->durable() && seq > wal_base_seq_) {
-          ++counters_.wal_records;
-          logged = true;
-        }
-        if (logged || !followers_.empty()) {
-          pending_records_.push_back(WalRecord{seq, std::move(payload)});
-        }
-      } else {
-        if (wal_.is_open() && seq > wal_base_seq_) {
-          wal_.append(seq, payload);
-          ++counters_.wal_records;
-          ++wal_unsynced_records_;
-          logged = true;
-        }
-        if (!followers_.empty()) {
-          pending_records_.push_back(WalRecord{seq, std::move(payload)});
-        }
-      }
-      if (seq > pending_max_seq_) pending_max_seq_ = seq;
+      logged = journal_locked(events_applied_, job.msg);
     }
     publish_counters_locked();
   }
@@ -410,7 +357,7 @@ void WlanShard::process(Job& job) {
     first_unflushed_ = now;
   }
   if (logged || wal_dirty_ || !pending_replies_.empty() ||
-      (shared_mode() && shared_inflight())) {
+      (options_.coordinator != nullptr && commits_inflight())) {
     // Withhold the reply until its record is durable; non-logged
     // replies queue behind it to preserve per-connection FIFO order —
     // including order against batches already queued at the
@@ -440,9 +387,21 @@ void WlanShard::process(Job& job) {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
     drained = jobs_.empty();
   }
-  if (drained && std::chrono::steady_clock::now() >= wal_retry_after_) {
-    flush(/*need_sync=*/true);
+  if (drained) flush(/*need_sync=*/true);
+}
+
+bool WlanShard::journal_locked(std::uint64_t seq, const Message& msg) {
+  // seq <= wal_base_seq_ means an epoch snapshot already covers this
+  // event; the log does not need it. A degraded coordinator means
+  // non-durable operation: records then only go to followers.
+  const bool logged = options_.coordinator != nullptr &&
+                      options_.coordinator->durable() && seq > wal_base_seq_;
+  if (logged) ++counters_.wal_records;
+  if (logged || !followers_.empty()) {
+    pending_records_.push_back(WalRecord{seq, encode_payload(0, msg)});
   }
+  if (seq > pending_max_seq_) pending_max_seq_ = seq;
+  return logged;
 }
 
 Message WlanShard::apply_locked(const Message& msg) {
@@ -568,31 +527,9 @@ void WlanShard::run_epoch() {
     ++events_applied_;
     const std::uint64_t seq = events_applied_;
     run_epoch_locked();
-    const bool shared_durable =
-        shared_mode() && options_.coordinator->durable();
-    if (wal_.is_open() || shared_durable || !followers_.empty()) {
-      std::vector<std::uint8_t> payload =
-          encode_payload(0, Message{ForceReconfigure{wlan_id_}});
-      // The epoch snapshot normally covers this event (seq ==
-      // wal_base_seq_); the record is only logged if it failed.
-      if (seq > wal_base_seq_) {
-        if (wal_.is_open()) {
-          wal_.append(seq, payload);
-          ++counters_.wal_records;
-          ++wal_unsynced_records_;
-          logged = true;
-        } else if (shared_durable) {
-          ++counters_.wal_records;
-          logged = true;
-        }
-      }
-      // Shared mode ships logged records to the coordinator via
-      // pending_records_; either mode also keeps them for followers.
-      if ((shared_mode() && logged) || !followers_.empty()) {
-        pending_records_.push_back(WalRecord{seq, std::move(payload)});
-      }
-    }
-    if (seq > pending_max_seq_) pending_max_seq_ = seq;
+    // The epoch snapshot normally covers this event (seq ==
+    // wal_base_seq_); the record is only logged if it failed.
+    logged = journal_locked(seq, Message{ForceReconfigure{wlan_id_}});
     publish_counters_locked();
   }
   if (logged && !wal_dirty_) {
@@ -683,20 +620,7 @@ void WlanShard::run_epoch_locked() {
 
   ++epoch_;
   ++counters_.epochs;
-  if (write_snapshot_locked()) {
-    // The snapshot supersedes every logged record: truncate the WAL
-    // (per-shard mode) or report the checkpoint so the coordinator can
-    // retire fully-covered segments (shared mode); either way recovery
-    // replays only what arrives after this point.
-    wal_base_seq_ = events_applied_;
-    if (shared_mode()) {
-      options_.coordinator->note_checkpoint(wlan_id_, events_applied_);
-    } else if (wal_.is_open()) {
-      wal_.reset();
-      wal_unsynced_records_ = 0;
-    }
-    wal_sync_failures_ = 0;
-  }
+  checkpoint_locked();
   counters_.last_epoch_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
@@ -775,12 +699,17 @@ WlanSnapshot WlanShard::build_snapshot_locked() const {
   return snap;
 }
 
-bool WlanShard::write_snapshot_locked() {
+bool WlanShard::checkpoint_locked() {
   if (options_.state_dir.empty() || replaying_) return false;
   if (!write_snapshot(options_.state_dir, build_snapshot_locked())) {
     return false;
   }
   ++counters_.snapshots_written;
+  // The snapshot supersedes every logged record: report the checkpoint
+  // so the coordinator can retire fully-covered segments. Recovery
+  // replays only what arrives after this point.
+  wal_base_seq_ = events_applied_;
+  options_.coordinator->note_checkpoint(wlan_id_, events_applied_);
   return true;
 }
 
@@ -788,39 +717,16 @@ void WlanShard::write_state_snapshot() {
   bool need_sync = wal_dirty_;
   {
     const std::lock_guard<std::mutex> lock(state_mutex_);
-    if (write_snapshot_locked()) {
-      wal_base_seq_ = events_applied_;
-      if (shared_mode()) {
-        options_.coordinator->note_checkpoint(wlan_id_, events_applied_);
-      } else if (wal_.is_open()) {
-        wal_.reset();
-        wal_unsynced_records_ = 0;
-      }
-      wal_sync_failures_ = 0;
-      need_sync = false;
-    }
+    if (checkpoint_locked()) need_sync = false;
     publish_counters_locked();
   }
-  if (!pending_replies_.empty() || !pending_records_.empty() || need_sync) {
-    flush(need_sync, /*final=*/true);
-  } else if (shared_mode()) {
-    // Nothing new to release, but batches may still be in flight at the
-    // coordinator; the shard must outlive their on_durable hooks.
-    wait_shared_drain();
-  }
-  wal_dirty_ = false;
+  // Also waits out batches still in flight at the coordinator: the
+  // shard must outlive their on_durable hooks.
+  flush(need_sync, /*final=*/true);
 }
 
 void WlanShard::flush(bool need_sync, bool final) {
-  if (shared_mode()) {
-    flush_shared(need_sync, final);
-  } else {
-    flush_wal(need_sync, final);
-  }
-}
-
-void WlanShard::flush_shared(bool need_sync, bool final) {
-  if (!need_sync && !shared_inflight()) {
+  if (!need_sync && !commits_inflight()) {
     // Nothing is queued ahead at the coordinator and nothing needs a
     // sync (snapshot compaction, or durability is off): release on this
     // thread, no queue round-trip.
@@ -830,7 +736,7 @@ void WlanShard::flush_shared(bool need_sync, bool final) {
   }
   if (pending_replies_.empty() && pending_records_.empty()) {
     wal_dirty_ = false;
-    if (final) wait_shared_drain();
+    if (final) wait_commits_drained();
     return;
   }
   CommitBatch batch;
@@ -866,10 +772,10 @@ void WlanShard::flush_shared(bool need_sync, bool final) {
   }
   options_.coordinator->submit(std::move(batch));
   wal_dirty_ = false;
-  if (final) wait_shared_drain();
+  if (final) wait_commits_drained();
 }
 
-void WlanShard::wait_shared_drain() {
+void WlanShard::wait_commits_drained() {
   std::unique_lock<std::mutex> lock(inflight_mutex_);
   inflight_cv_.wait(lock, [this] { return commits_inflight_ == 0; });
 }
@@ -889,54 +795,6 @@ void WlanShard::release_pending() {
     post_(p.conn_id, p.t0, std::move(p.frame));
   }
   pending_replies_.clear();
-}
-
-void WlanShard::flush_wal(bool need_sync, bool final) {
-  if (need_sync && wal_.is_open()) {
-    const auto t0 = std::chrono::steady_clock::now();
-    if (wal_.sync()) {
-      wal_sync_failures_ = 0;
-      if (options_.metrics != nullptr) {
-        options_.metrics->wal_syncs.fetch_add(1, std::memory_order_relaxed);
-        options_.metrics->wal_coalesced_events.fetch_add(
-            wal_unsynced_records_, std::memory_order_relaxed);
-        options_.metrics->wal_batch_events.record_us(wal_unsynced_records_);
-        options_.metrics->wal_sync_latency.record(
-            std::chrono::steady_clock::now() - t0);
-      }
-      wal_unsynced_records_ = 0;
-      const std::lock_guard<std::mutex> lock(state_mutex_);
-      ++counters_.wal_flushes;
-      publish_counters_locked();
-    } else {
-      ++wal_sync_failures_;
-      std::fprintf(stderr, "acornd: wlan %u: WAL fsync failed\n", wlan_id_);
-      if (!final && wal_.is_open() &&
-          wal_sync_failures_ < kMaxWalSyncFailures) {
-        // Neither clients nor followers may observe these records yet
-        // — followers only ever see durable events. Keep the batch
-        // withheld and let the run loop retry after a backoff.
-        wal_retry_after_ =
-            std::chrono::steady_clock::now() + kWalSyncRetryBackoff;
-        return;  // wal_dirty_ stays set
-      }
-      // Retries exhausted, the writer gave itself up, or we are
-      // shutting down: disable the log and release the batch anyway.
-      // Loudly, so an operator sees a sick disk instead of a silent
-      // durability hole — and consistently, so clients and followers
-      // are not withheld forever.
-      if (wal_.is_open()) {
-        std::fprintf(stderr,
-                     "acornd: wlan %u: disabling WAL after %u failed "
-                     "flushes; continuing without durability\n",
-                     wlan_id_, wal_sync_failures_);
-        wal_.close();
-        wal_unsynced_records_ = 0;
-      }
-    }
-  }
-  release_pending();
-  wal_dirty_ = false;
 }
 
 void WlanShard::publish_counters_locked() {

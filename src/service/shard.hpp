@@ -32,16 +32,16 @@
 // Durability: when a state directory is configured, the shard writes a
 // versioned snapshot (write-temp + fsync + atomic rename) at the end of
 // every epoch and once more on clean shutdown; see snapshot.hpp. The
-// events *between* epochs are covered by a per-shard write-ahead log
-// (eventlog.hpp): every applied mutating message is appended to the log
-// and its reply is withheld until a group-commit fsync — issued when
-// the mailbox drains, or after `wal_flush_us` under sustained backlog,
-// so a pipelined burst pays one fsync, not one per event. A failed
-// fsync withholds the batch and retries after a backoff; only after
-// repeated failures is the WAL disabled (loudly), downgrading the
-// shard to non-durable operation rather than hanging its clients. The
-// epoch snapshot supersedes the
-// log, which is truncated right after a successful snapshot write.
+// events *between* epochs are covered by the daemon's shared write-ahead
+// log (eventlog.hpp, sync_coordinator.hpp): every applied mutating
+// message becomes a record, and its reply is withheld until the record
+// is durable. The shard never touches the disk for that — when its
+// mailbox drains, or after `wal_flush_us` under sustained backlog, it
+// hands its pending records and withheld replies to the SyncCoordinator
+// as one CommitBatch, so a pipelined burst pays one fdatasync, not one
+// per event, and one fdatasync covers every shard's batch. A successful
+// epoch snapshot supersedes the logged records and is reported to the
+// coordinator as a checkpoint, which lets it retire covered segments.
 // Recovery = snapshot + replay of the log suffix (records whose ordinal
 // exceeds the snapshot's events_applied) through apply_locked; the
 // deterministic pipeline makes the result byte-identical to the
@@ -89,13 +89,14 @@ struct ShardOptions {
   /// Required advantage factor before the width fallback switches a
   /// bonded AP's operating width.
   double width_hysteresis = 1.05;
-  /// Snapshot + WAL directory; empty disables persistence.
+  /// Snapshot directory; empty disables persistence. Requires
+  /// `coordinator`, which journals the events between snapshots.
   std::string state_dir;
   /// Group-commit bound in microseconds: replies to logged events are
-  /// withheld until the WAL fsyncs. The shard syncs as soon as its
+  /// withheld until the WAL fsyncs. The shard commits as soon as its
   /// mailbox drains (an idle sync costs no batching opportunity);
   /// under a sustained backlog this bounds how long records may sit
-  /// unflushed before a mid-backlog sync (0 = sync per event).
+  /// unflushed before a mid-backlog commit (0 = commit per event).
   std::uint32_t wal_flush_us = 200;
   /// Emit a one-line epoch summary to stderr.
   bool log_epochs = false;
@@ -107,16 +108,12 @@ struct ShardOptions {
   /// When set, every reconfiguration epoch's wall time is recorded here
   /// (daemon-wide percentiles for --log and stats consumers).
   LatencyHistogram* epoch_latency = nullptr;
-  /// Shared-WAL mode: when set, the shard never opens a private WAL
-  /// file — it packages records + withheld replies into CommitBatches
-  /// for this coordinator's fleet-wide group commit, and reports
-  /// snapshot checkpoints for segment retirement. The coordinator must
-  /// outlive the shard's stop(). Null keeps the per-shard WAL.
+  /// The WAL: the shard packages records + withheld replies into
+  /// CommitBatches for this coordinator's fleet-wide group commit, and
+  /// reports snapshot checkpoints for segment retirement. Set exactly
+  /// when `state_dir` is; the coordinator must outlive the shard's
+  /// stop(). Null means no durability.
   SyncCoordinator* coordinator = nullptr;
-  /// Group-commit observability (wal_syncs / coalesced events / sync
-  /// latency). Per-shard mode records here on every local fsync; in
-  /// shared mode the coordinator owns the recording.
-  ServiceMetrics* metrics = nullptr;
 };
 
 /// Shard-local counters, aggregated into the daemon's StatsReply.
@@ -171,9 +168,9 @@ class WlanShard : public util::PooledExecutor::Task {
   WlanShard(const WlanShard&) = delete;
   WlanShard& operator=(const WlanShard&) = delete;
 
-  /// Checkpoints the current state (snapshot write + WAL truncate, so a
-  /// fresh registration or a finished recovery is durable immediately),
-  /// then spawns the worker thread.
+  /// Checkpoints the current state (so a fresh registration or a
+  /// finished recovery is durable immediately, and a merged legacy
+  /// per-WLAN log can be deleted), then spawns the worker thread.
   void start();
   /// Drains pending jobs, flushes withheld replies, writes a final
   /// snapshot, joins the thread.
@@ -189,8 +186,8 @@ class WlanShard : public util::PooledExecutor::Task {
  private:
   void run();
   /// PooledExecutor::Task: one scheduling pass — the same drain logic as
-  /// run(), bounded per pass for fairness, returning the next deadline
-  /// (epoch timer or WAL retry) for the executor's timer wheel.
+  /// run(), bounded per pass for fairness, returning the epoch deadline
+  /// for the executor's timer wheel.
   std::chrono::steady_clock::time_point run_pass() override;
   /// Drain the remaining mailbox on the caller's thread (pooled-mode
   /// stop(), after the executor detach).
@@ -203,38 +200,33 @@ class WlanShard : public util::PooledExecutor::Task {
   void ensure_oracle();
   void invalidate_oracle();
   void write_state_snapshot();
-  bool write_snapshot_locked();
+  /// Write a snapshot and report it to the coordinator as a checkpoint.
+  /// False when persistence is off, during replay, or on I/O failure.
+  bool checkpoint_locked();
   WlanSnapshot build_snapshot_locked() const;
   std::vector<int> clients_of_locked(int ap) const;
   /// True for the message types the WAL records (state mutators).
   static bool loggable(const Message& msg);
-  /// Mode dispatch: flush_wal (per-shard WAL) or flush_shared (shared
-  /// segments via the SyncCoordinator).
+  /// Queue the record of `msg`, applied as ordinal `seq`, for the WAL
+  /// and for followers. True when it is logged, i.e. its reply must
+  /// wait for a sync.
+  bool journal_locked(std::uint64_t seq, const Message& msg);
+  /// Release withheld replies + forward durable records to followers by
+  /// handing them to the coordinator as one CommitBatch (released on
+  /// its commit thread, in submission order, after the sync). `need_sync`
+  /// false when a snapshot already made everything durable: with
+  /// nothing in flight that short-circuits to a direct release,
+  /// otherwise even a no-sync release rides the queue so replies cannot
+  /// overtake an in-flight batch. `final` (shutdown) waits for every
+  /// in-flight batch.
   void flush(bool need_sync, bool final = false);
-  /// Release withheld replies + forward durable records to followers.
-  /// `need_sync` false when a snapshot already made everything durable.
-  /// On fsync failure nothing is released or forwarded (followers must
-  /// only see durable events): the flush retries after a backoff, and
-  /// only after repeated failures is the WAL disabled — loudly — so
-  /// replies and followers are not withheld forever on a dead disk.
-  /// `final` (shutdown) skips the retries and always releases.
-  void flush_wal(bool need_sync, bool final = false);
-  /// Shared-mode counterpart: hands the pending records/replies to the
-  /// coordinator as one CommitBatch (released on its commit thread, in
-  /// submission order). With nothing in flight and no sync needed, the
-  /// batch short-circuits to a direct release; otherwise even a no-sync
-  /// release rides the queue so replies cannot overtake an in-flight
-  /// batch. `final` (shutdown) waits for every in-flight batch.
-  void flush_shared(bool need_sync, bool final = false);
   /// Post pending records to followers + pending replies, in order, on
-  /// the calling thread (the tail of flush_wal, shared by the
-  /// shared-mode short-circuit).
+  /// the calling thread (flush's short-circuit).
   void release_pending();
   /// Blocks until the coordinator has released every batch this shard
   /// submitted (shutdown: the shard must outlive its in-flight hooks).
-  void wait_shared_drain();
-  bool shared_mode() const { return options_.coordinator != nullptr; }
-  bool shared_inflight() const {
+  void wait_commits_drained();
+  bool commits_inflight() const {
     const std::lock_guard<std::mutex> lock(inflight_mutex_);
     return commits_inflight_ > 0;
   }
@@ -273,7 +265,6 @@ class WlanShard : public util::PooledExecutor::Task {
   // Write-ahead log + group-commit state. Everything below is touched
   // only from the shard thread (construction/start/stop excepted, when
   // no worker is running), so it needs no lock of its own.
-  WalWriter wal_;
   /// events_applied_ value the newest on-disk snapshot covers; records
   /// with seq <= this are redundant and are not appended.
   std::uint64_t wal_base_seq_ = 0;
@@ -283,26 +274,17 @@ class WlanShard : public util::PooledExecutor::Task {
     std::vector<std::uint8_t> frame;
   };
   /// Replies withheld until the records they acknowledge are durable
-  /// (WAL fsync or snapshot). FIFO, so per-connection order holds even
+  /// (WAL sync or snapshot). FIFO, so per-connection order holds even
   /// for interleaved non-logged requests.
   std::vector<PendingReply> pending_replies_;
-  /// Durable-records-in-waiting for follower forwarding.
+  /// Records in waiting for the WAL and for follower forwarding.
   std::vector<WalRecord> pending_records_;
   std::uint64_t pending_max_seq_ = 0;
   bool wal_dirty_ = false;
   std::chrono::steady_clock::time_point first_unflushed_;
-  /// Consecutive failed WAL fsyncs; past a small bound the log is
-  /// disabled instead of withholding replies forever on a sick disk.
-  std::uint32_t wal_sync_failures_ = 0;
-  /// No flush retry before this instant (set after a failed fsync so a
-  /// sick disk is not hammered in a tight loop).
-  std::chrono::steady_clock::time_point wal_retry_after_{};
-  /// Records appended since the last successful local fsync (per-shard
-  /// mode batch-size observability).
-  std::uint64_t wal_unsynced_records_ = 0;
-  /// Shared mode: batches handed to the coordinator whose on_durable
-  /// hook has not fired yet. Guarded by inflight_mutex_ (the hook runs
-  /// on the coordinator's commit thread).
+  /// Batches handed to the coordinator whose on_durable hook has not
+  /// fired yet. Guarded by inflight_mutex_ (the hook runs on the
+  /// coordinator's commit thread).
   std::uint32_t commits_inflight_ = 0;
   mutable std::mutex inflight_mutex_;
   std::condition_variable inflight_cv_;

@@ -12,9 +12,9 @@ namespace acorn::service {
 
 namespace {
 
-/// Same policy as the per-shard WalWriter path: a sick disk gets a few
-/// retries behind a backoff, then the fleet degrades to non-durable
-/// operation instead of withholding every shard's replies forever.
+/// A sick disk gets a few retries behind a backoff, then the fleet
+/// degrades to non-durable operation instead of withholding every
+/// shard's replies forever.
 constexpr std::uint32_t kMaxSyncFailures = 3;
 constexpr auto kSyncRetryBackoff = std::chrono::milliseconds(10);
 

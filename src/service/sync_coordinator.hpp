@@ -1,22 +1,22 @@
-// Fleet-wide group commit for acornd's shared-WAL mode.
+// Fleet-wide group commit: the writer of acornd's write-ahead log.
 //
-// Per-shard WAL files serialize durable throughput at the device sync
-// ceiling *per shard*: every WlanShard issues its own fdatasync
-// (~130-155 us on commodity ext4), so a fleet of hundreds of WLANs
-// contends for 6-7k syncs/s of physical budget. The SyncCoordinator
-// lifts PR 6's group commit from one shard to the whole fleet: shards
-// never touch the disk — they package their pending records, withheld
-// replies, and follower subscriptions into a CommitBatch and hand it
-// over; a single commit thread drains every queued batch, appends the
-// records of *all* shards to one shared segment (eventlog.hpp's
-// `seg_<index>.walseg`), and issues ONE write + ONE fdatasync for the
-// lot. After the sync it releases each batch in submission order:
-// forwards the now-durable records to the batch's `--follow`
-// subscribers (followers only ever see durable events), posts the
-// withheld replies, and fires the shard's completion hook. While one
-// sync is in flight new batches pile up behind it, so coalescing scales
-// with load by construction — an idle fleet pays one sync per event,
-// a busy one pays one sync per *fleet-wide burst*.
+// A log file per shard would cap durable throughput at the device sync
+// ceiling *per shard*: every WlanShard would issue its own fdatasync
+// (~60-220 us on the disks measured so far), so a fleet of hundreds of
+// WLANs would contend for a few thousand syncs/s of physical budget.
+// The SyncCoordinator does group commit for the whole fleet instead:
+// shards never touch the disk — they package their pending records,
+// withheld replies, and follower subscriptions into a CommitBatch and
+// hand it over; a single commit thread drains every queued batch,
+// appends the records of *all* shards to one shared segment
+// (eventlog.hpp's `seg_<index>.walseg`), and issues ONE write + ONE
+// fdatasync for the lot. After the sync it releases each batch in
+// submission order: forwards the now-durable records to the batch's
+// `--follow` subscribers (followers only ever see durable events),
+// posts the withheld replies, and fires the shard's completion hook.
+// While one sync is in flight new batches pile up behind it, so
+// coalescing scales with load by construction — an idle fleet pays one
+// sync per event, a busy one pays one sync per *fleet-wide burst*.
 //
 // Ordering contract: batches from one shard are released strictly in
 // submission order (the queue is FIFO and the commit thread never
@@ -32,11 +32,10 @@
 // (seq 0, appended durably by remove_wlan before RemoveWlan replies or
 // an id is re-registered) can never outlive the records it fences.
 //
-// Failure policy mirrors the per-shard WalWriter: a failed fdatasync is
-// retried after a short backoff; after kMaxSyncFailures consecutive
-// failures the coordinator degrades — loudly — to non-durable
-// operation, releasing batches immediately so clients and followers
-// are not withheld forever on a dead disk.
+// Failure policy: a failed fdatasync is retried after a short backoff;
+// after kMaxSyncFailures consecutive failures the coordinator degrades
+// — loudly — to non-durable operation, releasing batches immediately so
+// clients and followers are not withheld forever on a dead disk.
 #pragma once
 
 #include <atomic>

@@ -1,16 +1,19 @@
 // End-to-end tests of acornd: daemon smoke over a Unix socket, protocol
-// error handling, TCP transport, and the kill-and-restart durability
+// error handling, TCP transport, the kill-and-restart durability
 // contract (state recovered from the epoch snapshots is exactly the
-// state the pre-crash daemon reported).
+// state the pre-crash daemon reported), and the acornd binary's flag
+// validation.
 #include "service/daemon.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 
 #include <chrono>
@@ -19,6 +22,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/client.hpp"
@@ -519,6 +523,112 @@ TEST(ServiceDaemon, KillAndRestartRecovery) {
     EXPECT_GT(cfg.total_goodput_bps, 0.0);
     daemon.stop();
   }
+}
+
+struct CliRun {
+  int status = 0;  // waitpid status
+  std::string output;  // stdout + stderr
+};
+
+// Run the built acornd with `args`. Once `stop_marker` appears in its
+// output the process gets SIGTERM; one still running after 10 s gets
+// SIGKILL (a wrongly accepted flag value would leave a daemon running).
+CliRun run_acornd(const std::vector<std::string>& args,
+                  const std::string& stop_marker = "") {
+  // argv is built before fork: the child may only exec.
+  std::vector<char*> argv{const_cast<char*>(ACORND_BIN)};
+  for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+  argv.push_back(nullptr);
+  int fds[2];
+  if (::pipe(fds) != 0) throw std::runtime_error("pipe");
+  const pid_t pid = ::fork();
+  if (pid < 0) throw std::runtime_error("fork");
+  if (pid == 0) {
+    ::dup2(fds[1], STDOUT_FILENO);
+    ::dup2(fds[1], STDERR_FILENO);
+    ::close(fds[0]);
+    ::close(fds[1]);
+    ::execv(ACORND_BIN, argv.data());
+    ::_exit(127);
+  }
+  ::close(fds[1]);
+  CliRun run;
+  bool stopping = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (true) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) {
+      ::kill(pid, SIGKILL);
+      break;
+    }
+    pollfd p{fds[0], POLLIN, 0};
+    const int r = ::poll(&p, 1, static_cast<int>(left.count()));
+    if (r < 0 && errno != EINTR) break;
+    if (r <= 0) continue;
+    char buf[512];
+    const ssize_t n = ::read(fds[0], buf, sizeof(buf));
+    if (n <= 0) break;  // EOF: acornd exited
+    run.output.append(buf, static_cast<std::size_t>(n));
+    if (!stopping && !stop_marker.empty() &&
+        run.output.find(stop_marker) != std::string::npos) {
+      ::kill(pid, SIGTERM);
+      stopping = true;
+    }
+  }
+  ::close(fds[0]);
+  ::waitpid(pid, &run.status, 0);
+  return run;
+}
+
+// Every numeric flag is parsed whole and range-checked: a bad value
+// names its flag and exits 2 before the daemon starts, instead of
+// becoming 0, a wrapped-around bound, or an undefined conversion.
+TEST(ServiceDaemon, AcorndRejectsBadFlagValues) {
+  const TempDir dir;
+  const std::string sock = dir.path() + "/sock";
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"--tcp", "70000"},
+      {"--tcp", "-1"},
+      {"--tcp", "80x"},
+      {"--tcp", ""},
+      {"--epoch-s", "inf"},
+      {"--epoch-s", "nan"},
+      {"--epoch-s", "-1"},
+      {"--epoch-s", "1e300"},
+      {"--epoch-s", "abc"},
+      {"--hysteresis", "0.5"},
+      {"--hysteresis", "inf"},
+      {"--hysteresis", "1.05x"},
+      {"--wal-flush-us", "-1"},
+      {"--wal-flush-us", "4294967296"},
+      {"--wal-flush-us", "1.5"},
+      {"--wal-segment-bytes", "-5"},
+      {"--wal-segment-bytes", "abc"},
+      {"--workers", "abc"},
+      {"--workers", "-1"},
+      {"--workers", "5000"},
+  };
+  for (const auto& [flag, value] : bad) {
+    SCOPED_TRACE(flag + " '" + value + "'");
+    const CliRun run = run_acornd({"--unix", sock, flag, value});
+    ASSERT_TRUE(WIFEXITED(run.status)) << run.output;
+    EXPECT_EQ(WEXITSTATUS(run.status), 2) << run.output;
+    EXPECT_NE(run.output.find("invalid value '" + value + "' for " + flag),
+              std::string::npos)
+        << run.output;
+  }
+
+  // Values at the edges of every range are still accepted: the daemon
+  // starts, and SIGTERM shuts it down cleanly.
+  const CliRun ok = run_acornd(
+      {"--unix", sock, "--tcp", "0", "--epoch-s", "0", "--hysteresis", "1",
+       "--wal-flush-us", "4294967295", "--wal-segment-bytes", "0",
+       "--workers", "0"},
+      "listening on " + sock);
+  ASSERT_TRUE(WIFEXITED(ok.status)) << ok.output;
+  EXPECT_EQ(WEXITSTATUS(ok.status), 0) << ok.output;
 }
 
 }  // namespace

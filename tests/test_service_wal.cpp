@@ -1,19 +1,18 @@
-// Durability tests for the write-ahead event log, in both layouts:
-// the per-shard `wlan_<id>.wal` files and the shared `seg_<n>.walseg`
-// group-commit segments.
+// Durability tests for the write-ahead event log: the shared
+// `seg_<n>.walseg` group-commit segments, and the read-only loader for
+// legacy per-WLAN `wlan_<id>.wal` files written by older builds.
 //
 // Three layers:
-//  * file level — both codecs round-trip, and the loaders stop at torn
+//  * file level — segments round-trip, and both loaders stop at torn
 //    tails, flipped bits, and ordinal gaps while keeping the valid
-//    prefix; shared segments interleave WLANs and honor seq-0
-//    tombstones (a dead incarnation's records must not leak into a
-//    reused id);
+//    prefix; segments interleave WLANs and honor seq-0 tombstones (a
+//    dead incarnation's records must not leak into a reused id);
 //  * crash level — SIGKILL a daemon at randomized points inside an event
 //    burst (including inside the group-commit flush window): after
 //    restart the recovered state must contain every acknowledged event
 //    and be byte-identical to a never-killed reference daemon fed the
-//    same event prefix — in either WAL mode, including recovering one
-//    mode's files with the other;
+//    same event prefix; a state dir holding a legacy log, alone or
+//    followed by segment records, recovers the same way;
 //  * replication level — a warm standby following the leader's log
 //    converges to byte-identical per-WLAN state, tracks WLANs registered
 //    after it attached, and tears down removed ones.
@@ -107,7 +106,7 @@ std::vector<Message> event_script_for(std::uint32_t wlan) {
 
 std::vector<Message> event_script() { return event_script_for(1); }
 
-// Shared-layout segment files present in `dir`, ascending index.
+// Segment files present in `dir`, ascending index.
 std::vector<std::string> segment_files(const std::string& dir) {
   std::vector<std::string> out;
   for (std::uint64_t i = 1; i < 1000; ++i) {
@@ -125,33 +124,96 @@ std::vector<std::uint8_t> state_bytes(const Daemon& daemon,
   return encode_snapshot(*snap);
 }
 
+// State of WLAN 1 in a never-killed daemon fed the first `m` events of
+// `script` — the reference every recovery must byte-equal.
+std::vector<std::uint8_t> reference_state(const std::vector<Message>& script,
+                                          std::uint64_t m) {
+  const TempDir dir;
+  DaemonConfig config;
+  config.state_dir = dir.path() + "/state";
+  config.unix_path = dir.path() + "/sock";
+  config.epoch_s = 0.0;
+  Daemon reference(config);
+  reference.start();
+  Client client = connect_with_retry(config.unix_path);
+  EXPECT_TRUE(std::holds_alternative<OkReply>(
+      client.call(RegisterWlan{1, kDeployment})));
+  for (std::uint64_t i = 0; i < m; ++i) {
+    EXPECT_TRUE(std::holds_alternative<OkReply>(
+        client.call(script[static_cast<std::size_t>(i)])));
+  }
+  std::vector<std::uint8_t> bytes = state_bytes(reference, 1);
+  reference.stop();
+  return bytes;
+}
+
+void write_file(const std::string& path,
+                const std::vector<std::uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  // fwrite's buffer must not be null, even for zero bytes.
+  const std::size_t written =
+      bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+  ASSERT_EQ(written, bytes.size());
+}
+
+// Bytes of a legacy per-WLAN log (the layout older builds wrote): the
+// ACWL header, then one record per (seq, payload).
+std::vector<std::uint8_t> legacy_wal_bytes(
+    const std::vector<WalRecord>& records) {
+  ByteWriter hdr;
+  hdr.u32(kWalMagic);
+  hdr.u16(kWalVersion);
+  std::vector<std::uint8_t> bytes = hdr.take();
+  for (const WalRecord& r : records) {
+    const std::vector<std::uint8_t> rec = encode_wal_record(r.seq, r.payload);
+    bytes.insert(bytes.end(), rec.begin(), rec.end());
+  }
+  return bytes;
+}
+
+void write_legacy_wal(const std::string& dir, std::uint32_t wlan_id,
+                      const std::vector<WalRecord>& records) {
+  write_file(wal_path(dir, wlan_id), legacy_wal_bytes(records));
+}
+
+// Records seq = first .. last of `script`, as the shard journals them.
+std::vector<WalRecord> script_records(const std::vector<Message>& script,
+                                      std::uint64_t first,
+                                      std::uint64_t last) {
+  std::vector<WalRecord> out;
+  for (std::uint64_t seq = first; seq <= last; ++seq) {
+    out.push_back(WalRecord{
+        seq, encode_payload(0, script[static_cast<std::size_t>(seq - 1)])});
+  }
+  return out;
+}
+
+bool file_exists(const std::string& path) {
+  struct stat st{};
+  return ::stat(path.c_str(), &st) == 0;
+}
+
 // --------------------------------------------------------------------
 // File level.
 
-TEST(ServiceWal, WriterRoundTripAndUnsyncedTailLost) {
+TEST(ServiceWal, LegacyLogRoundTrip) {
   const TempDir dir;
-  std::vector<std::vector<std::uint8_t>> payloads;
-  {
-    WalWriter w;
-    ASSERT_TRUE(w.open(dir.path(), 3));
-    for (std::uint64_t s = 1; s <= 5; ++s) {
-      payloads.push_back(encode_payload(
-          0, Message{SnrUpdate{3, 0, static_cast<std::uint32_t>(s), 80.0}}));
-      w.append(s, payloads.back());
-    }
-    ASSERT_TRUE(w.sync());
-    // Buffered but never synced: these two must not survive the close
-    // (they model events whose replies were never released).
-    w.append(6, payloads.front());
-    w.append(7, payloads.front());
-    EXPECT_GT(w.buffered_bytes(), 0u);
+  std::vector<WalRecord> records;
+  for (std::uint64_t s = 1; s <= 5; ++s) {
+    records.push_back(WalRecord{
+        s, encode_payload(0, Message{SnrUpdate{3, 0,
+                                               static_cast<std::uint32_t>(s),
+                                               80.0}})});
   }
+  write_legacy_wal(dir.path(), 3, records);
   const WalLoadResult res = load_wal(dir.path(), 3);
   EXPECT_TRUE(res.clean);
   ASSERT_EQ(res.records.size(), 5u);
   for (std::size_t i = 0; i < res.records.size(); ++i) {
     EXPECT_EQ(res.records[i].seq, i + 1);
-    EXPECT_EQ(res.records[i].payload, payloads[i]);
+    EXPECT_EQ(res.records[i].payload, records[i].payload);
     const Frame f = decode_payload(res.records[i].payload);
     ASSERT_TRUE(std::holds_alternative<SnrUpdate>(f.msg));
     EXPECT_EQ(std::get<SnrUpdate>(f.msg).client, i + 1);
@@ -164,30 +226,30 @@ TEST(ServiceWal, MissingAndEmptyLogsAreClean) {
   EXPECT_TRUE(missing.clean);
   EXPECT_TRUE(missing.records.empty());
 
-  WalWriter w;
-  ASSERT_TRUE(w.open(dir.path(), 1));
-  ASSERT_TRUE(w.sync());  // header-less empty file
+  write_file(wal_path(dir.path(), 1), {});  // truncated after a snapshot
   const WalLoadResult empty = load_wal(dir.path(), 1);
   EXPECT_TRUE(empty.clean);
   EXPECT_TRUE(empty.records.empty());
 }
 
-TEST(ServiceWal, TornTailKeepsValidPrefix) {
-  const TempDir dir;
-  WalWriter w;
-  ASSERT_TRUE(w.open(dir.path(), 9));
+// Four ClientLeave records of WLAN 9, seq 1..4.
+std::vector<WalRecord> four_leaves() {
   const std::vector<std::uint8_t> payload =
       encode_payload(0, Message{ClientLeave{9, 0}});
-  for (std::uint64_t s = 1; s <= 4; ++s) w.append(s, payload);
-  ASSERT_TRUE(w.sync());
-  w.close();
+  std::vector<WalRecord> records;
+  for (std::uint64_t s = 1; s <= 4; ++s) {
+    records.push_back(WalRecord{s, payload});
+  }
+  return records;
+}
 
-  // Chop 5 bytes off the end: the final record loses part of its
+TEST(ServiceWal, TornTailKeepsValidPrefix) {
+  const TempDir dir;
+  // Drop 5 bytes off the end: the final record loses part of its
   // checksum trailer, exactly what a crash mid-write leaves behind.
-  const std::string path = wal_path(dir.path(), 9);
-  struct stat st{};
-  ASSERT_EQ(::stat(path.c_str(), &st), 0);
-  ASSERT_EQ(::truncate(path.c_str(), st.st_size - 5), 0);
+  std::vector<std::uint8_t> bytes = legacy_wal_bytes(four_leaves());
+  bytes.resize(bytes.size() - 5);
+  write_file(wal_path(dir.path(), 9), bytes);
 
   const WalLoadResult res = load_wal(dir.path(), 9);
   EXPECT_FALSE(res.clean);
@@ -197,24 +259,10 @@ TEST(ServiceWal, TornTailKeepsValidPrefix) {
 
 TEST(ServiceWal, BitFlipStopsAtCorruptRecord) {
   const TempDir dir;
-  WalWriter w;
-  ASSERT_TRUE(w.open(dir.path(), 9));
-  const std::vector<std::uint8_t> payload =
-      encode_payload(0, Message{ClientLeave{9, 0}});
-  for (std::uint64_t s = 1; s <= 4; ++s) w.append(s, payload);
-  ASSERT_TRUE(w.sync());
-  w.close();
-
   // Flip one bit in the last byte (inside record 4's checksum).
-  const std::string path = wal_path(dir.path(), 9);
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, -1, SEEK_END), 0);
-  const int byte = std::fgetc(f);
-  ASSERT_NE(byte, EOF);
-  ASSERT_EQ(std::fseek(f, -1, SEEK_END), 0);
-  std::fputc(byte ^ 0x40, f);
-  std::fclose(f);
+  std::vector<std::uint8_t> bytes = legacy_wal_bytes(four_leaves());
+  bytes.back() ^= 0x40;
+  write_file(wal_path(dir.path(), 9), bytes);
 
   const WalLoadResult res = load_wal(dir.path(), 9);
   EXPECT_FALSE(res.clean);
@@ -225,22 +273,10 @@ TEST(ServiceWal, OrdinalGapRefusesRemainder) {
   const TempDir dir;
   const std::vector<std::uint8_t> payload =
       encode_payload(0, Message{ClientLeave{2, 1}});
-  // Hand-craft header + records 1, 2, 4: the gap invalidates the rest.
-  std::vector<std::uint8_t> bytes;
-  {
-    ByteWriter hdr;
-    hdr.u32(kWalMagic);
-    hdr.u16(kWalVersion);
-    bytes.insert(bytes.end(), hdr.data().begin(), hdr.data().end());
-  }
-  for (const std::uint64_t seq : {1ull, 2ull, 4ull}) {
-    const std::vector<std::uint8_t> rec = encode_wal_record(seq, payload);
-    bytes.insert(bytes.end(), rec.begin(), rec.end());
-  }
-  std::FILE* f = std::fopen(wal_path(dir.path(), 2).c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
+  // Records 1, 2, 4: the gap invalidates the rest.
+  write_legacy_wal(dir.path(), 2,
+                   {WalRecord{1, payload}, WalRecord{2, payload},
+                    WalRecord{4, payload}});
 
   const WalLoadResult res = load_wal(dir.path(), 2);
   EXPECT_FALSE(res.clean);
@@ -435,16 +471,13 @@ TEST(ServiceWal, SegmentOrdinalGapStopsReplayAtPrefix) {
 //  (2) the recovered state is byte-identical to a never-killed reference
 //      daemon fed exactly the recovered event prefix.
 // Different flush windows move the kill relative to the group-commit
-// fsync; the invariants must hold for all of them — and for every
-// (victim, recovery) WAL-mode pairing, since either mode must recover
-// the other's files.
-void run_sigkill_burst(WalMode victim_mode, WalMode recover_mode,
-                       std::uint32_t rng_seed, int iterations) {
+// fsync; the invariants must hold for all of them.
+TEST(ServiceWal, SigkillNeverLosesAcknowledgedEvents) {
   const std::vector<Message> script = event_script();
-  std::mt19937 rng(rng_seed);
+  std::mt19937 rng(20260808u);
   const std::uint32_t flush_windows[] = {0, 200, 5000};
 
-  for (int iter = 0; iter < iterations; ++iter) {
+  for (int iter = 0; iter < 6; ++iter) {
     SCOPED_TRACE("iteration " + std::to_string(iter));
     const TempDir dir;
     const std::string sock = dir.path() + "/sock";
@@ -459,7 +492,6 @@ void run_sigkill_burst(WalMode victim_mode, WalMode recover_mode,
       config.state_dir = state;
       config.epoch_s = 0.0;
       config.wal_flush_us = flush_us;
-      config.wal_mode = victim_mode;
       try {
         Daemon daemon(config);
         daemon.start();
@@ -506,7 +538,6 @@ void run_sigkill_burst(WalMode victim_mode, WalMode recover_mode,
     config.state_dir = state;
     config.unix_path = sock;
     config.epoch_s = 0.0;
-    config.wal_mode = recover_mode;
     Daemon recovered(config);
     recovered.start();
     const std::optional<WlanSnapshot> snap = recovered.wlan_state(1);
@@ -515,56 +546,85 @@ void run_sigkill_burst(WalMode victim_mode, WalMode recover_mode,
     EXPECT_GE(m, acked) << "acknowledged events lost (flush window "
                         << flush_us << " us)";
     EXPECT_LE(m, script.size());
-
-    // Reference: a fresh daemon fed exactly the first m script events.
-    const TempDir ref_dir;
-    DaemonConfig ref_config;
-    ref_config.state_dir = ref_dir.path() + "/state";
-    ref_config.unix_path = ref_dir.path() + "/sock";
-    ref_config.epoch_s = 0.0;
-    Daemon reference(ref_config);
-    reference.start();
-    {
-      Client client = connect_with_retry(ref_config.unix_path);
-      ASSERT_TRUE(std::holds_alternative<OkReply>(
-          client.call(RegisterWlan{1, kDeployment})));
-      for (std::uint64_t i = 0; i < m; ++i) {
-        ASSERT_TRUE(std::holds_alternative<OkReply>(
-            client.call(script[static_cast<std::size_t>(i)])));
-      }
-    }
-    EXPECT_EQ(state_bytes(recovered, 1), state_bytes(reference, 1))
+    EXPECT_EQ(state_bytes(recovered, 1), reference_state(script, m))
         << "recovered state diverges from the deterministic replay at "
         << m << " events";
-    reference.stop();
     recovered.stop();
   }
 }
 
-TEST(ServiceWal, SigkillNeverLosesAcknowledgedEventsShared) {
-  run_sigkill_burst(WalMode::kShared, WalMode::kShared, 20260808u, 6);
+// Upgrade from a build that journaled each WLAN to a private
+// `wlan_<id>.wal`: a snapshot plus that legacy log — alone, or followed
+// by segment records the current build appended before crashing — must
+// recover every journaled event byte-identically, and the legacy file
+// must be gone once start() has checkpointed past it.
+TEST(ServiceWal, LegacyLogUpgradeRecoversByteIdentical) {
+  const std::vector<Message> script = event_script();
+  const std::uint64_t n = script.size();
+  const std::uint64_t k = 20;  // legacy prefix, past the first epoch
+  const std::vector<std::uint8_t> expected = reference_state(script, n);
+
+  for (const bool with_segment : {false, true}) {
+    SCOPED_TRACE(with_segment ? "legacy 1..k + segment k+1..n"
+                              : "legacy 1..n");
+    const TempDir dir;
+    const std::string state = dir.path() + "/state";
+    {
+      // Registration snapshot at events_applied = 0, nothing journaled.
+      DaemonConfig config;
+      config.unix_path = dir.path() + "/sock";
+      config.state_dir = state;
+      config.epoch_s = 0.0;
+      Daemon daemon(config);
+      daemon.start();
+      Client client = Client::connect_unix(config.unix_path);
+      ASSERT_TRUE(std::holds_alternative<OkReply>(
+          client.call(RegisterWlan{1, kDeployment})));
+      daemon.stop();
+    }
+    ASSERT_TRUE(segment_files(state).empty());
+    if (with_segment) {
+      write_legacy_wal(state, 1, script_records(script, 1, k));
+      WalSegmentWriter w;
+      ASSERT_TRUE(w.open(state, 1));
+      for (const WalRecord& r : script_records(script, k + 1, n)) {
+        w.append(1, r.seq, r.payload);
+      }
+      ASSERT_TRUE(w.sync());
+    } else {
+      write_legacy_wal(state, 1, script_records(script, 1, n));
+    }
+
+    DaemonConfig config;
+    config.state_dir = state;
+    config.epoch_s = 0.0;
+    Daemon recovered(config);
+    recovered.start();
+    EXPECT_FALSE(file_exists(wal_path(state, 1)))
+        << "legacy log survived the start() checkpoint";
+    const std::optional<WlanSnapshot> snap = recovered.wlan_state(1);
+    ASSERT_TRUE(snap.has_value());
+    EXPECT_EQ(snap->events_applied, n);
+    EXPECT_EQ(state_bytes(recovered, 1), expected);
+    recovered.stop();
+
+    // The checkpoint carries the upgraded state on its own.
+    Daemon again(config);
+    again.start();
+    EXPECT_EQ(state_bytes(again, 1), expected);
+    again.stop();
+  }
 }
 
-TEST(ServiceWal, SigkillNeverLosesAcknowledgedEventsPerShard) {
-  run_sigkill_burst(WalMode::kPerShard, WalMode::kPerShard, 20260809u, 6);
-}
-
-// A state dir written by one mode recovered by the other: the upgrade
-// and rollback paths.
-TEST(ServiceWal, SigkillRecoveryAcrossWalModes) {
-  run_sigkill_burst(WalMode::kPerShard, WalMode::kShared, 20260810u, 3);
-  run_sigkill_burst(WalMode::kShared, WalMode::kPerShard, 20260811u, 3);
-}
-
-// Shared mode's distinguishing load: several WLANs' records interleaved
-// in the same segments, racing a SIGKILL. Replies from different shards
+// Several WLANs' records interleaved in the same segments, racing a
+// SIGKILL. Replies from different shards
 // interleave freely on the shared connection, so acknowledgements are
 // matched to WLANs through the reply's echoed request seq; every
 // acknowledged event of *every* WLAN must survive, and each recovered
 // WLAN must be byte-identical to a reference daemon fed its recovered
 // prefix (per-WLAN replies are FIFO, so the acked set per WLAN is a
 // prefix of its script).
-TEST(ServiceWal, SigkillSharedModeInterleavedWlans) {
+TEST(ServiceWal, SigkillInterleavedWlans) {
   constexpr std::uint32_t kWlans = 3;
   std::vector<std::vector<Message>> scripts;
   for (std::uint32_t w = 1; w <= kWlans; ++w) {
@@ -591,7 +651,6 @@ TEST(ServiceWal, SigkillSharedModeInterleavedWlans) {
       config.state_dir = state;
       config.epoch_s = 0.0;
       config.wal_flush_us = (iter % 2 == 0) ? 0u : 200u;
-      config.wal_mode = WalMode::kShared;
       try {
         Daemon daemon(config);
         daemon.start();
@@ -648,7 +707,6 @@ TEST(ServiceWal, SigkillSharedModeInterleavedWlans) {
     DaemonConfig config;
     config.state_dir = state;
     config.epoch_s = 0.0;
-    config.wal_mode = WalMode::kShared;
     Daemon recovered(config);
     recovered.start();
 
@@ -696,7 +754,6 @@ TEST(ServiceWal, SharedSegmentsRotateAndRetire) {
   config.state_dir = state;
   config.epoch_s = 0.0;
   config.wal_flush_us = 0;
-  config.wal_mode = WalMode::kShared;
   config.wal_segment_bytes = 2048;  // rotate every ~25 records
   Daemon daemon(config);
   daemon.start();
@@ -745,7 +802,7 @@ TEST(ServiceWal, SharedSegmentsRotateAndRetire) {
 // destroyed on disk after the fact must roll the state back to the
 // intact prefix (torn tails happen; silent corruption must not become
 // silent state invention).
-void run_corrupt_tail(WalMode mode) {
+TEST(ServiceWal, RecoveryStopsAtCorruptTail) {
   const TempDir dir;
   const std::string sock = dir.path() + "/sock";
   const std::string state = dir.path() + "/state";
@@ -758,7 +815,6 @@ void run_corrupt_tail(WalMode mode) {
     config.state_dir = state;
     config.epoch_s = 0.0;
     config.wal_flush_us = 0;
-    config.wal_mode = mode;
     try {
       Daemon daemon(config);
       daemon.start();
@@ -782,30 +838,19 @@ void run_corrupt_tail(WalMode mode) {
 
   // All four joins are acknowledged, so the log holds records 1..4 past
   // the registration snapshot. Chop into the last record.
-  if (mode == WalMode::kPerShard) {
-    const WalLoadResult before = load_wal(state, 1);
-    ASSERT_TRUE(before.clean);
-    ASSERT_EQ(before.records.size(), 4u);
-    const std::string path = wal_path(state, 1);
-    struct stat st{};
-    ASSERT_EQ(::stat(path.c_str(), &st), 0);
-    ASSERT_EQ(::truncate(path.c_str(), st.st_size - 3), 0);
-  } else {
-    const SegmentLoadResult before = load_wal_segments(state);
-    ASSERT_TRUE(before.clean);
-    ASSERT_EQ(before.records.at(1).size(), 4u);
-    const std::vector<std::string> segs = segment_files(state);
-    ASSERT_FALSE(segs.empty());
-    const std::string& path = segs.back();
-    struct stat st{};
-    ASSERT_EQ(::stat(path.c_str(), &st), 0);
-    ASSERT_EQ(::truncate(path.c_str(), st.st_size - 3), 0);
-  }
+  const SegmentLoadResult before = load_wal_segments(state);
+  ASSERT_TRUE(before.clean);
+  ASSERT_EQ(before.records.at(1).size(), 4u);
+  const std::vector<std::string> segs = segment_files(state);
+  ASSERT_FALSE(segs.empty());
+  const std::string& path = segs.back();
+  struct stat st{};
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  ASSERT_EQ(::truncate(path.c_str(), st.st_size - 3), 0);
 
   DaemonConfig config;
   config.state_dir = state;
   config.epoch_s = 0.0;
-  config.wal_mode = mode;
   Daemon recovered(config);
   recovered.start();
   const std::optional<WlanSnapshot> snap = recovered.wlan_state(1);
@@ -817,14 +862,6 @@ void run_corrupt_tail(WalMode mode) {
   }
   EXPECT_EQ(associated, 3);
   recovered.stop();
-}
-
-TEST(ServiceWal, RecoveryStopsAtCorruptTailPerShard) {
-  run_corrupt_tail(WalMode::kPerShard);
-}
-
-TEST(ServiceWal, RecoveryStopsAtCorruptTailShared) {
-  run_corrupt_tail(WalMode::kShared);
 }
 
 // --------------------------------------------------------------------
@@ -840,14 +877,15 @@ bool eventually(F predicate) {
   return false;
 }
 
-void run_follower_convergence(WalMode leader_mode) {
+// The follower stream is released by the coordinator's commit thread: a
+// record reaches a follower no later than the client's acknowledgement.
+TEST(ServiceWal, FollowerConvergesByteIdentical) {
   const TempDir dir;
   DaemonConfig leader_config;
   leader_config.unix_path = dir.path() + "/sock";
   leader_config.state_dir = dir.path() + "/leader";
   leader_config.epoch_s = 0.0;
   leader_config.wal_flush_us = 0;
-  leader_config.wal_mode = leader_mode;
   Daemon leader(leader_config);
   leader.start();
 
@@ -908,18 +946,6 @@ void run_follower_convergence(WalMode leader_mode) {
 
   follower.stop();
   leader.stop();
-}
-
-// In shared mode the follower stream is released by the coordinator's
-// commit thread (a record reaches a follower no later than the client's
-// acknowledgement); in per-shard mode by the shard itself. Both paths
-// must converge byte-identically.
-TEST(ServiceWal, FollowerConvergesByteIdenticalShared) {
-  run_follower_convergence(WalMode::kShared);
-}
-
-TEST(ServiceWal, FollowerConvergesByteIdenticalPerShard) {
-  run_follower_convergence(WalMode::kPerShard);
 }
 
 // A standby that resubscribed (leader restart) and is then killed must
