@@ -119,15 +119,17 @@ void BM_AllocationUncached(benchmark::State& state) {
   const sim::ScenarioBuilder b = bench::topology2();
   const sim::Wlan wlan = b.build();
   const net::Association assoc = b.intended_association();
-  core::AllocationConfig cfg;
-  cfg.cache_oracle = false;
   const core::ChannelAllocator alloc{
-      net::ChannelPlan(static_cast<int>(state.range(0))), cfg};
+      net::ChannelPlan(static_cast<int>(state.range(0)))};
+  const core::ThroughputOracle exact =
+      [&wlan](const net::Association& a, const net::ChannelAssignment& f) {
+        return wlan.evaluate(a, f).total_goodput_bps;
+      };
   util::Rng rng(3);
   const net::ChannelAssignment start = alloc.random_assignment(5, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        alloc.allocate(wlan, assoc, start).final_bps);
+        alloc.allocate(wlan, assoc, start, exact).final_bps);
   }
 }
 BENCHMARK(BM_AllocationUncached)->Arg(4)->Arg(12);
@@ -143,20 +145,6 @@ void BM_FullConfigure(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullConfigure);
-
-void BM_FullConfigureUncached(benchmark::State& state) {
-  const sim::ScenarioBuilder b = bench::topology2();
-  const sim::Wlan wlan = b.build();
-  core::AcornConfig cfg;
-  cfg.allocation.cache_oracle = false;
-  const core::AcornController acorn{cfg};
-  util::Rng rng(4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        acorn.configure(wlan, rng).evaluation.total_goodput_bps);
-  }
-}
-BENCHMARK(BM_FullConfigureUncached);
 
 }  // namespace
 

@@ -31,8 +31,8 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <variant>
 #include <vector>
@@ -40,6 +40,7 @@
 #include "service/client.hpp"
 #include "service/daemon.hpp"
 #include "trace/load_gen.hpp"
+#include "util/flags.hpp"
 
 using namespace acorn;
 using namespace acorn::service;
@@ -47,6 +48,7 @@ using namespace acorn::service;
 namespace {
 
 constexpr int kWindow = 128;  // frames in flight on the connection
+constexpr const char* kProg = "replay_daemon";
 
 void show_config(Client& client, std::uint32_t wlan) {
   const Message reply = client.call(QueryConfig{wlan});
@@ -72,37 +74,46 @@ int main(int argc, char** argv) {
       "/tmp/acorn_replay_" + std::to_string(::getpid()) + ".sock";
   config.epoch_s = 0.0;  // epochs on demand: the schedule paces time
 
+  // Every numeric value is parsed whole and range-checked: a bad one
+  // names its flag and exits 2 before the daemon starts.
+  const double positive = std::numeric_limits<double>::denorm_min();
+  const double huge = std::numeric_limits<double>::max();
   for (int i = 1; i < argc; ++i) {
+    const char* flag = argv[i];
     const auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : "";
     };
-    if (std::strcmp(argv[i], "--wlans") == 0) {
-      load.num_wlans = static_cast<std::uint32_t>(std::atoi(value()));
-    } else if (std::strcmp(argv[i], "--clients") == 0) {
-      load.clients_per_wlan = std::atoi(value());
-    } else if (std::strcmp(argv[i], "--aps") == 0) {
-      load.aps_per_wlan = std::atoi(value());
-    } else if (std::strcmp(argv[i], "--horizon") == 0) {
-      load.horizon_s = std::atof(value());
-    } else if (std::strcmp(argv[i], "--rate") == 0) {
-      load.arrivals_per_s = std::atof(value());
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      load.seed = static_cast<std::uint64_t>(std::atoll(value()));
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      config.workers = std::atoi(value());
-    } else if (std::strcmp(argv[i], "--epoch-every") == 0) {
-      epoch_every_s = std::atof(value());
-    } else if (std::strcmp(argv[i], "--state-dir") == 0) {
+    if (std::strcmp(flag, "--wlans") == 0) {
+      load.num_wlans = static_cast<std::uint32_t>(util::flag_value<long long>(
+          kProg, flag, value(), 1, 65536, "a fleet size in [1, 65536]"));
+    } else if (std::strcmp(flag, "--clients") == 0) {
+      load.clients_per_wlan = static_cast<int>(util::flag_value<long long>(
+          kProg, flag, value(), 1, 4096, "a client count in [1, 4096]"));
+    } else if (std::strcmp(flag, "--aps") == 0) {
+      load.aps_per_wlan = static_cast<int>(util::flag_value<long long>(
+          kProg, flag, value(), 1, 1024, "an AP count in [1, 1024]"));
+    } else if (std::strcmp(flag, "--horizon") == 0) {
+      load.horizon_s = util::flag_value<double>(
+          kProg, flag, value(), positive, huge, "finite seconds > 0");
+    } else if (std::strcmp(flag, "--rate") == 0) {
+      load.arrivals_per_s = util::flag_value<double>(
+          kProg, flag, value(), positive, huge, "a finite rate > 0");
+    } else if (std::strcmp(flag, "--seed") == 0) {
+      load.seed = static_cast<std::uint64_t>(util::flag_value<long long>(
+          kProg, flag, value(), 0, std::numeric_limits<long long>::max(),
+          "a non-negative integer"));
+    } else if (std::strcmp(flag, "--workers") == 0) {
+      config.workers = static_cast<int>(util::flag_value<long long>(
+          kProg, flag, value(), 0, 4096, "a worker count in [0, 4096]"));
+    } else if (std::strcmp(flag, "--epoch-every") == 0) {
+      epoch_every_s = util::flag_value<double>(
+          kProg, flag, value(), positive, huge, "finite seconds > 0");
+    } else if (std::strcmp(flag, "--state-dir") == 0) {
       config.state_dir = value();
     } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      std::fprintf(stderr, "unknown flag %s\n", flag);
       return 2;
     }
-  }
-  if (load.num_wlans == 0 || load.horizon_s <= 0.0 || epoch_every_s <= 0.0) {
-    std::fprintf(stderr, "need --wlans >= 1, --horizon > 0, "
-                         "--epoch-every > 0\n");
-    return 2;
   }
 
   Daemon daemon(config);

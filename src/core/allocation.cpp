@@ -37,9 +37,10 @@ net::ChannelAssignment ChannelAllocator::random_assignment(
 
 namespace {
 
-// The shared Algorithm 2 loop. `batch` non-null routes the candidate
-// scan through CachedOracle::total_bps_batch; otherwise every candidate
-// is one `oracle` call. Both paths score candidates into the same
+// The shared Algorithm 2 loop. `batch` non-null scores through the
+// CachedOracle — the candidate scan through total_bps_batch — and
+// `oracle` is unused; otherwise (a custom oracle) every candidate is
+// one `oracle` call. Both paths score candidates into the same
 // trial_y slots and run the same first-strict-improvement winner rule,
 // so the committed switch sequence — and with it every downstream
 // double — is identical regardless of path, batch size or thread count.
@@ -55,7 +56,8 @@ AllocationResult run_algorithm2(const net::ChannelPlan& plan,
   AllocationResult result;
   result.assignment = std::move(initial);
   ++result.evaluations;  // k counts the initial y(F_0) measurement too
-  double y = oracle(assoc, result.assignment);
+  double y = batch != nullptr ? batch->total_bps(result.assignment)
+                              : oracle(assoc, result.assignment);
   result.trajectory_bps.push_back(y);
 
   // One persistent pool for the whole run: the scan used to spawn and
@@ -179,17 +181,8 @@ AllocationResult ChannelAllocator::allocate(const sim::Wlan& wlan,
     throw std::invalid_argument("initial assignment size != AP count");
   }
   if (!oracle) {
-    if (config_.cache_oracle) {
-      // The default path: build the incremental cached oracle for this
-      // run and take the CachedOracle overload (which batch-scans when
-      // configured).
-      const CachedOracle cache(wlan, assoc);
-      return allocate(wlan, assoc, std::move(initial), cache);
-    }
-    oracle = [&wlan](const net::Association& a,
-                     const net::ChannelAssignment& f) {
-      return wlan.evaluate(a, f).total_goodput_bps;
-    };
+    const CachedOracle cache(wlan, assoc);
+    return allocate(wlan, assoc, std::move(initial), cache);
   }
   return run_algorithm2(plan_, config_, assoc, std::move(initial), oracle,
                         nullptr);
@@ -205,13 +198,8 @@ AllocationResult ChannelAllocator::allocate(const sim::Wlan& wlan,
   if (oracle.association() != assoc) {
     throw std::invalid_argument("oracle bound to a different association");
   }
-  const ThroughputOracle wrapped = [&oracle](
-                                       const net::Association&,
-                                       const net::ChannelAssignment& f) {
-    return oracle.total_bps(f);
-  };
-  return run_algorithm2(plan_, config_, assoc, std::move(initial), wrapped,
-                        config_.batch_scan ? &oracle : nullptr);
+  return run_algorithm2(plan_, config_, assoc, std::move(initial), {},
+                        &oracle);
 }
 
 double isolated_upper_bound_bps(const sim::Wlan& wlan,

@@ -32,27 +32,16 @@ struct AllocationConfig {
   double epsilon = 1.05;
   /// Safety bound on rounds (the paper's loop always terminated quickly).
   int max_rounds = 16;
-  /// When no oracle is supplied, use the incremental CachedOracle
-  /// (interference graph + client lists built once per allocate() run,
-  /// per-cell results memoized) instead of a full Wlan::evaluate per
-  /// candidate. Results are bit-identical; this only changes speed.
-  bool cache_oracle = true;
   /// Worker threads for the candidate (AP, color) scan. 1 = serial. The
   /// parallel scan picks the same winner as the serial one (first
   /// candidate in scan order attaining the maximum), so results are
-  /// bit-identical. With > 1 the oracle must be thread-safe — the default
-  /// oracles (cached and uncached) are; a custom stateful one may not be.
-  /// The workers live in one persistent pool for the whole allocate()
-  /// run (no per-iteration thread spawns).
+  /// bit-identical. With > 1 a custom oracle must be thread-safe; the
+  /// CachedOracle is. The workers live in one persistent pool for the
+  /// whole allocate() run (no per-iteration thread spawns).
   int num_threads = 1;
-  /// Score candidates through CachedOracle::total_bps_batch (shared
-  /// per-base analysis + SIMD multi-candidate cell kernel) instead of
-  /// one oracle call per candidate. Only engages when the scan runs
-  /// against a CachedOracle (the default when no custom oracle is
-  /// supplied); results are bit-identical at any batch size, thread
-  /// count or kernel — this only changes speed.
-  bool batch_scan = true;
-  /// Candidates per total_bps_batch call (also the SIMD lane-fill unit).
+  /// Candidates per total_bps_batch call (also the SIMD lane-fill unit)
+  /// when the scan runs against a CachedOracle; results are
+  /// bit-identical at any batch size, thread count or kernel.
   int batch_size = 64;
   /// Kernel selection for the batched scan (kAuto = SIMD where built).
   sim::BatchKernel batch_kernel = sim::BatchKernel::kAuto;
@@ -86,18 +75,17 @@ class ChannelAllocator {
   const net::ChannelPlan& plan() const { return plan_; }
   const AllocationConfig& config() const { return config_; }
 
-  /// Run Algorithm 2 from `initial`. The oracle defaults to the exact
-  /// evaluator — the incremental CachedOracle when config.cache_oracle is
-  /// set (bit-identical to, and much faster than, a full
-  /// wlan.evaluate(...).total_goodput_bps per candidate).
+  /// Run Algorithm 2 from `initial`. Without an oracle this builds a
+  /// CachedOracle and takes the overload below (bit-identical to, and
+  /// much faster than, a full wlan.evaluate(...).total_goodput_bps per
+  /// candidate); a custom oracle is called once per candidate.
   AllocationResult allocate(const sim::Wlan& wlan,
                             const net::Association& assoc,
                             net::ChannelAssignment initial,
                             ThroughputOracle oracle = {}) const;
 
   /// Run Algorithm 2 against an existing CachedOracle (which must be
-  /// bound to `assoc`). This is the fast path: with config.batch_scan
-  /// set the candidate scan goes through the oracle's batched
+  /// bound to `assoc`), scoring candidates through the oracle's batched
   /// multi-candidate evaluator. Bit-identical to the ThroughputOracle
   /// overload wrapping `oracle.total_bps`.
   AllocationResult allocate(const sim::Wlan& wlan,

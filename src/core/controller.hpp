@@ -52,9 +52,9 @@ class AcornController {
   /// clients activated one by one in `arrival_order` (defaults to id
   /// order), then Algorithm 2. Mirrors the paper's §5.2 procedure.
   /// Every allocation pass (initial and refinement) runs on the
-  /// incremental CachedOracle unless config.allocation.cache_oracle is
-  /// cleared — each pass holds the association fixed, so the interference
-  /// graph and client lists are built once per pass.
+  /// incremental CachedOracle's batched scan — each pass holds the
+  /// association fixed, so the interference graph and client lists are
+  /// built once per pass.
   ConfigureResult configure(const sim::Wlan& wlan, util::Rng& rng,
                             const std::vector<int>* arrival_order = nullptr,
                             mac::TrafficType traffic =

@@ -18,32 +18,6 @@ std::uint64_t channel_code(const net::Channel& c) {
 
 std::uint64_t double_bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-// Allocation-free twins of Channel::conflicts / overlap_fraction (the
-// originals materialize occupied() vectors): a channel occupies the
-// basic-index interval [primary, primary + width-slots), so both reduce
-// to integer interval intersection. Values are identical — the same
-// small-integer ratios.
-int occupied_count(const net::Channel& c) { return c.is_bonded() ? 2 : 1; }
-
-int shared_basics(const net::Channel& a, const net::Channel& b) {
-  const int a0 = a.primary();
-  const int a1 = a0 + occupied_count(a) - 1;
-  const int b0 = b.primary();
-  const int b1 = b0 + occupied_count(b) - 1;
-  const int lo = a0 > b0 ? a0 : b0;
-  const int hi = a1 < b1 ? a1 : b1;
-  return hi >= lo ? hi - lo + 1 : 0;
-}
-
-bool conflicts_fast(const net::Channel& a, const net::Channel& b) {
-  return shared_basics(a, b) > 0;
-}
-
-double overlap_fraction_fast(const net::Channel& a, const net::Channel& b) {
-  return static_cast<double>(shared_basics(a, b)) /
-         static_cast<double>(occupied_count(a));
-}
-
 // The channel AP `b` holds under `base` with AP `flip_ap` moved to
 // `flip` (flip_ap < 0 leaves the base as is).
 const net::Channel& flipped(const net::ChannelAssignment& base, int b,
@@ -62,14 +36,19 @@ double weighted_share_flip(const net::InterferenceGraph& graph,
   double load = 1.0;
   for (int b = 0; b < graph.num_aps(); ++b) {
     if (b == x || !graph.adjacent(x, b)) continue;
-    load += overlap_fraction_fast(own, flipped(base, b, flip_ap, flip));
+    load += own.overlap_fraction(flipped(base, b, flip_ap, flip));
   }
   return 1.0 / load;
 }
 
-// Cell `x`'s memo key under the flipped base, written into `out` — word
-// for word what CachedOracle::cell_key computes on the flipped
-// assignment, so batch and serial calls share one memo.
+// Cell `x`'s memo key under the flipped base, written into `out`: the
+// one place a key is built, for base cells (flip_ap < 0) and candidate
+// lanes alike. Words: channel code, bit pattern of the medium share,
+// then with SINR on, per hidden interferer (every AP overlapping x's
+// channel outside its carrier-sense range, mirroring
+// NetSnapshot::hidden_mw's contribution terms; APs with zero overlap
+// contribute exactly nothing and are omitted): id, channel code,
+// activity bits.
 void flip_key_into(std::vector<std::uint64_t>& out,
                    const net::InterferenceGraph& graph, bool sinr,
                    const net::ChannelAssignment& base, int x, int flip_ap,
@@ -83,7 +62,7 @@ void flip_key_into(std::vector<std::uint64_t>& out,
   for (int other = 0; other < graph.num_aps(); ++other) {
     if (other == x || graph.adjacent(x, other)) continue;
     const net::Channel& other_ch = flipped(base, other, flip_ap, flip);
-    if (shared_basics(other_ch, own) == 0) continue;
+    if (!other_ch.conflicts(own)) continue;
     out.push_back(static_cast<std::uint64_t>(other));
     out.push_back(channel_code(other_ch));
     out.push_back(double_bits(activity[static_cast<std::size_t>(other)]));
@@ -131,7 +110,7 @@ struct CellWork {
   }
 };
 
-// total_bps_batch's scratch. Thread-local, so concurrent scans never
+// The scoring calls' scratch. Thread-local, so concurrent scans never
 // share it, and reused across calls and oracles: vectors only grow, so
 // a warm call allocates nothing (the same idea as the cell kernel's
 // BatchScratch in sim/netkernel_batch.cpp).
@@ -182,133 +161,65 @@ CachedOracle::CachedOracle(const sim::Wlan& wlan, net::Association assoc,
   }
 }
 
-CachedOracle::CellKey CachedOracle::cell_key(
-    int ap, const net::ChannelAssignment& assignment, double medium_share,
-    std::span<const double> activity) const {
-  const net::Channel& own = assignment[static_cast<std::size_t>(ap)];
-  CellKey key;
-  key.reserve(2);
-  key.push_back(channel_code(own));
-  key.push_back(double_bits(medium_share));
-  if (wlan_.config().sinr_interference) {
-    // Hidden-interference signature: channel + activity of every
-    // co-channel AP the serving AP does not contend with (mirrors
-    // NetSnapshot::hidden_mw's contribution terms; APs with zero
-    // spectral overlap contribute exactly nothing and are omitted).
-    const net::InterferenceGraph& graph = snap_.graph();
-    for (int other = 0; other < graph.num_aps(); ++other) {
-      if (other == ap || graph.adjacent(ap, other)) continue;
-      const net::Channel& other_ch =
-          assignment[static_cast<std::size_t>(other)];
-      if (other_ch.overlap_fraction(own) <= 0.0) continue;
-      key.push_back(static_cast<std::uint64_t>(other));
-      key.push_back(channel_code(other_ch));
-      key.push_back(double_bits(activity[static_cast<std::size_t>(other)]));
+// Holds one leased base for the length of a call: leasing finds the
+// pooled base built for the assignment or builds it into an idle one.
+// The destructor hands the base back and publishes the call's counters
+// in one critical section, on every exit path.
+class CachedOracle::Lease {
+ public:
+  Lease(const CachedOracle& oracle, const net::ChannelAssignment& base,
+        sim::BatchKernel kernel)
+      : oracle_(oracle) {
+    std::vector<std::uint64_t>& key = scan_scratch().base_key;
+    key.resize(base.size());
+    for (std::size_t ap = 0; ap < base.size(); ++ap) {
+      key[ap] = channel_code(base[ap]);
     }
+    std::lock_guard<std::mutex> lock(oracle_.mutex_);
+    BatchBase* idle = nullptr;
+    for (const std::unique_ptr<BatchBase>& bb : oracle_.bases_) {
+      if (std::ranges::equal(bb->key, key)) {
+        ++oracle_.stats_.share_hits;
+        bb_ = bb.get();
+        ++bb_->readers;
+        return;
+      }
+      if (idle == nullptr && bb->readers == 0) idle = bb.get();
+    }
+    if (idle == nullptr) {
+      oracle_.bases_.push_back(std::make_unique<BatchBase>());
+      idle = oracle_.bases_.back().get();
+    }
+    // Build under the lock: a duplicate concurrent build of one base
+    // would waste far more than the wait.
+    oracle_.build_batch_base(*idle, base, key, kernel);
+    bb_ = idle;
+    ++bb_->readers;
   }
-  return key;
-}
+  Lease(const Lease&) = delete;
+  Lease& operator=(const Lease&) = delete;
+  ~Lease() {
+    std::lock_guard<std::mutex> lock(oracle_.mutex_);
+    --bb_->readers;
+    OracleCacheStats& st = oracle_.stats_;
+    st.batch_calls += counts.batch_calls;
+    st.batch_candidates += counts.batch_candidates;
+    st.batch_full_evals += counts.batch_full_evals;
+  }
+  const BatchBase& base() const { return *bb_; }
+  OracleCacheStats counts;
+
+ private:
+  const CachedOracle& oracle_;
+  BatchBase* bb_ = nullptr;
+};
 
 double CachedOracle::total_bps(const net::ChannelAssignment& assignment) const {
-  const int n_aps = snap_.num_aps();
-  if (static_cast<int>(assignment.size()) != n_aps) {
+  if (static_cast<int>(assignment.size()) != snap_.num_aps()) {
     throw std::invalid_argument("assignment size != AP count");
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.calls;
-  }
-  // Unweighted activity shares of every AP under this assignment: the
-  // unweighted medium shares and (when sinr is on) both the hidden
-  // interferers' activity factors and their cache-key signature bits.
-  // They depend only on the per-AP channels, so the whole vector is
-  // memoized keyed by the packed channel codes.
-  CellKey share_key(static_cast<std::size_t>(n_aps));
-  for (int ap = 0; ap < n_aps; ++ap) {
-    share_key[static_cast<std::size_t>(ap)] =
-        channel_code(assignment[static_cast<std::size_t>(ap)]);
-  }
-  const std::vector<double>* activity_ptr = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = share_memo_.find(share_key);
-    if (it != share_memo_.end()) {
-      ++stats_.share_hits;
-      activity_ptr = &it->second;
-    }
-  }
-  if (activity_ptr == nullptr) {
-    std::vector<double> computed;
-    snap_.unweighted_shares(assignment, computed);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.share_evals;
-    activity_ptr =
-        &share_memo_.emplace(std::move(share_key), std::move(computed))
-             .first->second;
-  }
-  const std::vector<double>& activity = *activity_ptr;
-  const bool weighted = wlan_.config().weighted_contention;
-  double total = 0.0;
-  for (int ap = 0; ap < n_aps; ++ap) {
-    if (snap_.cell_clients(ap).empty()) continue;  // goodput is exactly 0
-    const double share = weighted ? snap_.weighted_share(assignment, ap)
-                                  : activity[static_cast<std::size_t>(ap)];
-    CellKey key = cell_key(ap, assignment, share, activity);
-    auto& memo = memo_[static_cast<std::size_t>(ap)];
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = memo.find(key);
-      if (it != memo.end()) {
-        ++stats_.cell_hits;
-        total += it->second;
-        continue;
-      }
-    }
-    const sim::ApStats cell =
-        snap_.evaluate_cell(ap, share, assignment, activity, traffic_);
-    double goodput;
-    if (weights_.empty()) {
-      goodput = cell.goodput_bps;
-    } else {
-      // Load-weighted cell objective: the cell's own goodput is already
-      // the sum of its clients' goodputs, so the weighted variant just
-      // scales each term before summing.
-      goodput = 0.0;
-      for (std::size_t i = 0; i < cell.client_ids.size(); ++i) {
-        goodput += weights_[static_cast<std::size_t>(cell.client_ids[i])] *
-                   cell.client_goodput_bps[i];
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.cell_evals;
-      memo.emplace(std::move(key), goodput);
-    }
-    total += goodput;
-  }
-  return total;
-}
-
-CachedOracle::BatchBase& CachedOracle::lease_batch_base(
-    const net::ChannelAssignment& base, KeyView key,
-    sim::BatchKernel kernel) const {
-  BatchBase* idle = nullptr;
-  for (const std::unique_ptr<BatchBase>& bb : bases_) {
-    if (std::ranges::equal(bb->key, key)) {
-      ++bb->readers;
-      return *bb;
-    }
-    if (idle == nullptr && bb->readers == 0) idle = bb.get();
-  }
-  if (idle == nullptr) {
-    bases_.push_back(std::make_unique<BatchBase>());
-    idle = bases_.back().get();
-  }
-  // Build under the lock: a duplicate concurrent build of one base would
-  // waste far more than the wait.
-  build_batch_base(*idle, base, key, kernel);
-  ++idle->readers;
-  return *idle;
+  const Lease lease(*this, assignment, sim::BatchKernel::kAuto);
+  return lease.base().total;
 }
 
 void CachedOracle::build_batch_base(BatchBase& bb,
@@ -328,7 +239,7 @@ void CachedOracle::build_batch_base(BatchBase& bb,
     int count = 0;
     for (int b = 0; b < n_aps; ++b) {
       if (b != ap && graph.adjacent(ap, b) &&
-          conflicts_fast(own, base[static_cast<std::size_t>(b)])) {
+          own.conflicts(base[static_cast<std::size_t>(b)])) {
         ++count;
       }
     }
@@ -337,6 +248,7 @@ void CachedOracle::build_batch_base(BatchBase& bb,
     bb.activity[static_cast<std::size_t>(ap)] =
         1.0 / (static_cast<double>(count) + 1.0);
   }
+  ++stats_.share_evals;
   bb.cells.clear();
   bb.cell_share.clear();
   bb.cell_value.clear();
@@ -373,18 +285,19 @@ void CachedOracle::build_batch_base(BatchBase& bb,
       scan = scans.emplace(CellKey(build_ctx_.begin(), build_ctx_.end()),
                            std::move(cache))
                  .first;
-      ++stats_.batch_base_full_evals;
+      ++stats_.cell_evals;
     } else if (hit == memo.end()) {
       snap_.rescale_cell_shares(ap, std::span<const double>(&share, 1),
                                 scan->second, traffic_, weights_,
                                 std::span<double>(&value, 1), kernel);
     }
     if (hit != memo.end()) {
+      ++stats_.cell_hits;
       value = hit->second;
     } else {
-      // Seed the persistent cell memo: candidate lanes and later serial
-      // calls whose cell context matches the base replay this value
-      // instead of re-running the kernel.
+      // Seed the persistent cell memo: candidate lanes and later bases
+      // whose cell key matches replay this value instead of re-running
+      // the kernel.
       memo.emplace(CellKey(build_key_.begin(), build_key_.end()), value);
     }
     bb.cells.push_back(ap);
@@ -419,45 +332,11 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
   const std::size_t n = static_cast<std::size_t>(n_aps);
   const std::size_t n_cands = candidates.size();
 
+  Lease lease(*this, base, kernel);
   ScanScratch& s = scan_scratch();
-  s.base_key.resize(n);
-  for (std::size_t ap = 0; ap < n; ++ap) {
-    s.base_key[ap] = channel_code(base[ap]);
-  }
-
-  // Holds the leased base for this call. Its destructor hands the base
-  // back and publishes the call's counters in one critical section, on
-  // every exit path.
-  class Lease {
-   public:
-    Lease(const CachedOracle& oracle, KeyView key,
-          const net::ChannelAssignment& base, sim::BatchKernel kernel)
-        : oracle_(oracle) {
-      std::lock_guard<std::mutex> lock(oracle_.mutex_);
-      bb_ = &oracle_.lease_batch_base(base, key, kernel);
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease() {
-      std::lock_guard<std::mutex> lock(oracle_.mutex_);
-      --bb_->readers;
-      OracleCacheStats& st = oracle_.stats_;
-      ++st.batch_calls;
-      st.batch_candidates += counts.batch_candidates;
-      st.batch_full_evals += counts.batch_full_evals;
-      st.batch_rescales += counts.batch_rescales;
-      st.batch_reuses += counts.batch_reuses;
-    }
-    const BatchBase& base() const { return *bb_; }
-    OracleCacheStats counts;
-
-   private:
-    const CachedOracle& oracle_;
-    BatchBase* bb_ = nullptr;
-  };
-  Lease lease(*this, s.base_key, base, kernel);
   const BatchBase& bb = lease.base();
   const std::size_t n_cells = bb.cells.size();
+  lease.counts.batch_calls = 1;
   lease.counts.batch_candidates = n_cands;
 
   // Per-candidate incremental state and per-cell lane lists.
@@ -468,9 +347,9 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
   for (std::size_t idx = 0; idx < n_cells; ++idx) s.cells[idx].clear();
 
   // Route one needed full evaluation: persistent memo hit first (values
-  // computed by any earlier round, batch or serial call — bit-identical
-  // by the kernel equivalence contract), then an in-batch lane with the
-  // same key, else a fresh lane.
+  // computed for any earlier base or batch — bit-identical by the kernel
+  // equivalence contract), then an in-batch lane with the same key, else
+  // a fresh lane.
   const auto full_lane_slot = [&](std::size_t idx, int x, int a,
                                   const net::Channel& ch_new, double share,
                                   const double* act_j) -> Touch {
@@ -520,8 +399,7 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
         count = 0;
         for (int b = 0; b < n_aps; ++b) {
           if (b != a && graph.adjacent(a, b) &&
-              conflicts_fast(ch_new,
-                             bb.assignment[static_cast<std::size_t>(b)])) {
+              ch_new.conflicts(bb.assignment[static_cast<std::size_t>(b)])) {
             ++count;
           }
         }
@@ -530,8 +408,8 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
         if (graph.adjacent(x, a)) {
           const net::Channel& ch_x =
               bb.assignment[static_cast<std::size_t>(x)];
-          count += static_cast<int>(conflicts_fast(ch_x, ch_new)) -
-                   static_cast<int>(conflicts_fast(ch_x, ch_old));
+          count += static_cast<int>(ch_x.conflicts(ch_new)) -
+                   static_cast<int>(ch_x.conflicts(ch_old));
         }
       }
       act_j[static_cast<std::size_t>(x)] =
@@ -560,7 +438,6 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
         // same-width same-share lanes within the batch share one eval.
         if (!sinr && ch_new.width() == ch_old.width() &&
             double_bits(share_new) == double_bits(bb.cell_share[idx])) {
-          ++lease.counts.batch_reuses;
           continue;
         }
         if (sinr) {
@@ -605,8 +482,8 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
         // is a hidden interferer of x before or after the flip.
         const net::Channel& own = bb.assignment[static_cast<std::size_t>(x)];
         if (!graph.adjacent(x, a)) {
-          const double cap_old = overlap_fraction_fast(ch_old, own);
-          const double cap_new = overlap_fraction_fast(ch_new, own);
+          const double cap_old = ch_old.overlap_fraction(own);
+          const double cap_new = ch_new.overlap_fraction(own);
           if (cap_old > 0.0 || cap_new > 0.0) {
             // a's interference term into x is captured * act_a * rx /
             // subcarriers(width_a). When the flip leaves every factor
@@ -625,8 +502,7 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
         if (!hidden_touched) {
           for (const int b : s.ylist) {
             if (b == x || graph.adjacent(x, b)) continue;
-            if (shared_basics(bb.assignment[static_cast<std::size_t>(b)],
-                              own) > 0) {
+            if (bb.assignment[static_cast<std::size_t>(b)].conflicts(own)) {
               hidden_touched = true;
               break;
             }
@@ -641,9 +517,7 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
         s.touches.push_back(Touch{static_cast<int>(idx), 1,
                                   static_cast<int>(shares.size())});
         shares.push_back(share_new);
-      } else {
-        ++lease.counts.batch_reuses;
-      }
+      }  // else untouched: the base value stands
     }
     s.touch_end.push_back(s.touches.size());
   }
@@ -657,8 +531,8 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
       w.full_vals.resize(w.full_lanes.size());
       snap_.evaluate_cells_batch(x, bb.assignment, w.full_lanes, traffic_,
                                  weights_, w.full_vals, nullptr, kernel);
-      // Publish into the persistent memo so later rounds (and serial
-      // calls) replay these values for free.
+      // Publish into the persistent memo so later batches and bases
+      // replay these values for free.
       std::lock_guard<std::mutex> lock(mutex_);
       auto& memo = memo_[static_cast<std::size_t>(x)];
       for (std::size_t k = 0; k < w.full_lanes.size(); ++k) {
@@ -667,7 +541,6 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
       }
     }
     if (!w.rescale_shares.empty()) {
-      lease.counts.batch_rescales += w.rescale_shares.size();
       w.rescale_vals.resize(w.rescale_shares.size());
       snap_.rescale_cell_shares(x, w.rescale_shares, *bb.cell_cache[idx],
                                 traffic_, weights_, w.rescale_vals, kernel);
@@ -675,7 +548,7 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
   }
 
   // Assemble each candidate's total in ascending-cell order — the exact
-  // summation order total_bps uses.
+  // summation order of the base total.
   std::size_t ti = 0;
   for (std::size_t j = 0; j < n_cands; ++j) {
     const std::size_t t_end = s.touch_end[j];

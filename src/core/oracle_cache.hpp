@@ -10,6 +10,9 @@
 //    precomputed SNRs / rx-power matrix / MCS threshold tables) is built
 //    ONCE per (wlan, association) and reused across all candidate
 //    evaluations;
+//  * every score goes through one pipeline: a per-assignment base
+//    analysis (activity shares, contender counts, per-cell values) that
+//    single-AP flips of it perturb incrementally;
 //  * per-cell results are memoized keyed by everything a cell's goodput
 //    can depend on once the association is fixed — the cell's own
 //    channel, its medium share, and (when `sinr_interference` is on) the
@@ -17,14 +20,15 @@
 //    AP outside carrier-sense range). A single-AP channel flip therefore
 //    only re-evaluates the flipped cell plus the cells whose contender
 //    set or hidden-interference term actually changed; every other cell
-//    is a hash lookup.
+//    is replayed or rescaled.
 //
 // Results are bit-identical to `Wlan::evaluate(...).total_goodput_bps`:
-// cache misses run the exact same per-cell kernel the evaluator uses
-// (`NetSnapshot::evaluate_cell`, itself property-tested bit-identical to
-// the legacy `Wlan::evaluate_cell_in` reference path) and cache hits
-// replay a previously computed double unchanged. The
-// memoization is guarded by a mutex, so one CachedOracle may be shared by
+// cache misses run NetSnapshot::evaluate_cells_batch or
+// rescale_cell_shares, both bit-identical to the per-cell kernel the
+// evaluator uses (`NetSnapshot::evaluate_cell`, itself property-tested
+// bit-identical to the legacy `Wlan::evaluate_cell_in` reference path),
+// and cache hits replay a previously computed double unchanged. The
+// caches are guarded by a mutex, so one CachedOracle may be shared by
 // the allocator's optional scan threads.
 #pragma once
 
@@ -41,20 +45,16 @@
 namespace acorn::core {
 
 struct OracleCacheStats {
-  std::uint64_t calls = 0;        // oracle invocations (full assignments)
-  std::uint64_t cell_evals = 0;   // full per-cell computations (misses)
-  std::uint64_t cell_hits = 0;    // memoized per-cell replays
-  std::uint64_t share_evals = 0;  // unweighted share-vector scans (misses)
-  std::uint64_t share_hits = 0;   // memoized share-vector replays
-  // Batched-scan path (total_bps_batch).
+  // Base cells evaluated in full; every other base cell is rescaled from
+  // a memoized scan cache or replayed from the cell memo.
+  std::uint64_t cell_evals = 0;
+  std::uint64_t cell_hits = 0;    // cell memo replays (bases and lanes)
+  std::uint64_t share_evals = 0;  // activity vectors: one per base build
+  std::uint64_t share_hits = 0;   // leases that found their base built
+  // Candidate flips (total_bps_batch).
   std::uint64_t batch_calls = 0;       // total_bps_batch invocations
   std::uint64_t batch_candidates = 0;  // flips scored through batches
   std::uint64_t batch_full_evals = 0;  // full cell-lane evaluations
-  std::uint64_t batch_rescales = 0;    // share-only cell rescales
-  std::uint64_t batch_reuses = 0;      // untouched cells replayed from base
-  // Base cells evaluated in full; every other base cell is rescaled from
-  // a memoized scan cache or replayed from the cell memo.
-  std::uint64_t batch_base_full_evals = 0;
 };
 
 /// One candidate move of Algorithm 2's scan: AP `ap` flipped to
@@ -83,25 +83,28 @@ class CachedOracle {
   /// Aggregate network goodput under `assignment`; bit-identical to
   /// wlan.evaluate(assoc, assignment, traffic).total_goodput_bps when
   /// no client weights were supplied, otherwise the weighted sum
-  /// described above.
+  /// described above. This is the total of the base analysis of
+  /// `assignment`, the same one total_bps_batch leases; it is built
+  /// under the cache mutex, so concurrent calls on different
+  /// assignments run one at a time.
   double total_bps(const net::ChannelAssignment& assignment) const;
 
   /// Batched scan: out[j] = total_bps(base with candidates[j] applied),
-  /// bit-identical to the serial calls, without materializing the
-  /// flipped assignments. One shared per-base analysis (activity shares,
-  /// integer conflict counts, per-cell values + share-independent
-  /// per-client products) classifies every (cell, candidate) pair as
-  /// untouched (replay the base cell value), share-only (batched
-  /// rescale) or fully touched (batched re-evaluation through
-  /// NetSnapshot::evaluate_cells_batch); per-candidate activity vectors
-  /// are derived incrementally from the base conflict counts. A base
-  /// cell whose share-independent context was scored before, under any
-  /// earlier base, is rescaled from the memoized scan cache instead of
-  /// re-running its rate/PER pipeline. Safe to call concurrently from
-  /// many threads, on one base or on different ones — each per-base
-  /// analysis is built under the cache mutex and shared read-only by
-  /// the calls using it. Scratch is per thread, so a repeated call on
-  /// an unchanged base allocates nothing.
+  /// bit-identical to one total_bps call per candidate, without
+  /// materializing the flipped assignments. One shared per-base
+  /// analysis (activity shares, integer conflict counts, per-cell
+  /// values + share-independent per-client products) classifies every
+  /// (cell, candidate) pair as untouched (replay the base cell value),
+  /// share-only (batched rescale) or fully touched (batched
+  /// re-evaluation through NetSnapshot::evaluate_cells_batch);
+  /// per-candidate activity vectors are derived incrementally from the
+  /// base conflict counts. A base cell whose share-independent context
+  /// was scored before, under any earlier base, is rescaled from the
+  /// memoized scan cache instead of re-running its rate/PER pipeline.
+  /// Safe to call concurrently from many threads, on one base or on
+  /// different ones — each per-base analysis is built under the cache
+  /// mutex and shared read-only by the calls using it. Scratch is per
+  /// thread, so a repeated call on an unchanged base allocates nothing.
   void total_bps_batch(const net::ChannelAssignment& base,
                        std::span<const FlipCandidate> candidates,
                        std::span<double> out,
@@ -119,8 +122,8 @@ class CachedOracle {
   // share, then per hidden interferer: id, channel code, activity bits).
   // Every word but the share one is the cell's share-independent
   // context, which alone determines its sim::CellScanCache. The maps
-  // below also look keys up by span, so the batched scan builds its
-  // keys in reusable scratch instead of allocating one per lookup.
+  // below also look keys up by span, so keys are built in reusable
+  // scratch instead of allocating one per lookup.
   using CellKey = std::vector<std::uint64_t>;
   using KeyView = std::span<const std::uint64_t>;
   struct CellKeyHash {
@@ -134,16 +137,12 @@ class CachedOracle {
   template <class Value>
   using KeyMap = std::unordered_map<CellKey, Value, CellKeyHash, CellKeyEq>;
 
-  CellKey cell_key(int ap, const net::ChannelAssignment& assignment,
-                   double medium_share,
-                   std::span<const double> activity) const;
-
-  // Shared per-base-assignment analysis for the batched scan: everything
-  // a single-AP flip perturbs incrementally. Built under mutex_ once per
-  // distinct base assignment and read without the lock by every call
-  // leasing it; `readers` counts those calls, and a base nobody leases
-  // is rebuilt in place for the next assignment, so its vectors keep
-  // their capacity.
+  // Shared per-base-assignment analysis: the assignment's total and
+  // everything a single-AP flip perturbs incrementally. Built under
+  // mutex_ once per distinct base assignment and read without the lock
+  // by every call leasing it; `readers` counts those calls, and a base
+  // nobody leases is rebuilt in place for the next assignment, so its
+  // vectors keep their capacity.
   struct BatchBase {
     std::vector<std::uint64_t> key;  // per-AP packed channel codes
     net::ChannelAssignment assignment;
@@ -154,15 +153,14 @@ class CachedOracle {
     std::vector<double> cell_value;  // objective value per cells[] entry
     // Per cells[] entry, the cell's scan cache in scan_memo_.
     std::vector<const sim::CellScanCache*> cell_cache;
-    double total = 0.0;              // == total_bps(assignment)
+    double total = 0.0;              // the assignment's total_bps
     int readers = 0;                 // leasing calls, guarded by mutex_
   };
 
-  // Leases the analysis of `base` (`key` = its packed channel codes),
-  // building it into an idle pooled base if no pooled base holds it.
-  // Both run under mutex_.
-  BatchBase& lease_batch_base(const net::ChannelAssignment& base,
-                              KeyView key, sim::BatchKernel kernel) const;
+  // One call's hold on the analysis of its base (`key` = the packed
+  // channel codes), which it builds, under mutex_, into an idle pooled
+  // base if no pooled base holds it.
+  class Lease;
   void build_batch_base(BatchBase& bb, const net::ChannelAssignment& base,
                         KeyView key, sim::BatchKernel kernel) const;
 
@@ -172,20 +170,15 @@ class CachedOracle {
   std::vector<double> weights_;  // empty = unweighted objective
   sim::NetSnapshot snap_;        // graph + flat link state, built once
 
-  // Guards memo_, scan_memo_, share_memo_, bases_ (with each base's
-  // readers count), the build buffers and stats_.
+  // Guards memo_, scan_memo_, bases_ (with each base's readers count),
+  // the build buffers and stats_.
   mutable std::mutex mutex_;
   mutable std::vector<KeyMap<double>> memo_;
   // Per AP, the scan cache of every share-independent cell context a
-  // batch base has scored, keyed by the cell memo key without its share
-  // word. Read through pointers like share_memo_.
+  // base has scored, keyed by the cell memo key without its share word.
+  // Bases read it through pointers: unordered_map nodes are
+  // address-stable under rehash and a stored cache is never mutated.
   mutable std::vector<KeyMap<sim::CellScanCache>> scan_memo_;
-  // Unweighted activity-share vectors memoized per assignment (keyed by
-  // the per-AP channel codes), replacing an O(APs^2) adjacency scan per
-  // oracle call with a hash lookup. Values are read through pointers
-  // into the map: unordered_map nodes are address-stable under rehash
-  // and a stored vector is never mutated after insertion.
-  mutable KeyMap<std::vector<double>> share_memo_;
   // Batch bases: never more than the calls ever concurrent.
   mutable std::vector<std::unique_ptr<BatchBase>> bases_;
   // build_batch_base's key and context buffers.

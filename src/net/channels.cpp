@@ -19,26 +19,6 @@ std::vector<int> Channel::occupied() const {
   return {first_};
 }
 
-bool Channel::conflicts(const Channel& other) const {
-  for (int a : occupied()) {
-    for (int b : other.occupied()) {
-      if (a == b) return true;
-    }
-  }
-  return false;
-}
-
-double Channel::overlap_fraction(const Channel& other) const {
-  int shared = 0;
-  for (int a : occupied()) {
-    for (int b : other.occupied()) {
-      if (a == b) ++shared;
-    }
-  }
-  return static_cast<double>(shared) /
-         static_cast<double>(occupied().size());
-}
-
 std::string Channel::to_string() const {
   if (is_bonded()) {
     return "ch" + std::to_string(first_) + "+" + std::to_string(first_ + 1) +

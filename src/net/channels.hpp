@@ -8,6 +8,7 @@
 // 20 MHz channel indices it occupies.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -32,11 +33,14 @@ class Channel {
   std::vector<int> occupied() const;
 
   /// Spectral-overlap conflict: true when the occupied sets intersect.
-  bool conflicts(const Channel& other) const;
+  bool conflicts(const Channel& other) const { return shared(other) > 0; }
 
   /// Fraction of this channel's bandwidth overlapped by `other` (0, 0.5
   /// or 1).
-  double overlap_fraction(const Channel& other) const;
+  double overlap_fraction(const Channel& other) const {
+    return static_cast<double>(shared(other)) /
+           static_cast<double>(span());
+  }
 
   std::string to_string() const;
 
@@ -49,6 +53,14 @@ class Channel {
 
  private:
   Channel(phy::ChannelWidth width, int first) : width_(width), first_(first) {}
+  // The occupied basic indices are the interval [first_, first_ +
+  // span()), so overlap is an interval intersection: no occupied() sets.
+  int span() const { return is_bonded() ? 2 : 1; }
+  int shared(const Channel& other) const {
+    const int lo = std::max(first_, other.first_);
+    const int hi = std::min(first_ + span(), other.first_ + other.span());
+    return hi > lo ? hi - lo : 0;
+  }
   phy::ChannelWidth width_;
   int first_;  // lowest occupied basic index
 };

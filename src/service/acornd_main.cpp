@@ -11,58 +11,30 @@
 // before the process exits. A malformed or out-of-range flag value
 // exits with status 2 before anything starts.
 
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
-#include <system_error>
 
+#include "service/client.hpp"
 #include "service/daemon.hpp"
+#include "util/flags.hpp"
 
 namespace {
+
+using acorn::util::flag_value;
+
+constexpr const char* kProg = "acornd";
 
 acorn::service::Daemon* g_daemon = nullptr;
 
 void on_signal(int) {
   if (g_daemon != nullptr) g_daemon->request_stop();
-}
-
-[[noreturn]] void bad_value(const char* flag, const char* text,
-                            const char* expected) {
-  std::fprintf(stderr, "acornd: invalid value '%s' for %s: expected %s\n",
-               text, flag, expected);
-  std::exit(2);
-}
-
-/// The whole of `text` as an integer in [lo, hi], or exit 2.
-long long parse_int(const char* flag, const char* text, long long lo,
-                    long long hi, const char* expected) {
-  const char* end = text + std::strlen(text);
-  long long v = 0;
-  const auto [ptr, ec] = std::from_chars(text, end, v);
-  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
-    bad_value(flag, text, expected);
-  }
-  return v;
-}
-
-/// The whole of `text` as a finite double in [lo, hi], or exit 2.
-double parse_double(const char* flag, const char* text, double lo,
-                    double hi, const char* expected) {
-  const char* end = text + std::strlen(text);
-  double v = 0.0;
-  const auto [ptr, ec] = std::from_chars(text, end, v);
-  if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < lo ||
-      v > hi) {
-    bad_value(flag, text, expected);
-  }
-  return v;
 }
 
 int usage(const char* argv0) {
@@ -121,8 +93,8 @@ int main(int argc, char** argv) {
       config.unix_path = value();
     } else if (arg == "--tcp") {
       config.tcp = true;
-      config.tcp_port = static_cast<std::uint16_t>(parse_int(
-          "--tcp", value(), 0, 65535, "a port number in [0, 65535]"));
+      config.tcp_port = static_cast<std::uint16_t>(flag_value<long long>(
+          kProg, "--tcp", value(), 0, 65535, "a port number in [0, 65535]"));
     } else if (arg == "--state-dir") {
       config.state_dir = value();
     } else if (arg == "--epoch-s") {
@@ -133,30 +105,37 @@ int main(int argc, char** argv) {
               std::chrono::steady_clock::duration::max())
               .count() /
           2;
-      config.epoch_s = parse_double(
-          "--epoch-s", value(), 0.0, max_epoch_s,
+      config.epoch_s = flag_value<double>(
+          kProg, "--epoch-s", value(), 0.0, max_epoch_s,
           "a finite number of seconds >= 0 that fits the steady clock");
     } else if (arg == "--hysteresis") {
-      config.width_hysteresis =
-          parse_double("--hysteresis", value(), 1.0,
-                       std::numeric_limits<double>::max(),
-                       "a finite factor >= 1");
+      config.width_hysteresis = flag_value<double>(
+          kProg, "--hysteresis", value(), 1.0,
+          std::numeric_limits<double>::max(), "a finite factor >= 1");
     } else if (arg == "--wal-flush-us") {
-      config.wal_flush_us = static_cast<std::uint32_t>(
-          parse_int("--wal-flush-us", value(), 0,
-                    std::numeric_limits<std::uint32_t>::max(),
-                    "microseconds in [0, 4294967295]"));
+      config.wal_flush_us = static_cast<std::uint32_t>(flag_value<long long>(
+          kProg, "--wal-flush-us", value(), 0,
+          std::numeric_limits<std::uint32_t>::max(),
+          "microseconds in [0, 4294967295]"));
     } else if (arg == "--wal-segment-bytes") {
-      config.wal_segment_bytes = static_cast<std::uint64_t>(
-          parse_int("--wal-segment-bytes", value(), 0,
-                    std::numeric_limits<long long>::max(),
-                    "a non-negative byte count"));
+      config.wal_segment_bytes =
+          static_cast<std::uint64_t>(flag_value<long long>(
+              kProg, "--wal-segment-bytes", value(), 0,
+              std::numeric_limits<long long>::max(),
+              "a non-negative byte count"));
     } else if (arg == "--workers") {
       // Each worker is a thread; 4096 is far past any useful count.
-      config.workers = static_cast<int>(parse_int(
-          "--workers", value(), 0, 4096, "a worker count in [0, 4096]"));
+      config.workers = static_cast<int>(flag_value<long long>(
+          kProg, "--workers", value(), 0, 4096, "a worker count in [0, 4096]"));
     } else if (arg == "--follow") {
       config.follow = value();
+      try {
+        acorn::service::Client::parse_endpoint(config.follow);
+      } catch (const std::invalid_argument&) {
+        acorn::util::bad_flag_value(
+            kProg, "--follow", config.follow.c_str(),
+            "unix:PATH or HOST:PORT with PORT in [1, 65535]");
+      }
     } else if (arg == "--log") {
       config.log = true;
     } else if (arg == "--help" || arg == "-h") {

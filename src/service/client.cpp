@@ -10,9 +10,13 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <system_error>
 #include <utility>
+
+#include "util/flags.hpp"
 
 namespace acorn::service {
 
@@ -89,22 +93,33 @@ Client Client::connect_tcp(const std::string& host, std::uint16_t port) {
   return c;
 }
 
-Client Client::connect(const std::string& endpoint) {
+Client::Endpoint Client::parse_endpoint(const std::string& endpoint) {
+  Endpoint ep;
   if (endpoint.rfind("unix:", 0) == 0) {
-    return connect_unix(endpoint.substr(5));
+    ep.unix_path = endpoint.substr(5);
+    if (ep.unix_path.empty()) {
+      throw std::invalid_argument("empty socket path in endpoint " +
+                                  endpoint);
+    }
+    return ep;
   }
   const std::size_t colon = endpoint.rfind(':');
   if (colon == std::string::npos) {
     throw std::invalid_argument(
         "endpoint must be unix:/path or host:port, got " + endpoint);
   }
-  const std::string host = endpoint.substr(0, colon);
-  const int port = std::stoi(endpoint.substr(colon + 1));
-  if (port <= 0 || port > 65535) {
-    throw std::invalid_argument("bad port in endpoint " + endpoint);
-  }
-  return connect_tcp(host.empty() ? "127.0.0.1" : host,
-                     static_cast<std::uint16_t>(port));
+  const std::optional<long long> port = util::parse_number<long long>(
+      std::string_view(endpoint).substr(colon + 1), 1, 65535);
+  if (!port) throw std::invalid_argument("bad port in endpoint " + endpoint);
+  ep.host = colon == 0 ? "127.0.0.1" : endpoint.substr(0, colon);
+  ep.port = static_cast<std::uint16_t>(*port);
+  return ep;
+}
+
+Client Client::connect(const std::string& endpoint) {
+  const Endpoint ep = parse_endpoint(endpoint);
+  if (!ep.unix_path.empty()) return connect_unix(ep.unix_path);
+  return connect_tcp(ep.host, ep.port);
 }
 
 void Client::set_recv_timeout_ms(long ms) {

@@ -12,10 +12,22 @@ namespace acorn::service {
 
 class Client {
  public:
+  /// Where an endpoint string points: `unix:PATH` sets unix_path,
+  /// `HOST:PORT` sets host (empty HOST = 127.0.0.1) and port.
+  struct Endpoint {
+    std::string unix_path;
+    std::string host;
+    std::uint16_t port = 0;
+  };
+  /// Parse `unix:PATH` (PATH non-empty) or `HOST:PORT` (PORT the whole
+  /// text after the last ':', in [1, 65535]). Throws
+  /// std::invalid_argument on anything else.
+  static Endpoint parse_endpoint(const std::string& endpoint);
+
   static Client connect_unix(const std::string& path);
   static Client connect_tcp(const std::string& host, std::uint16_t port);
-  /// Parse and connect to `unix:/path` or `host:port`. Throws
-  /// std::system_error / std::invalid_argument on failure.
+  /// parse_endpoint, then connect. Throws std::system_error /
+  /// std::invalid_argument on failure.
   static Client connect(const std::string& endpoint);
 
   Client() = default;

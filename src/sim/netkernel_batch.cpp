@@ -65,30 +65,6 @@ namespace acorn::sim {
 
 namespace {
 
-// Allocation-free twins of Channel::overlap_fraction / conflicts: a
-// Channel occupies the basic-index interval [primary, primary+width),
-// so the occupied-set intersection is an integer interval intersection.
-// Values are identical to the allocating originals (small-int ratios).
-inline int occupied_count(const net::Channel& c) {
-  return c.is_bonded() ? 2 : 1;
-}
-
-inline int shared_basics(const net::Channel& a, const net::Channel& b) {
-  const int a0 = a.primary();
-  const int a1 = a0 + occupied_count(a) - 1;
-  const int b0 = b.primary();
-  const int b1 = b0 + occupied_count(b) - 1;
-  const int lo = a0 > b0 ? a0 : b0;
-  const int hi = a1 < b1 ? a1 : b1;
-  return hi >= lo ? hi - lo + 1 : 0;
-}
-
-inline double overlap_fraction_fast(const net::Channel& a,
-                                    const net::Channel& b) {
-  return static_cast<double>(shared_basics(a, b)) /
-         static_cast<double>(occupied_count(a));
-}
-
 // Per-lane resolved evaluation context for one cell.
 struct LaneCtx {
   net::Channel own = net::Channel::basic(0);  // cell channel under the lane
@@ -307,7 +283,7 @@ void NetSnapshot::evaluate_cells_batch(
           const CellLane& lane = lanes[l];
           const net::Channel& other_ch =
               (lane.flip_ap == other) ? lane.flip_channel : base_other;
-          s.captured[l] = overlap_fraction_fast(other_ch, s.ctx[l].own);
+          s.captured[l] = other_ch.overlap_fraction(s.ctx[l].own);
           s.act_at[l] =
               lane.activity[static_cast<std::size_t>(other)];
           s.subc[l] = static_cast<double>(

@@ -101,6 +101,14 @@ net::Association random_association(const ScenarioBuilder& b,
   return assoc;
 }
 
+// The per-candidate reference loop: one total_bps call per candidate.
+ThroughputOracle per_candidate(const CachedOracle& oracle) {
+  return [&oracle](const net::Association&,
+                   const net::ChannelAssignment& f) {
+    return oracle.total_bps(f);
+  };
+}
+
 void expect_identical(const AllocationResult& want,
                       const AllocationResult& got) {
   ASSERT_EQ(want.assignment.size(), got.assignment.size());
@@ -291,7 +299,7 @@ TEST(BatchScan, ScanCacheMemoServesLaterBasesBitIdentically) {
           std::find(seq.begin(), seq.begin() + static_cast<long>(step),
                     seq[step]) != seq.begin() + static_cast<long>(step);
       const bool same_as_last = step > 0 && seq[step] == seq[step - 1];
-      const std::uint64_t full_before = oracle.stats().batch_base_full_evals;
+      const std::uint64_t full_before = oracle.stats().cell_evals;
       std::vector<double> got(flips.size(), -1.0);
       oracle.total_bps_batch(seq[step], flips, got,
                              step % 3 == 2 ? sim::BatchKernel::kScalar
@@ -302,7 +310,7 @@ TEST(BatchScan, ScanCacheMemoServesLaterBasesBitIdentically) {
                                    << " flip " << j;
       }
       if (seen_before && !same_as_last) {
-        EXPECT_EQ(oracle.stats().batch_base_full_evals, full_before)
+        EXPECT_EQ(oracle.stats().cell_evals, full_before)
             << "combo " << combo << " step " << step;
         ++revisits;
       }
@@ -366,8 +374,8 @@ TEST(BatchScan, ScanCacheMemoSharedAcrossThreads) {
 
 TEST(BatchScanAllocation, WarmCallOnUnchangedBaseIsAllocationFree) {
   // Once a base, its memo entries and the thread's scratch are warm,
-  // scoring the same flips again allocates nothing, in every model
-  // combination and on both kernels.
+  // scoring the same flips again, or the base itself through total_bps,
+  // allocates nothing, in every model combination and on both kernels.
   util::Rng rng(0xA11C);
   const net::ChannelPlan plan(4);
   const std::vector<net::Channel> colors = plan.all_channels();
@@ -389,8 +397,15 @@ TEST(BatchScanAllocation, WarmCallOnUnchangedBaseIsAllocationFree) {
       for (int i = 0; i < 4; ++i) {
         oracle.total_bps_batch(base, flips, out, kernel);
       }
+      // total_bps on the same assignment leases the same base.
+      const double total = oracle.total_bps(base);
       const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
       EXPECT_EQ(after - before, 0u) << "combo " << combo;
+      // AP 0's flips come first, in color order; the one to its own
+      // color scores the base itself.
+      EXPECT_EQ(total, out[static_cast<std::size_t>(
+                           std::ranges::find(colors, base[0]) -
+                           colors.begin())]);
     }
   }
 }
@@ -406,15 +421,12 @@ TEST(BatchScan, AllocateIdenticalAcrossBatchSizesThreadsAndKernels) {
     const net::Association assoc = random_association(b, rng);
     const int n_aps = wlan.topology().num_aps();
 
-    AllocationConfig serial_cfg;
-    serial_cfg.batch_scan = false;
-    serial_cfg.num_threads = 1;
-    const ChannelAllocator serial_alloc{plan, serial_cfg};
+    const ChannelAllocator serial_alloc{plan};
     const net::ChannelAssignment initial =
         serial_alloc.random_assignment(n_aps, rng);
     const CachedOracle oracle(wlan, assoc);
     const AllocationResult want =
-        serial_alloc.allocate(wlan, assoc, initial, oracle);
+        serial_alloc.allocate(wlan, assoc, initial, per_candidate(oracle));
 
     struct Combo {
       int batch_size;
@@ -432,7 +444,6 @@ TEST(BatchScan, AllocateIdenticalAcrossBatchSizesThreadsAndKernels) {
     };
     for (const Combo& combo : combos) {
       AllocationConfig cfg;
-      cfg.batch_scan = true;
       cfg.batch_size = combo.batch_size;
       cfg.num_threads = combo.threads;
       cfg.batch_kernel = combo.kernel;
@@ -451,9 +462,9 @@ TEST(BatchScan, AllocateIdenticalAcrossBatchSizesThreadsAndKernels) {
 }
 
 TEST(BatchScan, DefaultAllocatePathUsesBatchedScan) {
-  // The no-oracle allocate() overload should route through a
-  // CachedOracle and the batched scan by default — and still match the
-  // uncached full-evaluate reference exactly.
+  // The no-oracle allocate() overload routes through a CachedOracle and
+  // the batched scan — and must still match the exact evaluator called
+  // once per candidate.
   const ScenarioBuilder b = testutil::topology1_builder();
   const sim::Wlan wlan = b.build();
   const net::Association assoc = b.intended_association();
@@ -462,10 +473,11 @@ TEST(BatchScan, DefaultAllocatePathUsesBatchedScan) {
   const net::ChannelAssignment initial = alloc.random_assignment(2, rng);
   const AllocationResult batched = alloc.allocate(wlan, assoc, initial);
 
-  AllocationConfig uncached_cfg;
-  uncached_cfg.cache_oracle = false;
-  const ChannelAllocator uncached{net::ChannelPlan(8), uncached_cfg};
-  const AllocationResult want = uncached.allocate(wlan, assoc, initial);
+  const AllocationResult want = alloc.allocate(
+      wlan, assoc, initial,
+      [&wlan](const net::Association& a, const net::ChannelAssignment& f) {
+        return wlan.evaluate(a, f).total_goodput_bps;
+      });
   expect_identical(want, batched);
 }
 
@@ -485,18 +497,13 @@ TEST(BatchScan, DegenerateZeroGoodputNetworks) {
     if (loss == 1e9) {
       for (int& owner : assoc) owner = net::kUnassociated;
     }
-    AllocationConfig serial_cfg;
-    serial_cfg.batch_scan = false;
-    const ChannelAllocator serial_alloc{plan, serial_cfg};
-    const ChannelAllocator batch_alloc{plan};
-    const net::ChannelAssignment initial =
-        serial_alloc.random_assignment(3, rng);
+    const ChannelAllocator alloc{plan};
+    const net::ChannelAssignment initial = alloc.random_assignment(3, rng);
     const CachedOracle o1(wlan, assoc);
     const CachedOracle o2(wlan, assoc);
     const AllocationResult want =
-        serial_alloc.allocate(wlan, assoc, initial, o1);
-    const AllocationResult got =
-        batch_alloc.allocate(wlan, assoc, initial, o2);
+        alloc.allocate(wlan, assoc, initial, per_candidate(o1));
+    const AllocationResult got = alloc.allocate(wlan, assoc, initial, o2);
     expect_identical(want, got);
   }
 }

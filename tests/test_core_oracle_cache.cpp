@@ -114,17 +114,23 @@ TEST(CachedOracle, MemoizesCellsAndReusesGraph) {
   cached.total_bps(f);
   const OracleCacheStats first = cached.stats();
   EXPECT_GT(first.cell_evals, 0u);
-  cached.total_bps(f);  // identical assignment: every cell replays
+  EXPECT_EQ(first.share_evals, 1u);
+  // Identical assignment: the base is already built, nothing is
+  // evaluated again.
+  cached.total_bps(f);
   const OracleCacheStats second = cached.stats();
   EXPECT_EQ(second.cell_evals, first.cell_evals);
-  EXPECT_GE(second.cell_hits, first.cell_hits + 5);
-  // A single-AP flip only re-evaluates the cells it actually changed.
+  EXPECT_EQ(second.share_evals, first.share_evals);
+  EXPECT_EQ(second.share_hits, first.share_hits + 1);
+  // A single-AP flip builds a new base, but only evaluates in full the
+  // cells whose context it changed.
   net::ChannelAssignment flipped = f;
   flipped[0] = flipped[0] == net::Channel::basic(11)
                    ? net::Channel::basic(10)
                    : net::Channel::basic(11);
   cached.total_bps(flipped);
   const OracleCacheStats third = cached.stats();
+  EXPECT_EQ(third.share_evals, second.share_evals + 1);
   EXPECT_LT(third.cell_evals - second.cell_evals, 5u);
 }
 
@@ -259,8 +265,8 @@ TEST(MakeCachedOracle, RebuildsOnAssociationChange) {
 
 // The acceptance gate for the cache: allocation driven by the cached
 // oracle lands on exactly the same assignment, throughput and trajectory
-// as the uncached full-evaluate path, on the bench's topology2 and under
-// the heavier interference models.
+// as the exact evaluator called once per candidate, on the bench's
+// topology2 and under the heavier interference models.
 TEST(CachedOracle, AllocationIdenticalToUncachedPath) {
   for (const bool sinr : {false, true}) {
     ScenarioBuilder b = topology2_builder();
@@ -270,16 +276,16 @@ TEST(CachedOracle, AllocationIdenticalToUncachedPath) {
     const sim::Wlan wlan = b.build();
     const net::Association assoc = b.intended_association();
 
-    AllocationConfig cached_cfg;
-    AllocationConfig uncached_cfg;
-    uncached_cfg.cache_oracle = false;
-    const ChannelAllocator cached{net::ChannelPlan(6), cached_cfg};
-    const ChannelAllocator uncached{net::ChannelPlan(6), uncached_cfg};
+    const ThroughputOracle exact = [&wlan](const net::Association& as,
+                                           const net::ChannelAssignment& f) {
+      return wlan.evaluate(as, f).total_goodput_bps;
+    };
+    const ChannelAllocator alloc{net::ChannelPlan(6)};
     util::Rng rng(42);
     for (int trial = 0; trial < 3; ++trial) {
-      const net::ChannelAssignment start = cached.random_assignment(5, rng);
-      const AllocationResult a = cached.allocate(wlan, assoc, start);
-      const AllocationResult u = uncached.allocate(wlan, assoc, start);
+      const net::ChannelAssignment start = alloc.random_assignment(5, rng);
+      const AllocationResult a = alloc.allocate(wlan, assoc, start);
+      const AllocationResult u = alloc.allocate(wlan, assoc, start, exact);
       EXPECT_EQ(a.final_bps, u.final_bps);
       EXPECT_EQ(a.evaluations, u.evaluations);
       EXPECT_EQ(a.switches, u.switches);

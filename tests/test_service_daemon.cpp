@@ -530,13 +530,13 @@ struct CliRun {
   std::string output;  // stdout + stderr
 };
 
-// Run the built acornd with `args`. Once `stop_marker` appears in its
-// output the process gets SIGTERM; one still running after 10 s gets
+// Run the built binary `bin` with `args`. Once `stop_marker` appears in
+// its output the process gets SIGTERM; one still running after 10 s gets
 // SIGKILL (a wrongly accepted flag value would leave a daemon running).
-CliRun run_acornd(const std::vector<std::string>& args,
-                  const std::string& stop_marker = "") {
+CliRun run_cli(const char* bin, const std::vector<std::string>& args,
+               const std::string& stop_marker = "") {
   // argv is built before fork: the child may only exec.
-  std::vector<char*> argv{const_cast<char*>(ACORND_BIN)};
+  std::vector<char*> argv{const_cast<char*>(bin)};
   for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
   argv.push_back(nullptr);
   int fds[2];
@@ -548,7 +548,7 @@ CliRun run_acornd(const std::vector<std::string>& args,
     ::dup2(fds[1], STDERR_FILENO);
     ::close(fds[0]);
     ::close(fds[1]);
-    ::execv(ACORND_BIN, argv.data());
+    ::execv(bin, argv.data());
     ::_exit(127);
   }
   ::close(fds[1]);
@@ -569,7 +569,7 @@ CliRun run_acornd(const std::vector<std::string>& args,
     if (r <= 0) continue;
     char buf[512];
     const ssize_t n = ::read(fds[0], buf, sizeof(buf));
-    if (n <= 0) break;  // EOF: acornd exited
+    if (n <= 0) break;  // EOF: the process exited
     run.output.append(buf, static_cast<std::size_t>(n));
     if (!stopping && !stop_marker.empty() &&
         run.output.find(stop_marker) != std::string::npos) {
@@ -609,10 +609,12 @@ TEST(ServiceDaemon, AcorndRejectsBadFlagValues) {
       {"--workers", "abc"},
       {"--workers", "-1"},
       {"--workers", "5000"},
+      {"--follow", "127.0.0.1:4464x"},
+      {"--follow", "127.0.0.1:"},
   };
   for (const auto& [flag, value] : bad) {
     SCOPED_TRACE(flag + " '" + value + "'");
-    const CliRun run = run_acornd({"--unix", sock, flag, value});
+    const CliRun run = run_cli(ACORND_BIN, {"--unix", sock, flag, value});
     ASSERT_TRUE(WIFEXITED(run.status)) << run.output;
     EXPECT_EQ(WEXITSTATUS(run.status), 2) << run.output;
     EXPECT_NE(run.output.find("invalid value '" + value + "' for " + flag),
@@ -622,13 +624,34 @@ TEST(ServiceDaemon, AcorndRejectsBadFlagValues) {
 
   // Values at the edges of every range are still accepted: the daemon
   // starts, and SIGTERM shuts it down cleanly.
-  const CliRun ok = run_acornd(
+  const CliRun ok = run_cli(
+      ACORND_BIN,
       {"--unix", sock, "--tcp", "0", "--epoch-s", "0", "--hysteresis", "1",
        "--wal-flush-us", "4294967295", "--wal-segment-bytes", "0",
        "--workers", "0"},
       "listening on " + sock);
   ASSERT_TRUE(WIFEXITED(ok.status)) << ok.output;
   EXPECT_EQ(WEXITSTATUS(ok.status), 0) << ok.output;
+}
+
+// The replay example parses its numeric flags the same way: a bad value
+// exits 2 naming the flag, instead of a wrapped-around fleet size that
+// never finishes, an uncaught exception, or a silent 0.
+TEST(ServiceDaemon, ReplayDaemonRejectsBadFlagValues) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"--wlans", "-1"},     {"--wlans", "0"},     {"--clients", "abc"},
+      {"--aps", "2x"},       {"--horizon", "inf"}, {"--rate", "0"},
+      {"--seed", "-3"},      {"--workers", "abc"}, {"--epoch-every", "-5"},
+  };
+  for (const auto& [flag, value] : bad) {
+    SCOPED_TRACE(flag + " '" + value + "'");
+    const CliRun run = run_cli(REPLAY_DAEMON_BIN, {flag, value});
+    ASSERT_TRUE(WIFEXITED(run.status)) << run.output;
+    EXPECT_EQ(WEXITSTATUS(run.status), 2) << run.output;
+    EXPECT_NE(run.output.find("invalid value '" + value + "' for " + flag),
+              std::string::npos)
+        << run.output;
+  }
 }
 
 }  // namespace
