@@ -18,8 +18,8 @@
 //   --horizon S      simulated seconds of churn (default 3600)
 //   --rate R         session arrivals per WLAN per second (default 1/60)
 //   --seed S         schedule + floor seed (default 1)
-//   --workers M      pooled shard workers (default: hardware threads;
-//                    0 = one dedicated thread per WLAN)
+//   --workers M      pooled shard workers, 1 to 4096 (default: hardware
+//                    threads)
 //   --epoch-every S  simulated seconds between reconfigurations (300)
 //   --state-dir DIR  persist snapshots + WAL; run twice with the same
 //                    directory to watch recovery before the replay
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
           "a non-negative integer"));
     } else if (std::strcmp(flag, "--workers") == 0) {
       config.workers = static_cast<int>(util::flag_value<long long>(
-          kProg, flag, value(), 0, 4096, "a worker count in [0, 4096]"));
+          kProg, flag, value(), 1, 4096, "a worker count in [1, 4096]"));
     } else if (std::strcmp(flag, "--epoch-every") == 0) {
       epoch_every_s = util::flag_value<double>(
           kProg, flag, value(), positive, huge, "finite seconds > 0");

@@ -11,12 +11,14 @@
 // before the process exits. A malformed or out-of-range flag value
 // exits with status 2 before anything starts.
 
+#include <pthread.h>
+
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <ctime>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -30,12 +32,6 @@ namespace {
 using acorn::util::flag_value;
 
 constexpr const char* kProg = "acornd";
-
-acorn::service::Daemon* g_daemon = nullptr;
-
-void on_signal(int) {
-  if (g_daemon != nullptr) g_daemon->request_stop();
-}
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -61,11 +57,9 @@ int usage(const char* argv0) {
                "event)\n"
                "  --wal-segment-bytes N  event-log segment rotation size\n"
                "                     (default 67108864)\n"
-               "  --workers M        shard execution: M pooled workers "
-               "shared\n"
-               "                     by every WLAN (default: hardware "
-               "threads;\n"
-               "                     0 = one dedicated thread per WLAN)\n"
+               "  --workers M        shard workers shared by every WLAN,\n"
+               "                     1 to 4096 (default: hardware "
+               "threads)\n"
                "  --follow ENDPOINT  run as a warm standby replicating the\n"
                "                     leader at unix:/path or host:port\n"
                "  --log              per-epoch and periodic stats on stderr\n",
@@ -126,7 +120,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--workers") {
       // Each worker is a thread; 4096 is far past any useful count.
       config.workers = static_cast<int>(flag_value<long long>(
-          kProg, "--workers", value(), 0, 4096, "a worker count in [0, 4096]"));
+          kProg, "--workers", value(), 1, 4096, "a worker count in [1, 4096]"));
     } else if (arg == "--follow") {
       config.follow = value();
       try {
@@ -147,6 +141,16 @@ int main(int argc, char** argv) {
   }
   if (!config.tcp && config.unix_path.empty()) return usage(argv[0]);
 
+  // Block the stop signals before start() spawns any thread, so every
+  // thread inherits the mask and main alone collects them below. No
+  // handler runs; a signal that arrives early stays pending.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+  signal(SIGPIPE, SIG_IGN);
+
   acorn::service::Daemon daemon(config);
   try {
     daemon.start();
@@ -154,14 +158,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "acornd: startup failed: %s\n", e.what());
     return 1;
   }
-
-  g_daemon = &daemon;
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = on_signal;
-  sigaction(SIGINT, &sa, nullptr);
-  sigaction(SIGTERM, &sa, nullptr);
-  signal(SIGPIPE, SIG_IGN);
 
   if (config.tcp) {
     std::fprintf(stderr, "acornd: listening on 127.0.0.1:%d\n",
@@ -172,7 +168,13 @@ int main(int argc, char** argv) {
                  config.unix_path.c_str());
   }
 
+  // The tick also ends main after a Shutdown request stops the loop.
+  const timespec tick{0, 100'000'000};
+  while (daemon.running()) {
+    if (sigtimedwait(&stop_signals, nullptr, &tick) > 0) {
+      daemon.request_stop();
+    }
+  }
   daemon.wait();
-  g_daemon = nullptr;
   return 0;
 }

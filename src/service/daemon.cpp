@@ -55,8 +55,13 @@ Daemon::~Daemon() { stop(); }
 
 void Daemon::start() {
   if (running_.load()) return;
+  if (config_.workers == 0) {
+    throw std::invalid_argument(
+        "workers must be a positive count, or negative for one per "
+        "hardware thread");
+  }
 
-  if (config_.workers != 0 && !executor_) {
+  if (!executor_) {
     const int workers =
         config_.workers > 0
             ? config_.workers
@@ -363,8 +368,7 @@ void Daemon::loop() {
                      "%llu events, %llu epochs (p50 %.1f ms, p99 %.1f ms), "
                      "%llu snapshots, %llu wal syncs "
                      "(avg batch %.1f, p99 sync %.0f us)\n",
-                     s.num_wlans,
-                     executor_ ? executor_->workers() : -1,
+                     s.num_wlans, executor_->workers(),
                      static_cast<unsigned long long>(s.frames_rx),
                      static_cast<unsigned long long>(s.events_total),
                      static_cast<unsigned long long>(s.epochs_total),

@@ -78,11 +78,10 @@ struct DaemonConfig {
   /// Rotate to a fresh WAL segment past this many bytes (tests shrink it
   /// to exercise rotation + retirement).
   std::uint64_t wal_segment_bytes = 64ull << 20;
-  /// Shard execution model: -1 = pooled over hardware_concurrency()
-  /// workers (the default), N > 0 = pooled over N workers, 0 = the
-  /// thread-per-WLAN reference mode (one dedicated thread per shard).
-  /// Pooled execution multiplexes every registered WLAN over the fixed
-  /// worker set, so one daemon can host thousands of small WLANs.
+  /// Pooled shard workers: N > 0 workers, or a negative value for one
+  /// per hardware thread (the default). Every registered WLAN is
+  /// multiplexed over this fixed worker set, so one daemon can host
+  /// thousands of small WLANs. start() rejects 0.
   int workers = -1;
   /// Leader endpoint (`unix:/path` or `host:port`) to follow as a warm
   /// standby; empty = normal (leader) operation. A following daemon
@@ -102,7 +101,8 @@ class Daemon {
   Daemon& operator=(const Daemon&) = delete;
 
   /// Recover snapshots, bind listeners, spawn the event loop. Throws
-  /// std::system_error when a listener cannot be bound.
+  /// std::system_error when a listener cannot be bound, and
+  /// std::invalid_argument when `workers` is 0.
   void start();
   /// Graceful shutdown: stop the loop, drain shards (each writes a
   /// final snapshot), close sockets. Idempotent.
@@ -168,9 +168,8 @@ class Daemon {
 
   DaemonConfig config_;
   ServiceMetrics metrics_;
-  /// Pooled shard executor (null in thread-per-WLAN reference mode).
-  /// Created before any shard starts, destroyed after every shard has
-  /// stopped (shards detach through it).
+  /// Pooled shard executor. Created before any shard starts, destroyed
+  /// after every shard has stopped (shards detach through it).
   std::unique_ptr<util::PooledExecutor> executor_;
   /// WAL group-commit thread (null without a state dir). Started before
   /// any shard, stopped after every shard has stopped (shards wait out

@@ -75,8 +75,7 @@ struct ServiceMetrics {
   std::atomic<std::uint64_t> protocol_errors{0};
   LatencyHistogram request_latency;
   /// Wall time of completed reconfiguration epochs across all shards
-  /// (pooled workers and dedicated threads record into the same
-  /// histogram).
+  /// (every pooled worker records into the same histogram).
   LatencyHistogram epoch_latency;
   /// Group-commit observability, fed by every SyncCoordinator commit:
   /// how many fsyncs hit the device, how many logged events each one

@@ -1,33 +1,17 @@
 // Per-WLAN shard worker of acornd.
 //
-// Each registered WLAN gets one shard: a single-writer task owning the
-// Wlan model, the live association and channel assignment, and an
-// incremental CachedOracle. A shard executes either on its own
-// dedicated thread (the thread-per-WLAN reference mode) or — the
-// default — as a util::PooledExecutor task, where one of M pooled
-// workers drains its mailbox per scheduling pass and a central timer
-// wheel drives its epoch deadline; both modes run the same drain logic
-// and produce byte-identical state. Protocol events (join/leave/SNR/load) are applied
-// immediately — Algorithm 1 associates a joining client on the spot —
-// while the expensive work (Algorithm 2 channel re-allocation plus the
-// opportunistic width fallback of core/width_switch) runs in periodic
+// Each registered WLAN gets one shard: a single-writer task wrapped
+// around the WLAN's core::WlanRuntime (core/runtime.hpp), which owns the
+// model, the association, the channels and the epoch. The shard owns
+// what the runtime must not: the mailbox, the journal, the replies, the
+// epoch timer, the counters and the snapshots. It runs as a
+// util::PooledExecutor task: one of M pooled workers drains its mailbox
+// per scheduling pass, and the executor's central timer wheel drives its
+// epoch deadline. Protocol events (join/leave/SNR/load) are applied
+// immediately, each as one runtime call, while the expensive work
+// (Algorithm 2 plus the width fallback) runs in periodic
 // *reconfiguration epochs*, so a burst of events costs one epoch, not
-// one full recompute per event. An epoch also re-probes — through the
-// same Algorithm 1 trial association — exactly those clients whose
-// links changed since the previous epoch (SNR updates mark them dirty),
-// so mobility drives incremental re-association rather than a full
-// re-association sweep.
-//
-// The CachedOracle/NetSnapshot pair is reused across epochs and config
-// queries for as long as the association and link budget are unchanged;
-// any state-changing event invalidates it (the snapshot's precomputed
-// SNRs would be stale) and the next epoch rebuilds it once.
-//
-// Epoch hysteresis: Algorithm 2 already stops below the paper's 5%
-// aggregate-improvement epsilon; the width fallback adds its own — a
-// bonded AP switches its operating width only when the alternative wins
-// by `width_hysteresis` (default 1.05), so a client hovering at the
-// 20/40 crossover cannot make the AP flap every epoch.
+// one full recompute per event.
 //
 // Durability: when a state directory is configured, the shard writes a
 // versioned snapshot (write-temp + fsync + atomic rename) at the end of
@@ -43,9 +27,9 @@
 // epoch snapshot supersedes the logged records and is reported to the
 // coordinator as a checkpoint, which lets it retire covered segments.
 // Recovery = snapshot + replay of the log suffix (records whose ordinal
-// exceeds the snapshot's events_applied) through apply_locked; the
-// deterministic pipeline makes the result byte-identical to the
-// pre-crash state.
+// exceeds the snapshot's events_applied) through apply_locked, the same
+// runtime calls live traffic makes; the deterministic pipeline makes the
+// result byte-identical to the pre-crash state.
 //
 // Followers: a connection subscribed via FollowLog is attached to every
 // shard. On attach the shard emits its full state as a SnapshotFrame;
@@ -56,26 +40,19 @@
 // deterministic.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <memory>
 #include <mutex>
-#include <set>
-#include <thread>
 #include <vector>
 
-#include "core/controller.hpp"
-#include "core/oracle_cache.hpp"
+#include "core/runtime.hpp"
 #include "service/eventlog.hpp"
 #include "service/metrics.hpp"
 #include "service/snapshot.hpp"
 #include "service/wire.hpp"
-#include "sim/deployment_file.hpp"
 #include "util/worker_pool.hpp"
 
 namespace acorn::service {
@@ -100,10 +77,9 @@ struct ShardOptions {
   std::uint32_t wal_flush_us = 200;
   /// Emit a one-line epoch summary to stderr.
   bool log_epochs = false;
-  /// Pooled execution: when set, the shard runs as a task of this
-  /// executor (one of its M workers drains the mailbox per pass) instead
-  /// of owning a dedicated thread. Null keeps the thread-per-WLAN
-  /// reference mode. The executor must outlive the shard's stop().
+  /// Required: the shard runs as a task of this executor (one of its M
+  /// workers drains the mailbox per pass). It must outlive the shard's
+  /// stop().
   util::PooledExecutor* executor = nullptr;
   /// When set, every reconfiguration epoch's wall time is recorded here
   /// (daemon-wide percentiles for --log and stats consumers).
@@ -118,7 +94,6 @@ struct ShardOptions {
 
 /// Shard-local counters, aggregated into the daemon's StatsReply.
 struct ShardCounters {
-  std::uint64_t events = 0;
   std::uint64_t epochs = 0;
   std::uint64_t snapshots_written = 0;
   std::uint64_t wal_records = 0;
@@ -126,8 +101,8 @@ struct ShardCounters {
   std::uint64_t channel_switches = 0;
   std::uint64_t width_switches = 0;
   std::uint64_t assoc_changes = 0;
-  /// Oracle evaluations spent in Algorithm 2 (64-bit at the source;
-  /// clamped non-negative when folded in from AllocationResult).
+  /// Oracle evaluations spent in Algorithm 2 (clamped non-negative when
+  /// folded in from EpochRecord).
   std::uint64_t alloc_evaluations = 0;
   std::uint64_t oracle_cell_evals = 0;
   std::uint64_t oracle_cell_hits = 0;
@@ -150,7 +125,7 @@ class WlanShard : public util::PooledExecutor::Task {
     std::chrono::steady_clock::time_point t0;
     Message msg;
   };
-  /// Invoked (from the shard thread) with the encoded reply frame.
+  /// Invoked with the encoded reply frame.
   using CompletionFn = std::function<void(
       std::uint64_t conn_id, std::chrono::steady_clock::time_point t0,
       std::vector<std::uint8_t> reply_frame)>;
@@ -160,7 +135,8 @@ class WlanShard : public util::PooledExecutor::Task {
   /// deterministically from the deployment's RNG seed), then replay the
   /// WAL suffix (`replay` records whose seq exceeds the snapshot's
   /// events_applied, applied through apply_locked). Throws
-  /// std::invalid_argument on a malformed deployment or snapshot.
+  /// std::invalid_argument on a malformed deployment or a snapshot the
+  /// runtime rejects, or without an executor.
   WlanShard(ShardOptions options, WlanSnapshot state, CompletionFn post,
             std::vector<WalRecord> replay = {});
   ~WlanShard();
@@ -170,10 +146,10 @@ class WlanShard : public util::PooledExecutor::Task {
 
   /// Checkpoints the current state (so a fresh registration or a
   /// finished recovery is durable immediately, and a merged legacy
-  /// per-WLAN log can be deleted), then spawns the worker thread.
+  /// per-WLAN log can be deleted), then attaches to the executor.
   void start();
-  /// Drains pending jobs, flushes withheld replies, writes a final
-  /// snapshot, joins the thread.
+  /// Detaches from the executor, drains pending jobs, flushes withheld
+  /// replies and writes a final snapshot.
   void stop();
 
   void submit(Job job);
@@ -184,29 +160,25 @@ class WlanShard : public util::PooledExecutor::Task {
   WlanSnapshot state_snapshot() const;
 
  private:
-  void run();
-  /// PooledExecutor::Task: one scheduling pass — the same drain logic as
-  /// run(), bounded per pass for fairness, returning the epoch deadline
-  /// for the executor's timer wheel.
+  /// PooledExecutor::Task: one scheduling pass, bounded for fairness,
+  /// returning the epoch deadline for the executor's timer wheel.
   std::chrono::steady_clock::time_point run_pass() override;
-  /// Drain the remaining mailbox on the caller's thread (pooled-mode
-  /// stop(), after the executor detach).
+  /// Drain the remaining mailbox on the caller's thread (stop(), after
+  /// the executor detach).
   void drain_inline();
   void process(Job& job);
+  /// One runtime call per message, its result mapped to a reply.
   Message apply_locked(const Message& msg);
   void publish_counters_locked();
+  /// A timer-started epoch.
   void run_epoch();
-  void run_epoch_locked();
-  void ensure_oracle();
-  void invalidate_oracle();
+  /// The runtime's epoch plus its counters, checkpoint and log line.
+  core::EpochRecord run_epoch_locked();
   void write_state_snapshot();
   /// Write a snapshot and report it to the coordinator as a checkpoint.
   /// False when persistence is off, during replay, or on I/O failure.
   bool checkpoint_locked();
   WlanSnapshot build_snapshot_locked() const;
-  std::vector<int> clients_of_locked(int ap) const;
-  /// True for the message types the WAL records (state mutators).
-  static bool loggable(const Message& msg);
   /// Queue the record of `msg`, applied as ordinal `seq`, for the WAL
   /// and for followers. True when it is logged, i.e. its reply must
   /// wait for a sync.
@@ -236,35 +208,23 @@ class WlanShard : public util::PooledExecutor::Task {
   const std::uint32_t wlan_id_;
   const std::string deployment_text_;
 
-  // Model + controller state; guarded by state_mutex_ (the shard thread
-  // writes, stats/state queries from other threads read).
+  // Controller state; guarded by state_mutex_ (the running pass writes,
+  // stats/state queries from other threads read).
   mutable std::mutex state_mutex_;
-  sim::DeploymentSpec spec_;
-  sim::Wlan wlan_;
-  core::AcornController controller_;
-  net::Association assoc_;
-  std::vector<net::Channel> allocated_;
-  std::vector<net::Channel> operating_;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, double> loss_overrides_;
-  std::map<std::uint32_t, double> loads_;
-  /// Clients whose links changed since the last epoch; each gets an
-  /// Algorithm 1 re-association probe when the next epoch runs.
-  std::set<int> dirty_clients_;
-  std::uint64_t epoch_ = 0;
+  core::WlanRuntime runtime_;
   std::uint64_t events_applied_ = 0;
   ShardCounters counters_;
-  std::shared_ptr<core::CachedOracle> oracle_;
 
-  // Copy of counters_ (+ live oracle stats) republished after every
-  // event/epoch so counters() never waits on an in-progress epoch.
+  // Copy of counters_ (+ the runtime's oracle stats) republished after
+  // every event/epoch so counters() never waits on an in-progress epoch.
   mutable std::mutex counters_mutex_;
   ShardCounters published_counters_;
 
   CompletionFn post_;
 
   // Write-ahead log + group-commit state. Everything below is touched
-  // only from the shard thread (construction/start/stop excepted, when
-  // no worker is running), so it needs no lock of its own.
+  // only by the running pass (construction/start/stop excepted, when no
+  // worker is running), so it needs no lock of its own.
   /// events_applied_ value the newest on-disk snapshot covers; records
   /// with seq <= this are redundant and are not appended.
   std::uint64_t wal_base_seq_ = 0;
@@ -295,14 +255,10 @@ class WlanShard : public util::PooledExecutor::Task {
 
   // Mailbox.
   std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
   std::deque<Job> jobs_;
+  /// Attached to options_.executor: start() ran and stop() has not.
   bool running_ = false;
-  /// Pooled mode: attached to options_.executor (start() set it up,
-  /// stop() has not yet detached). Guarded by queue_mutex_.
-  bool pool_attached_ = false;
   std::chrono::steady_clock::time_point next_epoch_;
-  std::thread thread_;
 };
 
 }  // namespace acorn::service

@@ -42,6 +42,41 @@ std::vector<net::Channel> decode_channels(ByteReader& r) {
 
 }  // namespace
 
+WlanSnapshot make_snapshot(std::uint32_t wlan_id, std::uint64_t events_applied,
+                           const std::string& deployment,
+                           const core::WlanState& state) {
+  WlanSnapshot snap;
+  snap.wlan_id = wlan_id;
+  snap.epoch = state.epoch;
+  snap.events_applied = events_applied;
+  snap.deployment = deployment;
+  snap.association = state.association;
+  snap.allocated = state.allocated;
+  snap.operating = state.operating;
+  for (const auto& [link, loss] : state.loss_overrides) {
+    snap.loss_overrides.push_back(LossOverride{link.first, link.second, loss});
+  }
+  for (const auto& [client, load] : state.loads) {
+    snap.loads.push_back(LoadHint{client, load});
+  }
+  snap.dirty_clients.assign(state.dirty.begin(), state.dirty.end());
+  return snap;
+}
+
+core::WlanState to_state(const WlanSnapshot& snap) {
+  core::WlanState state;
+  state.epoch = snap.epoch;
+  state.association = snap.association;
+  state.allocated = snap.allocated;
+  state.operating = snap.operating;
+  for (const LossOverride& o : snap.loss_overrides) {
+    state.loss_overrides[{o.ap, o.client}] = o.loss_db;
+  }
+  for (const LoadHint& l : snap.loads) state.loads[l.client] = l.load;
+  state.dirty.insert(snap.dirty_clients.begin(), snap.dirty_clients.end());
+  return state;
+}
+
 std::vector<std::uint8_t> encode_snapshot(const WlanSnapshot& snap) {
   ByteWriter w;
   w.u32(kSnapshotMagic);

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/runtime.hpp"
 #include "net/channels.hpp"
 #include "net/interference.hpp"
 
@@ -60,6 +61,16 @@ struct WlanSnapshot {
   std::vector<LoadHint> loads;               // ascending client
   std::vector<std::uint32_t> dirty_clients;  // ascending client
 };
+
+/// The snapshot of WLAN `wlan_id` whose controller holds `state` after
+/// `events_applied` events.
+WlanSnapshot make_snapshot(std::uint32_t wlan_id, std::uint64_t events_applied,
+                           const std::string& deployment,
+                           const core::WlanState& state);
+
+/// The controller state `snap` stores. A loss override or load listed
+/// twice keeps its last entry.
+core::WlanState to_state(const WlanSnapshot& snap);
 
 std::vector<std::uint8_t> encode_snapshot(const WlanSnapshot& snap);
 

@@ -11,7 +11,7 @@
 // WLAN k's events are identical whether the fleet holds 1 WLAN or
 // 10000, and the cross-WLAN merge is a stable sort by time — the same
 // config always yields the same byte-for-byte schedule, which is what
-// lets the fleet tests compare pooled and thread-per-WLAN daemons
+// lets the fleet tests compare daemons at different worker counts
 // event-for-event.
 #pragma once
 

@@ -2,126 +2,275 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "testutil.hpp"
 
 namespace acorn::core {
 namespace {
 
-struct Fixture {
-  testutil::ScenarioBuilder builder = testutil::topology1_builder();
-  sim::Wlan wlan = builder.build();
-  AcornController controller{make_config()};
-  sim::EventQueue queue;
+constexpr std::uint64_t kSeed = 7;
+const double kNan = std::numeric_limits<double>::quiet_NaN();
 
-  static AcornConfig make_config() {
-    AcornConfig cfg;
-    cfg.period_s = 100.0;  // fast periods for tests
-    return cfg;
-  }
+// Topology 1 on the 12-channel plan: AP 0 serves the poor clients 0 and
+// 1, AP 1 the good clients 2 and 3.
+WlanRuntime make_runtime(WlanState state = {}) {
+  return WlanRuntime(testutil::topology1_builder().build(),
+                     net::ChannelPlan(12), std::move(state), kSeed, 1.05);
+}
 
-  PeriodicRuntime make_runtime() {
-    return PeriodicRuntime(
-        wlan, controller,
-        net::ChannelAssignment(2, net::Channel::bonded(0)));
+WlanState with_channels(net::ChannelAssignment allocated,
+                        net::ChannelAssignment operating = {}) {
+  WlanState s;
+  s.allocated = std::move(allocated);
+  s.operating = std::move(operating);
+  return s;
+}
+
+int associated(const WlanRuntime& rt) {
+  int n = 0;
+  for (const int ap : rt.state().association) {
+    if (ap != net::kUnassociated) ++n;
   }
-};
+  return n;
+}
+
+template <typename Fn>
+std::string rejection(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "accepted";
+}
 
 TEST(Runtime, RejectsWrongInitialSize) {
-  Fixture f;
-  EXPECT_THROW(PeriodicRuntime(f.wlan, f.controller,
-                               {net::Channel::basic(0)}),
+  EXPECT_THROW(make_runtime(with_channels({net::Channel::basic(0)})),
                std::invalid_argument);
+  WlanState s;
+  s.association = {0, 0};
+  EXPECT_THROW(make_runtime(s), std::invalid_argument);
 }
 
 TEST(Runtime, ClientsStartUnassociated) {
-  Fixture f;
-  PeriodicRuntime rt = f.make_runtime();
-  for (int owner : rt.association()) {
-    EXPECT_EQ(owner, net::kUnassociated);
-  }
+  const WlanRuntime rt = make_runtime();
+  ASSERT_EQ(rt.state().association.size(), 4u);
+  EXPECT_EQ(associated(rt), 0);
+  EXPECT_EQ(rt.state().epoch, 0u);
+}
+
+TEST(Runtime, EmptyAllocationIsDrawnFromTheSeed) {
+  const WlanRuntime rt = make_runtime();
+  util::Rng rng(kSeed);
+  const ChannelAllocator allocator{net::ChannelPlan(12)};
+  EXPECT_EQ(rt.state().allocated, allocator.random_assignment(2, rng));
+  EXPECT_EQ(rt.state().operating, rt.state().allocated);
 }
 
 TEST(Runtime, ArrivalAssociatesImmediately) {
-  Fixture f;
-  PeriodicRuntime rt = f.make_runtime();
-  const auto ap = rt.client_arrived(0);
-  ASSERT_TRUE(ap.has_value());
-  EXPECT_EQ(rt.association()[0], *ap);
+  WlanRuntime rt = make_runtime();
+  EXPECT_TRUE(rt.join(0));
+  EXPECT_NE(rt.state().association[0], net::kUnassociated);
 }
 
-TEST(Runtime, DoubleArrivalIsAnError) {
-  Fixture f;
-  PeriodicRuntime rt = f.make_runtime();
-  rt.client_arrived(0);
-  EXPECT_THROW(rt.client_arrived(0), std::logic_error);
-  EXPECT_THROW(rt.client_arrived(99), std::out_of_range);
+// A repeated join is a re-association probe, not an error: with nothing
+// changed it lands on the same AP.
+TEST(Runtime, RepeatedJoinIsAReassociationProbe) {
+  WlanRuntime rt = make_runtime();
+  ASSERT_TRUE(rt.join(0));
+  const int home = rt.state().association[0];
+  EXPECT_FALSE(rt.join(0));
+  EXPECT_EQ(rt.state().association[0], home);
+  EXPECT_EQ(rejection([&] { rt.join(99); }), "client id out of range");
 }
 
 TEST(Runtime, DepartureDetaches) {
-  Fixture f;
-  PeriodicRuntime rt = f.make_runtime();
-  rt.client_arrived(0);
-  rt.client_departed(0);
-  EXPECT_EQ(rt.association()[0], net::kUnassociated);
-  // Re-arrival works.
-  EXPECT_TRUE(rt.client_arrived(0).has_value());
+  WlanRuntime rt = make_runtime();
+  rt.join(0);
+  EXPECT_TRUE(rt.leave(0));
+  EXPECT_EQ(rt.state().association[0], net::kUnassociated);
+  EXPECT_FALSE(rt.leave(0));
+  EXPECT_TRUE(rt.join(0));  // re-arrival works
 }
 
-TEST(Runtime, MaintenancePassesFireOnPeriod) {
-  Fixture f;
-  PeriodicRuntime rt = f.make_runtime();
-  for (int u = 0; u < 4; ++u) rt.client_arrived(u);
-  rt.start(f.queue, 350.0);
-  f.queue.run_until(1000.0);
-  // Periods at 100, 200, 300 (350 horizon cuts the 400 firing).
-  EXPECT_EQ(rt.reports().size(), 3u);
-  EXPECT_DOUBLE_EQ(rt.reports()[0].time_s, 100.0);
-  EXPECT_DOUBLE_EQ(rt.reports()[2].time_s, 300.0);
-}
-
-TEST(Runtime, MaintenanceFixesBadInitialAssignment) {
-  Fixture f;
-  PeriodicRuntime rt = f.make_runtime();  // both APs on the same bond
-  for (int u = 0; u < 4; ++u) rt.client_arrived(u);
-  rt.start(f.queue, 150.0);
-  f.queue.run();
+TEST(Runtime, EpochFixesBadInitialAssignment) {
+  // Both APs on the same bond.
+  WlanRuntime rt = make_runtime(with_channels(
+      {net::Channel::bonded(0), net::Channel::bonded(0)}));
+  for (std::uint32_t u = 0; u < 4; ++u) rt.join(u);
+  const EpochRecord rec = rt.run_epoch();
   // After the first pass the poor cell must sit on 20 MHz.
-  EXPECT_EQ(rt.assignment()[0].width(), phy::ChannelWidth::k20MHz);
-  EXPECT_EQ(rt.assignment()[1].width(), phy::ChannelWidth::k40MHz);
-  ASSERT_FALSE(rt.reports().empty());
-  EXPECT_GT(rt.reports().front().switches, 0);
-  EXPECT_EQ(rt.reports().front().active_clients, 4);
+  EXPECT_EQ(rt.state().allocated[0].width(), phy::ChannelWidth::k20MHz);
+  EXPECT_EQ(rt.state().allocated[1].width(), phy::ChannelWidth::k40MHz);
+  EXPECT_GT(rec.channel_switches, 0);
+  EXPECT_GT(rec.evaluations, 0);
+  EXPECT_EQ(rt.state().epoch, 1u);
+  EXPECT_EQ(associated(rt), 4);
 }
 
 TEST(Runtime, SecondPassIsQuiescent) {
-  Fixture f;
-  PeriodicRuntime rt = f.make_runtime();
-  for (int u = 0; u < 4; ++u) rt.client_arrived(u);
-  rt.start(f.queue, 250.0);
-  f.queue.run();
-  ASSERT_EQ(rt.reports().size(), 2u);
-  EXPECT_EQ(rt.reports()[1].switches, 0);
-}
-
-TEST(Runtime, ObserverSeesEveryReport) {
-  Fixture f;
-  PeriodicRuntime rt = f.make_runtime();
-  int calls = 0;
-  rt.set_observer([&calls](const MaintenanceReport&) { ++calls; });
-  rt.start(f.queue, 300.0);
-  f.queue.run();
-  EXPECT_EQ(calls, 3);
+  WlanRuntime rt = make_runtime(with_channels(
+      {net::Channel::bonded(0), net::Channel::bonded(0)}));
+  for (std::uint32_t u = 0; u < 4; ++u) rt.join(u);
+  rt.run_epoch();
+  const EpochRecord second = rt.run_epoch();
+  EXPECT_EQ(second.channel_switches, 0);
+  EXPECT_EQ(second.width_switches, 0);
+  EXPECT_EQ(second.assoc_changes, 0);
+  EXPECT_EQ(rt.state().epoch, 2u);
 }
 
 TEST(Runtime, ReportsThroughputOfCurrentPopulation) {
-  Fixture f;
-  PeriodicRuntime rt = f.make_runtime();
-  rt.client_arrived(2);  // one good client only
-  rt.start(f.queue, 100.0);
-  f.queue.run();
-  ASSERT_EQ(rt.reports().size(), 1u);
-  EXPECT_EQ(rt.reports()[0].active_clients, 1);
-  EXPECT_GT(rt.reports()[0].total_goodput_bps, 10e6);
+  WlanRuntime rt = make_runtime();
+  rt.join(2);  // one good client only
+  rt.run_epoch();
+  EXPECT_EQ(associated(rt), 1);
+  EXPECT_GT(rt.goodput_bps(), 10e6);
+}
+
+TEST(Runtime, EventsRejectBadInputsWithoutChangingState) {
+  WlanRuntime rt = make_runtime();
+  rt.join(2);
+  const WlanState before = rt.state();
+  EXPECT_EQ(rejection([&] { rt.leave(4); }), "client id out of range");
+  EXPECT_EQ(rejection([&] { rt.set_link_loss(2, 0, 90.0); }),
+            "ap/client id out of range");
+  EXPECT_EQ(rejection([&] { rt.set_link_loss(0, 4, 90.0); }),
+            "ap/client id out of range");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double loss : {kNan, -1.0, inf}) {
+    EXPECT_EQ(rejection([&] { rt.set_link_loss(0, 0, loss); }),
+              "loss_db must be finite and non-negative");
+  }
+  EXPECT_EQ(rejection([&] { rt.set_load(4, 1.0); }), "client id out of range");
+  for (const double load : {kNan, -0.5}) {
+    EXPECT_EQ(rejection([&] { rt.set_load(0, load); }),
+              "load must be finite and non-negative");
+  }
+  EXPECT_EQ(rt.state().association, before.association);
+  EXPECT_TRUE(rt.state().loss_overrides.empty());
+  EXPECT_TRUE(rt.state().loads.empty());
+  EXPECT_TRUE(rt.state().dirty.empty());
+}
+
+// An SNR update marks the client for the next epoch's re-probe; a probe
+// that finds no usable AP keeps the client where it was.
+TEST(Runtime, FailedReprobeKeepsTheClient) {
+  WlanRuntime rt = make_runtime();
+  ASSERT_TRUE(rt.join(2));
+  const int home = rt.state().association[2];
+  rt.set_link_loss(0, 2, 300.0);
+  rt.set_link_loss(1, 2, 300.0);
+  EXPECT_EQ(rt.state().dirty, (std::set<std::uint32_t>{2}));
+  EXPECT_EQ(rt.state().loss_overrides.size(), 2u);
+  const EpochRecord rec = rt.run_epoch();
+  EXPECT_EQ(rec.assoc_changes, 0);
+  EXPECT_EQ(rt.state().association[2], home);
+  EXPECT_TRUE(rt.state().dirty.empty());
+}
+
+TEST(Runtime, OracleStatsSurviveRetirement) {
+  WlanRuntime rt = make_runtime();
+  for (std::uint32_t u = 0; u < 4; ++u) rt.join(u);
+  rt.run_epoch();
+  const OracleCacheStats first = rt.oracle_stats();
+  EXPECT_GT(first.cell_evals, 0u);
+  ASSERT_TRUE(rt.leave(3));  // retires the oracle
+  EXPECT_EQ(rt.oracle_stats().cell_evals, first.cell_evals);
+  rt.run_epoch();
+  EXPECT_GT(rt.oracle_stats().cell_evals, first.cell_evals);
+}
+
+// Recovery hands the constructor whatever a checksum-valid snapshot
+// holds: it must refuse every shape an epoch cannot produce.
+TEST(Runtime, RejectsAssociationNamingNoAp) {
+  for (const int bad : {2, 5, -7}) {
+    WlanState s;
+    s.association = {bad, 0, 1, 1};
+    EXPECT_EQ(rejection([&] { make_runtime(s); }),
+              "snapshot association names no AP")
+        << bad;
+  }
+  WlanState ok;
+  ok.association = {net::kUnassociated, 0, 1, 1};
+  EXPECT_EQ(rejection([&] { make_runtime(ok); }), "accepted");
+}
+
+TEST(Runtime, RejectsChannelsOutsideThePlan) {
+  // Bond 6 occupies basic channels 12 and 13 of a 12-channel plan.
+  for (const net::Channel bad :
+       {net::Channel::bonded(6), net::Channel::bonded(30),
+        net::Channel::basic(12)}) {
+    EXPECT_EQ(rejection([&] {
+                make_runtime(with_channels({net::Channel::basic(0), bad}));
+              }),
+              "snapshot channel outside the plan")
+        << bad.to_string();
+  }
+  // The plan's top bond and top basic channel are fine.
+  EXPECT_EQ(rejection([&] {
+              make_runtime(with_channels(
+                  {net::Channel::bonded(5), net::Channel::basic(11)}));
+            }),
+            "accepted");
+}
+
+TEST(Runtime, RejectsOperatingChannelThatIsNotItsAllocation) {
+  const net::ChannelAssignment allocated = {net::Channel::bonded(0),
+                                            net::Channel::basic(5)};
+  const std::vector<net::ChannelAssignment> bad = {
+      {net::Channel::basic(2), net::Channel::basic(5)},    // not a half
+      {net::Channel::bonded(1), net::Channel::basic(5)},   // another bond
+      {net::Channel::bonded(0), net::Channel::basic(4)},   // moved
+      {net::Channel::bonded(0), net::Channel::bonded(2)},  // widened
+  };
+  for (const net::ChannelAssignment& operating : bad) {
+    EXPECT_EQ(rejection([&] {
+                make_runtime(with_channels(allocated, operating));
+              }),
+              "snapshot operating channel is not its allocation or a half");
+  }
+  // The allocation itself, and either half of the bond.
+  for (const int half : {0, 1}) {
+    EXPECT_EQ(rejection([&] {
+                make_runtime(with_channels(
+                    allocated,
+                    {net::Channel::basic(half), net::Channel::basic(5)}));
+              }),
+              "accepted");
+  }
+  EXPECT_EQ(rejection([&] {
+              make_runtime(with_channels(allocated, allocated));
+            }),
+            "accepted");
+}
+
+TEST(Runtime, RejectsOutOfRangeInputs) {
+  WlanState loss_ap;
+  loss_ap.loss_overrides[{2, 0}] = 90.0;
+  WlanState loss_nan;
+  loss_nan.loss_overrides[{0, 0}] = kNan;
+  WlanState load_client;
+  load_client.loads[4] = 1.0;
+  WlanState load_negative;
+  load_negative.loads[0] = -1.0;
+  WlanState dirty;
+  dirty.dirty = {4};
+  for (const WlanState& s :
+       {loss_ap, loss_nan, load_client, load_negative, dirty}) {
+    EXPECT_THROW(make_runtime(s), std::invalid_argument);
+  }
+  // In-range inputs recover, and the overrides reach the link budget.
+  WlanState ok;
+  ok.loss_overrides[{1, 2}] = 300.0;
+  ok.loads[3] = 0.25;
+  ok.dirty = {2};
+  WlanRuntime rt = make_runtime(ok);
+  EXPECT_FALSE(rt.join(2));  // no AP is usable for client 2 any more
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "service/client.hpp"
+#include "service/snapshot.hpp"
 
 namespace acorn::service {
 namespace {
@@ -525,16 +527,93 @@ TEST(ServiceDaemon, KillAndRestartRecovery) {
   }
 }
 
+// Recovery checks a snapshot against its deployment, not only its
+// checksum: a WLAN whose association names no AP, or whose channels lie
+// outside the plan, is skipped with a log line (its state would
+// otherwise be served and persisted again at every checkpoint), and the
+// healthy WLAN beside it recovers byte-identical.
+TEST(ServiceDaemon, RecoverySkipsSnapshotsThatDoNotFitTheDeployment) {
+  const std::string two_aps = R"(channels 12
+seed 3
+ap 10 10
+ap 40 10
+client 12 12
+client 38 11
+)";
+  const TempDir seed_dir;
+  {
+    DaemonConfig config;
+    config.unix_path = seed_dir.path() + "/sock";
+    config.state_dir = seed_dir.path();
+    config.epoch_s = 0.0;
+    Daemon daemon(config);
+    daemon.start();
+    Client client = Client::connect_unix(config.unix_path);
+    ASSERT_TRUE(std::holds_alternative<OkReply>(
+        client.call(RegisterWlan{1, two_aps})));
+    client.call(ClientJoin{1, 0});
+    client.call(ClientJoin{1, 1});
+    client.call(ForceReconfigure{1});
+    daemon.stop();
+  }
+  const std::vector<WlanSnapshot> seeded = load_snapshots(seed_dir.path());
+  ASSERT_EQ(seeded.size(), 1u);
+  const WlanSnapshot& good = seeded.front();
+
+  const std::vector<std::function<void(WlanSnapshot&)>> misfits = {
+      [](WlanSnapshot& s) { s.association = {5, 0}; },
+      [](WlanSnapshot& s) { s.association = {-7, 0}; },
+      [](WlanSnapshot& s) {
+        // Basic channels 60 and 61 of a 12-channel plan.
+        s.allocated[1] = s.operating[1] = net::Channel::bonded(30);
+      },
+  };
+  for (std::size_t i = 0; i < misfits.size(); ++i) {
+    SCOPED_TRACE("misfit " + std::to_string(i));
+    const TempDir dir;
+    WlanSnapshot bad = good;
+    bad.wlan_id = 2;
+    misfits[i](bad);
+    ASSERT_TRUE(write_snapshot(dir.path(), good));
+    ASSERT_TRUE(write_snapshot(dir.path(), bad));
+
+    DaemonConfig config;
+    config.state_dir = dir.path();
+    config.epoch_s = 0.0;
+    Daemon daemon(config);
+    testing::internal::CaptureStderr();
+    daemon.start();
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(daemon.wlan_ids(), std::vector<std::uint32_t>{1});
+    EXPECT_NE(log.find("cannot recover wlan 2"), std::string::npos) << log;
+    const std::optional<WlanSnapshot> recovered = daemon.wlan_state(1);
+    ASSERT_TRUE(recovered.has_value());
+    EXPECT_EQ(encode_snapshot(*recovered), encode_snapshot(good));
+    daemon.stop();
+  }
+}
+
+// 0 used to select one dedicated thread per WLAN; that mode is gone.
+TEST(ServiceDaemon, ZeroWorkersIsRejected) {
+  DaemonConfig config;
+  config.workers = 0;
+  Daemon daemon(config);
+  EXPECT_THROW(daemon.start(), std::invalid_argument);
+  EXPECT_FALSE(daemon.running());
+}
+
 struct CliRun {
   int status = 0;  // waitpid status
   std::string output;  // stdout + stderr
 };
 
 // Run the built binary `bin` with `args`. Once `stop_marker` appears in
-// its output the process gets SIGTERM; one still running after 10 s gets
-// SIGKILL (a wrongly accepted flag value would leave a daemon running).
+// its output `stop` runs (by default: SIGTERM to the process); one still
+// running after 10 s gets SIGKILL (a wrongly accepted flag value would
+// leave a daemon running).
 CliRun run_cli(const char* bin, const std::vector<std::string>& args,
-               const std::string& stop_marker = "") {
+               const std::string& stop_marker = "",
+               const std::function<void(pid_t)>& stop = {}) {
   // argv is built before fork: the child may only exec.
   std::vector<char*> argv{const_cast<char*>(bin)};
   for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
@@ -573,7 +652,11 @@ CliRun run_cli(const char* bin, const std::vector<std::string>& args,
     run.output.append(buf, static_cast<std::size_t>(n));
     if (!stopping && !stop_marker.empty() &&
         run.output.find(stop_marker) != std::string::npos) {
-      ::kill(pid, SIGTERM);
+      if (stop) {
+        stop(pid);
+      } else {
+        ::kill(pid, SIGTERM);
+      }
       stopping = true;
     }
   }
@@ -608,6 +691,7 @@ TEST(ServiceDaemon, AcorndRejectsBadFlagValues) {
       {"--wal-segment-bytes", "abc"},
       {"--workers", "abc"},
       {"--workers", "-1"},
+      {"--workers", "0"},
       {"--workers", "5000"},
       {"--follow", "127.0.0.1:4464x"},
       {"--follow", "127.0.0.1:"},
@@ -628,10 +712,30 @@ TEST(ServiceDaemon, AcorndRejectsBadFlagValues) {
       ACORND_BIN,
       {"--unix", sock, "--tcp", "0", "--epoch-s", "0", "--hysteresis", "1",
        "--wal-flush-us", "4294967295", "--wal-segment-bytes", "0",
-       "--workers", "0"},
+       "--workers", "1"},
       "listening on " + sock);
   ASSERT_TRUE(WIFEXITED(ok.status)) << ok.output;
   EXPECT_EQ(WEXITSTATUS(ok.status), 0) << ok.output;
+}
+
+// A Shutdown request ends acornd on its own: the event loop stops, and
+// main's signal-wait tick notices and returns once the shards drain.
+TEST(ServiceDaemon, AcorndExitsOnShutdownRequest) {
+  const TempDir dir;
+  const std::string sock = dir.path() + "/sock";
+  const CliRun run = run_cli(
+      ACORND_BIN,
+      {"--unix", sock, "--state-dir", dir.path() + "/state", "--workers", "1"},
+      "listening on " + sock, [&sock](pid_t) {
+        Client client = Client::connect_unix(sock);
+        EXPECT_TRUE(std::holds_alternative<OkReply>(
+            client.call(RegisterWlan{1, kDeployment})));
+        EXPECT_TRUE(
+            std::holds_alternative<OkReply>(client.call(ClientJoin{1, 0})));
+        EXPECT_TRUE(std::holds_alternative<OkReply>(client.call(Shutdown{})));
+      });
+  ASSERT_TRUE(WIFEXITED(run.status)) << run.output;
+  EXPECT_EQ(WEXITSTATUS(run.status), 0) << run.output;
 }
 
 // The replay example parses its numeric flags the same way: a bad value
@@ -642,6 +746,7 @@ TEST(ServiceDaemon, ReplayDaemonRejectsBadFlagValues) {
       {"--wlans", "-1"},     {"--wlans", "0"},     {"--clients", "abc"},
       {"--aps", "2x"},       {"--horizon", "inf"}, {"--rate", "0"},
       {"--seed", "-3"},      {"--workers", "abc"}, {"--epoch-every", "-5"},
+      {"--workers", "0"},
   };
   for (const auto& [flag, value] : bad) {
     SCOPED_TRACE(flag + " '" + value + "'");
