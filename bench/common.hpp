@@ -28,11 +28,16 @@ struct BenchOptions {
   bool smoke = false;
 };
 
+/// Set once parse_options saw --smoke: every row this run emits is
+/// stamped `"scale":"smoke"` instead of `"full"`.
+inline bool g_smoke_scale = false;
+
 inline BenchOptions parse_options(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       opts.smoke = true;
+      g_smoke_scale = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       opts.threads = std::atoi(argv[++i]);
     }
@@ -54,6 +59,21 @@ class Stopwatch {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// `text` without anything that would break a JSON string (quotes,
+/// backslashes, control bytes) and without edge spaces.
+inline std::string json_safe(const std::string& text) {
+  std::string clean;
+  for (const char ch : text) {
+    if (ch == '"' || ch == '\\' || static_cast<unsigned char>(ch) < 0x20) {
+      continue;
+    }
+    clean += ch;
+  }
+  const std::size_t b = clean.find_first_not_of(' ');
+  if (b == std::string::npos) return std::string();
+  return clean.substr(b, clean.find_last_not_of(' ') - b + 1);
+}
+
 /// Hardware context stamped into every emitted JSON row, so records
 /// taken on a 1-core box are distinguishable from multi-core runs
 /// without hand-maintained row relabelling (the old `*_determinism_1core`
@@ -73,21 +93,7 @@ inline const HwContext& hw_context() {
       while (std::fgets(line, sizeof(line), f) != nullptr) {
         if (std::strncmp(line, "model name", 10) != 0) continue;
         const char* colon = std::strchr(line, ':');
-        if (colon != nullptr) {
-          std::string name = colon + 1;
-          // Trim edges and drop anything that would break the JSON
-          // string (quotes, backslashes, control bytes).
-          std::string clean;
-          for (const char ch : name) {
-            if (ch == '"' || ch == '\\' || static_cast<unsigned char>(ch) < 0x20) {
-              continue;
-            }
-            clean += ch;
-          }
-          const std::size_t b = clean.find_first_not_of(' ');
-          const std::size_t e = clean.find_last_not_of(' ');
-          if (b != std::string::npos) c.cpu = clean.substr(b, e - b + 1);
-        }
+        if (colon != nullptr) c.cpu = json_safe(colon + 1);
         break;
       }
       std::fclose(f);
@@ -97,15 +103,20 @@ inline const HwContext& hw_context() {
   return ctx;
 }
 
-/// The hardware fields every emitter appends, leading comma included.
-inline const std::string& hw_json_fields() {
-  static const std::string fields = [] {
-    const HwContext& c = hw_context();
-    char buf[320];
-    std::snprintf(buf, sizeof(buf), ",\"hw_threads\":%d,\"cpu\":\"%s\"",
-                  c.hw_threads, c.cpu.c_str());
-    return std::string(buf);
-  }();
+/// The provenance fields every emitter appends, leading comma included:
+/// the recording hardware (`hw_threads`, `cpu`), the source revision
+/// (`revision`, from ACORN_BENCH_REVISION; left out when that is unset)
+/// and the bench scale (`scale`: `smoke` under --smoke, else `full`).
+inline std::string provenance_json_fields() {
+  const HwContext& c = hw_context();
+  char buf[320];
+  std::snprintf(buf, sizeof(buf), ",\"hw_threads\":%d,\"cpu\":\"%s\"",
+                c.hw_threads, c.cpu.c_str());
+  std::string fields = buf;
+  if (const char* revision = std::getenv("ACORN_BENCH_REVISION")) {
+    fields += ",\"revision\":\"" + json_safe(revision) + "\"";
+  }
+  fields += g_smoke_scale ? ",\"scale\":\"smoke\"" : ",\"scale\":\"full\"";
   return fields;
 }
 
@@ -135,7 +146,7 @@ inline void emit_throughput(const std::string& bench,
                bench.c_str(), case_name.c_str(),
                label != nullptr ? label : "current", threads,
                static_cast<long long>(packets), seconds, pps, msps,
-               hw_json_fields().c_str());
+               provenance_json_fields().c_str());
   std::fclose(f);
 }
 
@@ -166,7 +177,7 @@ inline void emit_evals(const std::string& bench,
                bench.c_str(), case_name.c_str(),
                label != nullptr ? label : "current", threads,
                static_cast<long long>(evals), seconds, eps,
-               hw_json_fields().c_str());
+               provenance_json_fields().c_str());
   std::fclose(f);
 }
 
@@ -196,7 +207,7 @@ inline void emit_events(const std::string& bench,
                bench.c_str(), case_name.c_str(),
                label != nullptr ? label : "current",
                static_cast<long long>(events), seconds, eps,
-               extra_json.c_str(), hw_json_fields().c_str());
+               extra_json.c_str(), provenance_json_fields().c_str());
   std::fclose(f);
 }
 

@@ -33,7 +33,8 @@ Client::~Client() { close(); }
 Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       next_seq_(other.next_seq_),
-      buf_(std::move(other.buf_)) {}
+      buf_(std::move(other.buf_)),
+      out_(std::move(other.out_)) {}
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
@@ -41,6 +42,7 @@ Client& Client::operator=(Client&& other) noexcept {
     fd_ = std::exchange(other.fd_, -1);
     next_seq_ = other.next_seq_;
     buf_ = std::move(other.buf_);
+    out_ = std::move(other.out_);
   }
   return *this;
 }
@@ -133,13 +135,17 @@ void Client::set_recv_timeout_ms(long ms) {
 
 std::uint32_t Client::send(const Message& msg) {
   const std::uint32_t seq = next_seq_++;
-  const std::vector<std::uint8_t> bytes = encode_frame(seq, msg);
+  out_.clear();
+  encode_frame_into(out_, seq, msg);
   std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
+  while (off < out_.size()) {
+    // MSG_NOSIGNAL: a dropped connection is an EPIPE error here, not a
+    // SIGPIPE that ends whatever process embeds the client.
+    const ssize_t n =
+        ::send(fd_, out_.data() + off, out_.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw_errno("write");
+      throw_errno("send");
     }
     off += static_cast<std::size_t>(n);
   }
@@ -149,7 +155,7 @@ std::uint32_t Client::send(const Message& msg) {
 Frame Client::recv() {
   while (true) {
     if (std::optional<Frame> frame = buf_.next()) return std::move(*frame);
-    std::uint8_t chunk[16384];
+    std::uint8_t chunk[FrameBuffer::kReadChunk];
     const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n > 0) {
       buf_.append(chunk, static_cast<std::size_t>(n));

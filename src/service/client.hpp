@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "service/wire.hpp"
 
@@ -44,7 +45,9 @@ class Client {
   /// EWOULDBLOCK. 0 restores blocking reads.
   void set_recv_timeout_ms(long ms);
 
-  /// Send one request frame; returns its sequence number.
+  /// Send one request frame; returns its sequence number. Throws
+  /// std::system_error when the write fails (EPIPE once the daemon has
+  /// dropped the connection).
   std::uint32_t send(const Message& msg);
   /// Block for the next complete frame. Throws WireError on garbage and
   /// std::runtime_error when the daemon closes the connection.
@@ -58,6 +61,9 @@ class Client {
   int fd_ = -1;
   std::uint32_t next_seq_ = 1;
   FrameBuffer buf_;
+  /// The frame being sent, reused so a steady stream of requests
+  /// allocates nothing.
+  std::vector<std::uint8_t> out_;
 };
 
 }  // namespace acorn::service

@@ -70,6 +70,12 @@ void Daemon::start() {
     executor_ = std::make_unique<util::PooledExecutor>(workers);
   }
 
+  // Before any shard exists: the first reply posted must find a pipe to
+  // wake the loop through.
+  if (::pipe(wake_fds_) != 0) throw_errno("pipe");
+  set_nonblocking(wake_fds_[0]);
+  set_nonblocking(wake_fds_[1]);
+
   if (!config_.state_dir.empty()) {
     ::mkdir(config_.state_dir.c_str(), 0755);  // EEXIST is fine
     SyncCoordinator::Options co;
@@ -77,13 +83,11 @@ void Daemon::start() {
     co.segment_bytes = config_.wal_segment_bytes;
     co.metrics = &metrics_;
     co.log = config_.log;
-    coordinator_ = std::make_unique<SyncCoordinator>(std::move(co));
+    coordinator_ = std::make_unique<SyncCoordinator>(
+        std::move(co),
+        [this](const ReplyBuffer& frames) { post_completion(frames); });
     recover_shards();
   }
-
-  if (::pipe(wake_fds_) != 0) throw_errno("pipe");
-  set_nonblocking(wake_fds_[0]);
-  set_nonblocking(wake_fds_[1]);
 
   if (config_.tcp) {
     tcp_listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -155,6 +159,13 @@ void Daemon::stop() {
     coordinator_.reset();
   }
   executor_.reset();
+  {
+    // Replies to connections closed below. Nothing posts any more, and
+    // a restarted loop must find the queue empty, or no post would wake
+    // it.
+    const std::lock_guard<std::mutex> lock(comp_mutex_);
+    completions_.clear();
+  }
   for (auto& [id, conn] : conns_) ::close(conn.fd);
   conns_.clear();
   if (tcp_listen_fd_ >= 0) ::close(std::exchange(tcp_listen_fd_, -1));
@@ -191,10 +202,7 @@ std::unique_ptr<WlanShard> Daemon::make_shard(ShardOptions opts,
                                               std::vector<WalRecord> replay) {
   return std::make_unique<WlanShard>(
       std::move(opts), std::move(state),
-      [this](std::uint64_t conn_id, std::chrono::steady_clock::time_point t0,
-             std::vector<std::uint8_t> frame) {
-        post_completion(Completion{conn_id, t0, std::move(frame)});
-      },
+      [this](const ReplyBuffer& frames) { post_completion(frames); },
       std::move(replay));
 }
 
@@ -276,13 +284,21 @@ void Daemon::remove_durable_state(std::uint32_t wlan_id) {
   coordinator_->remove_wlan(wlan_id);
 }
 
-void Daemon::post_completion(Completion c) {
+void Daemon::post_completion(const ReplyBuffer& frames) {
+  bool was_empty;
   {
     const std::lock_guard<std::mutex> lock(comp_mutex_);
-    completions_.push_back(std::move(c));
+    was_empty = completions_.empty();
+    completions_.append(frames);
   }
-  // A full pipe means a wake byte is already pending; EAGAIN is fine.
-  const ssize_t ignored [[maybe_unused]] = ::write(wake_fds_[1], "x", 1);
+  // Later posts ride the drain the first one's wake byte starts: the
+  // loop empties the pipe before it takes the queue, so a post that
+  // finds the queue empty always leaves a byte behind for the next
+  // poll. A full pipe means a wake byte is already pending; EAGAIN is
+  // fine.
+  if (was_empty) {
+    const ssize_t ignored [[maybe_unused]] = ::write(wake_fds_[1], "x", 1);
+  }
 }
 
 void Daemon::loop() {
@@ -347,7 +363,10 @@ void Daemon::loop() {
           close_conn(conn_id);
           continue;
         }
-        if ((revents & POLLOUT) != 0) flush(it->second);
+        if ((revents & POLLOUT) != 0 && !flush(it->second)) {
+          close_conn(conn_id);
+          continue;
+        }
         if ((revents & POLLIN) != 0) handle_readable(conn_id);
       }
     }
@@ -410,7 +429,7 @@ void Daemon::handle_readable(std::uint64_t conn_id) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
   Conn& conn = it->second;
-  std::uint8_t buf[16384];
+  std::uint8_t buf[FrameBuffer::kReadChunk];
   while (true) {
     const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
     if (n > 0) {
@@ -419,8 +438,10 @@ void Daemon::handle_readable(std::uint64_t conn_id) {
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
-    close_conn(conn_id);  // EOF or hard error
-    return;
+    // EOF or hard error. Requests that arrived with it still count:
+    // they are dispatched below, and the connection closed after them.
+    conn.peer_gone = true;
+    break;
   }
   while (true) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -435,17 +456,15 @@ void Daemon::handle_readable(std::uint64_t conn_id) {
                 ErrorReply{static_cast<std::uint16_t>(ErrorCode::kBadArgument),
                            e.what()},
                 t0);
-      if (auto it2 = conns_.find(conn_id); it2 != conns_.end()) {
-        flush(it2->second);
-      }
       close_conn(conn_id);
       return;
     }
-    if (!frame) return;
+    if (!frame) break;
     metrics_.frames_rx.fetch_add(1, std::memory_order_relaxed);
     dispatch(conn_id, std::move(*frame), t0);
     if (conns_.find(conn_id) == conns_.end()) return;  // dispatch closed it
   }
+  if (conn.peer_gone) close_conn(conn_id);
 }
 
 void Daemon::dispatch(std::uint64_t conn_id, Frame frame,
@@ -528,8 +547,15 @@ void Daemon::dispatch(std::uint64_t conn_id, Frame frame,
       const std::vector<std::uint8_t> bytes = encode_frame(
           0, LogRecordFrame{rem->wlan_id, 0,
                             encode_payload(0, RemoveWlan{rem->wlan_id})});
-      for (const std::uint64_t follower : follower_conns_) {
-        enqueue_bytes(follower, bytes);
+      // A copy: write_out may close a follower, which leaves the set.
+      const std::vector<std::uint64_t> followers(follower_conns_.begin(),
+                                                 follower_conns_.end());
+      for (const std::uint64_t follower : followers) {
+        const auto it = conns_.find(follower);
+        if (it == conns_.end() || it->second.peer_gone) continue;
+        it->second.out.insert(it->second.out.end(), bytes.begin(),
+                              bytes.end());
+        write_out(follower, it->second);
       }
     }
     reply_now(conn_id, seq, OkReply{}, t0);
@@ -586,20 +612,18 @@ WlanShard* Daemon::find_shard(std::uint32_t wlan_id) {
 void Daemon::reply_now(std::uint64_t conn_id, std::uint32_t seq, Message msg,
                        std::chrono::steady_clock::time_point t0) {
   metrics_.request_latency.record(std::chrono::steady_clock::now() - t0);
-  enqueue_bytes(conn_id, encode_frame(seq, msg));
+  const auto it = conns_.find(conn_id);
+  // Client went away (or is going): drop the reply.
+  if (it == conns_.end() || it->second.peer_gone) return;
+  encode_frame_into(it->second.out, seq, msg);
+  write_out(conn_id, it->second);
 }
 
-void Daemon::enqueue_bytes(std::uint64_t conn_id,
-                           std::vector<std::uint8_t> bytes) {
-  const auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;  // client went away; drop the reply
-  Conn& conn = it->second;
-  if (conn.out_pos == conn.out.size()) {
-    conn.out.clear();
-    conn.out_pos = 0;
+void Daemon::write_out(std::uint64_t conn_id, Conn& conn) {
+  if (!flush(conn)) {
+    close_conn(conn_id);
+    return;
   }
-  conn.out.insert(conn.out.end(), bytes.begin(), bytes.end());
-  flush(conn);
   if (conn.out.size() - conn.out_pos > kMaxConnOutBytes) {
     std::fprintf(stderr,
                  "acornd: dropping connection %llu: %zu unread reply "
@@ -610,21 +634,26 @@ void Daemon::enqueue_bytes(std::uint64_t conn_id,
   }
 }
 
-void Daemon::flush(Conn& conn) {
+bool Daemon::flush(Conn& conn) {
   while (conn.out_pos < conn.out.size()) {
-    const ssize_t n = ::write(conn.fd, conn.out.data() + conn.out_pos,
-                              conn.out.size() - conn.out_pos);
+    // MSG_NOSIGNAL: a peer that went away is an EPIPE error that closes
+    // the connection, not a SIGPIPE that ends the process.
+    const ssize_t n =
+        ::send(conn.fd, conn.out.data() + conn.out_pos,
+               conn.out.size() - conn.out_pos, MSG_NOSIGNAL);
     if (n > 0) {
       conn.out_pos += static_cast<std::size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    break;  // EAGAIN (poll will retry) or a hard error (POLLIN path closes)
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) return false;
+    break;  // the socket is full: poll retries on POLLOUT
   }
   if (conn.out_pos == conn.out.size()) {
     conn.out.clear();
     conn.out_pos = 0;
   }
+  return true;
 }
 
 void Daemon::close_conn(std::uint64_t conn_id) {
@@ -644,15 +673,39 @@ void Daemon::close_conn(std::uint64_t conn_id) {
 }
 
 void Daemon::drain_completions() {
-  std::vector<Completion> batch;
   {
     const std::lock_guard<std::mutex> lock(comp_mutex_);
-    batch.swap(completions_);
+    std::swap(completions_, draining_);
   }
-  for (Completion& c : batch) {
-    metrics_.request_latency.record(std::chrono::steady_clock::now() - c.t0);
-    enqueue_bytes(c.conn_id, std::move(c.frame));
+  // Append every frame to its connection's output first (conn id 0,
+  // a follower's replayed event, never matches), then write each
+  // touched connection once.
+  const auto now = std::chrono::steady_clock::now();
+  std::uint64_t last_id = 0;
+  Conn* conn = nullptr;
+  for (const ReplyBuffer::Entry& e : draining_.entries) {
+    metrics_.request_latency.record(now - e.t0);
+    if (e.conn_id != last_id) {
+      last_id = e.conn_id;
+      const auto it = conns_.find(e.conn_id);
+      conn = it == conns_.end() ? nullptr : &it->second;
+    }
+    if (conn == nullptr) continue;  // client went away; drop the reply
+    if (!conn->touched) {
+      conn->touched = true;
+      touched_.push_back(e.conn_id);
+    }
+    const std::span<const std::uint8_t> frame = draining_.frame(e);
+    conn->out.insert(conn->out.end(), frame.begin(), frame.end());
   }
+  draining_.clear();
+  for (const std::uint64_t conn_id : touched_) {
+    const auto it = conns_.find(conn_id);
+    if (it == conns_.end()) continue;
+    it->second.touched = false;
+    write_out(conn_id, it->second);
+  }
+  touched_.clear();
 }
 
 StatsReply Daemon::stats() const {

@@ -8,8 +8,10 @@
 //     shutdown are handled inline on the loop thread;
 //   * WLAN-scoped events (join/leave/SNR/load/reconfigure/config) are
 //     forwarded to that WLAN's shard worker (service/shard.hpp), whose
-//     reply comes back through a completion queue + wake pipe and is
-//     written out by the loop.
+//     replies come back through a completion queue + wake pipe and are
+//     written out by the loop: one wake byte per burst (only when the
+//     queue goes from empty to non-empty), and per drain one write per
+//     connection carrying every reply queued for it.
 //
 // A framing error on a connection (garbage length prefix, unknown type,
 // truncated body) closes that connection: once the stream is
@@ -134,11 +136,12 @@ class Daemon {
     FrameBuffer in;
     std::vector<std::uint8_t> out;
     std::size_t out_pos = 0;
-  };
-  struct Completion {
-    std::uint64_t conn_id = 0;
-    std::chrono::steady_clock::time_point t0;
-    std::vector<std::uint8_t> frame;
+    /// Replies were appended during the current drain; written at its
+    /// end.
+    bool touched = false;
+    /// The peer closed (or reset) its end: the requests it sent before
+    /// are still dispatched, but no reply is written.
+    bool peer_gone = false;
   };
 
   void loop();
@@ -148,11 +151,16 @@ class Daemon {
                 std::chrono::steady_clock::time_point t0);
   void reply_now(std::uint64_t conn_id, std::uint32_t seq, Message msg,
                  std::chrono::steady_clock::time_point t0);
-  void enqueue_bytes(std::uint64_t conn_id, std::vector<std::uint8_t> bytes);
-  void flush(Conn& conn);
+  /// Write what `conn` has buffered; false on a hard write error.
+  bool flush(Conn& conn);
+  /// flush(), then close the connection on a write error or when more
+  /// than kMaxConnOutBytes stay unread.
+  void write_out(std::uint64_t conn_id, Conn& conn);
   void close_conn(std::uint64_t conn_id);
   void drain_completions();
-  void post_completion(Completion c);
+  /// Queue frames for the loop (any thread); wakes it only when the
+  /// queue was empty.
+  void post_completion(const ReplyBuffer& frames);
   void recover_shards();
   /// Delete a removed WLAN's snapshot and legacy log and fence its
   /// segment records (no-op without a state dir).
@@ -197,7 +205,11 @@ class Daemon {
   std::map<std::uint32_t, std::unique_ptr<WlanShard>> shards_;
 
   std::mutex comp_mutex_;
-  std::vector<Completion> completions_;
+  ReplyBuffer completions_;
+  /// The drain's swap partner of completions_, and the connections it
+  /// touched; loop thread only, reused across drains.
+  ReplyBuffer draining_;
+  std::vector<std::uint64_t> touched_;
 
   std::thread follow_thread_;  // runs follow_loop() when config_.follow set
 };

@@ -24,15 +24,6 @@ constexpr std::size_t kSegHeaderBytes = 14;
 // u32 len + u32 wlan_id + u64 seq + u64 fnv.
 constexpr std::size_t kSegRecordOverhead = 24;
 
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 bool write_all(int fd, const std::uint8_t* data, std::size_t n) {
   std::size_t off = 0;
   while (off < n) {
@@ -79,13 +70,14 @@ void remove_wal(const std::string& dir, std::uint32_t wlan_id) {
 
 std::vector<std::uint8_t> encode_wal_record(
     std::uint64_t seq, std::span<const std::uint8_t> payload) {
-  ByteWriter w;
+  std::vector<std::uint8_t> out;
+  out.reserve(kRecordOverhead + payload.size());
+  ByteWriter w(out);
   w.u32(static_cast<std::uint32_t>(payload.size()));
   w.u64(seq);
   w.bytes(payload);
-  const std::uint64_t checksum = fnv1a(w.data());
-  w.u64(checksum);
-  return w.take();
+  w.u64(fnv1a(out));
+  return out;
 }
 
 WalLoadResult load_wal(const std::string& dir, std::uint32_t wlan_id) {
@@ -148,17 +140,25 @@ std::string wal_segment_path(const std::string& dir, std::uint64_t index) {
   return dir + "/seg_" + std::to_string(index) + ".walseg";
 }
 
-std::vector<std::uint8_t> encode_segment_record(
-    std::uint32_t wlan_id, std::uint64_t seq,
-    std::span<const std::uint8_t> payload) {
-  ByteWriter w;
+void encode_segment_record_into(std::vector<std::uint8_t>& out,
+                                std::uint32_t wlan_id, std::uint64_t seq,
+                                std::span<const std::uint8_t> payload) {
+  const std::size_t start = out.size();
+  ByteWriter w(out);
   w.u32(static_cast<std::uint32_t>(payload.size()));
   w.u32(wlan_id);
   w.u64(seq);
   w.bytes(payload);
-  const std::uint64_t checksum = fnv1a(w.data());
-  w.u64(checksum);
-  return w.take();
+  w.u64(fnv1a(std::span<const std::uint8_t>(out).subspan(start)));
+}
+
+std::vector<std::uint8_t> encode_segment_record(
+    std::uint32_t wlan_id, std::uint64_t seq,
+    std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> out;
+  out.reserve(kSegRecordOverhead + payload.size());
+  encode_segment_record_into(out, wlan_id, seq, payload);
+  return out;
 }
 
 namespace {
@@ -291,15 +291,12 @@ void WalSegmentWriter::append(std::uint32_t wlan_id, std::uint64_t seq,
                               std::span<const std::uint8_t> payload) {
   if (fd_ < 0) return;
   if (file_size_ == 0 && buf_.empty()) {
-    ByteWriter w;
+    ByteWriter w(buf_);
     w.u32(kWalSegMagic);
     w.u16(kWalSegVersion);
     w.u64(index_);
-    buf_.insert(buf_.end(), w.data().begin(), w.data().end());
   }
-  const std::vector<std::uint8_t> rec =
-      encode_segment_record(wlan_id, seq, payload);
-  buf_.insert(buf_.end(), rec.begin(), rec.end());
+  encode_segment_record_into(buf_, wlan_id, seq, payload);
 }
 
 bool WalSegmentWriter::sync() {

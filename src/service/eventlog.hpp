@@ -111,7 +111,14 @@ std::vector<std::uint8_t> encode_wal_record(std::uint64_t seq,
 /// `<dir>/seg_<index>.walseg`.
 std::string wal_segment_path(const std::string& dir, std::uint64_t index);
 
-/// Serialize one segment record (header + payload + checksum).
+/// Append one segment record (header + payload + checksum) to `out`;
+/// the checksum covers the appended record alone. The segment writer
+/// encodes straight into its pending buffer with this.
+void encode_segment_record_into(std::vector<std::uint8_t>& out,
+                                std::uint32_t wlan_id, std::uint64_t seq,
+                                std::span<const std::uint8_t> payload);
+
+/// encode_segment_record_into a fresh buffer.
 std::vector<std::uint8_t> encode_segment_record(
     std::uint32_t wlan_id, std::uint64_t seq,
     std::span<const std::uint8_t> payload);

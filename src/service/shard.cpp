@@ -30,8 +30,8 @@ core::WlanRuntime make_runtime(const WlanSnapshot& state,
 
 }  // namespace
 
-WlanShard::WlanShard(ShardOptions options, WlanSnapshot state,
-                     CompletionFn post, std::vector<WalRecord> replay)
+WlanShard::WlanShard(ShardOptions options, WlanSnapshot state, ReplyFn post,
+                     std::vector<WalRecord> replay)
     : options_(std::move(options)),
       wlan_id_(state.wlan_id),
       deployment_text_(state.deployment),
@@ -130,11 +130,26 @@ std::chrono::steady_clock::time_point WlanShard::flush_deadline() const {
   return first_unflushed_ + std::chrono::microseconds(options_.wal_flush_us);
 }
 
+WlanShard::Job* WlanShard::peek_job() {
+  if (next_job_ == draining_.size()) {
+    draining_.clear();
+    next_job_ = 0;
+    const std::lock_guard<std::mutex> lock(queue_mutex_);
+    draining_.swap(jobs_);
+  }
+  return next_job_ < draining_.size() ? &draining_[next_job_] : nullptr;
+}
+
+bool WlanShard::mailbox_empty() {
+  if (next_job_ < draining_.size()) return false;
+  const std::lock_guard<std::mutex> lock(queue_mutex_);
+  return jobs_.empty();
+}
+
 std::chrono::steady_clock::time_point WlanShard::run_pass() {
   int budget = kDrainBatchPerPass;
-  std::unique_lock<std::mutex> lock(queue_mutex_);
   while (true) {
-    if (!jobs_.empty()) {
+    if (Job* job = peek_job()) {
       if (budget == 0) {
         // Fairness bound hit with backlog left: yield the worker and
         // requeue behind the other ready shards.
@@ -145,34 +160,28 @@ std::chrono::steady_clock::time_point WlanShard::run_pass() {
       // wait: sync mid-backlog once the flush window expires.
       if (wal_dirty_ &&
           std::chrono::steady_clock::now() >= flush_deadline()) {
-        lock.unlock();
         flush(/*need_sync=*/true);
-        lock.lock();
         continue;
       }
-      Job job = std::move(jobs_.front());
-      jobs_.pop_front();
+      ++next_job_;
       --budget;
-      lock.unlock();
-      process(job);
-      lock.lock();
+      process(*job);
       continue;
     }
-    // stop() detaches and then drains/flushes inline.
-    if (!running_) return std::chrono::steady_clock::time_point::max();
+    {
+      // stop() detaches and then drains/flushes inline.
+      const std::lock_guard<std::mutex> lock(queue_mutex_);
+      if (!running_) return std::chrono::steady_clock::time_point::max();
+    }
     if (wal_dirty_) {
       // Idle with pending records: nothing is queued behind them, so
       // waiting out the flush window buys no extra batching — commit
       // now and release the withheld replies.
-      lock.unlock();
       flush(/*need_sync=*/true);
-      lock.lock();
       continue;
     }
     if (std::chrono::steady_clock::now() >= next_epoch_) {
-      lock.unlock();
       run_epoch();
-      lock.lock();
       continue;
     }
     // Idle: hand the epoch deadline to the executor's timer wheel;
@@ -182,13 +191,9 @@ std::chrono::steady_clock::time_point WlanShard::run_pass() {
 }
 
 void WlanShard::drain_inline() {
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  while (!jobs_.empty()) {
-    Job job = std::move(jobs_.front());
-    jobs_.pop_front();
-    lock.unlock();
-    process(job);
-    lock.lock();
+  while (Job* job = peek_job()) {
+    ++next_job_;
+    process(*job);
   }
 }
 
@@ -205,8 +210,9 @@ void WlanShard::process(Job& job) {
       bytes = encode_snapshot(build_snapshot_locked());
     }
     followers_.push_back(job.conn_id);
-    post_(job.conn_id, job.t0,
-          encode_frame(0, SnapshotFrame{std::move(bytes)}));
+    direct_.add(job.conn_id, job.t0, 0, SnapshotFrame{std::move(bytes)});
+    post_(direct_);
+    direct_.clear();
     return;
   }
   if (job.kind == Job::Kind::kDetachFollower) {
@@ -214,13 +220,12 @@ void WlanShard::process(Job& job) {
     return;
   }
 
-  std::vector<std::uint8_t> frame;
+  Message reply;
   bool logged = false;
   {
     const std::lock_guard<std::mutex> lock(state_mutex_);
     const std::uint64_t before = events_applied_;
-    Message reply = apply_locked(job.msg);
-    frame = encode_frame(job.seq, reply);
+    reply = apply_locked(job.msg);
     // Exactly the state mutators advance the ordinal: those are the
     // records the WAL and the followers need.
     if (events_applied_ != before) {
@@ -238,10 +243,11 @@ void WlanShard::process(Job& job) {
     // replies queue behind it to preserve per-connection FIFO order —
     // including order against batches already queued at the
     // coordinator, hence the in-flight check.
-    pending_replies_.push_back(PendingReply{job.conn_id, job.t0,
-                                           std::move(frame)});
+    pending_replies_.add(job.conn_id, job.t0, job.seq, reply);
   } else {
-    post_(job.conn_id, job.t0, std::move(frame));
+    direct_.add(job.conn_id, job.t0, job.seq, reply);
+    post_(direct_);
+    direct_.clear();
   }
   if (!wal_dirty_ || wal_base_seq_ >= pending_max_seq_) {
     // Everything withheld is already durable (snapshot compaction, or
@@ -258,12 +264,7 @@ void WlanShard::process(Job& job) {
   // scheduler pass first. A serial (one-in-flight) client pays exactly
   // one sync per event either way; this trims the extra mailbox lock
   // round-trip and pass dispatch from every one of them.
-  bool drained;
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    drained = jobs_.empty();
-  }
-  if (drained) flush(/*need_sync=*/true);
+  if (mailbox_empty()) flush(/*need_sync=*/true);
 }
 
 bool WlanShard::journal_locked(std::uint64_t seq, const Message& msg) {
@@ -273,9 +274,7 @@ bool WlanShard::journal_locked(std::uint64_t seq, const Message& msg) {
   const bool logged = options_.coordinator != nullptr &&
                       options_.coordinator->durable() && seq > wal_base_seq_;
   if (logged) ++counters_.wal_records;
-  if (logged || !followers_.empty()) {
-    pending_records_.push_back(WalRecord{seq, encode_payload(0, msg)});
-  }
+  if (logged || !followers_.empty()) pending_records_.add(seq, msg);
   if (seq > pending_max_seq_) pending_max_seq_ = seq;
   return logged;
 }
@@ -436,28 +435,6 @@ void WlanShard::flush(bool need_sync, bool final) {
     if (final) wait_commits_drained();
     return;
   }
-  CommitBatch batch;
-  batch.wlan_id = wlan_id_;
-  batch.records = std::move(pending_records_);
-  pending_records_.clear();
-  // Records at or below this are already snapshot-covered: the
-  // coordinator forwards them to followers but does not write them.
-  batch.write_from_seq = wal_base_seq_;
-  batch.replies.reserve(pending_replies_.size());
-  for (PendingReply& p : pending_replies_) {
-    batch.replies.push_back(
-        CommitBatch::Reply{p.conn_id, p.t0, std::move(p.frame)});
-  }
-  pending_replies_.clear();
-  batch.followers = followers_;
-  batch.post = post_;
-  batch.on_durable = [this] {
-    {
-      const std::lock_guard<std::mutex> lock(inflight_mutex_);
-      --commits_inflight_;
-    }
-    inflight_cv_.notify_all();
-  };
   {
     const std::lock_guard<std::mutex> lock(inflight_mutex_);
     ++commits_inflight_;
@@ -467,7 +444,20 @@ void WlanShard::flush(bool need_sync, bool final) {
     ++counters_.wal_flushes;
     publish_counters_locked();
   }
-  options_.coordinator->submit(std::move(batch));
+  auto on_durable = [this] {
+    {
+      const std::lock_guard<std::mutex> lock(inflight_mutex_);
+      --commits_inflight_;
+    }
+    inflight_cv_.notify_all();
+  };
+  // Records at or below wal_base_seq_ are already snapshot-covered: the
+  // coordinator forwards them to followers but does not write them.
+  options_.coordinator->submit(wlan_id_, pending_records_, wal_base_seq_,
+                               pending_replies_, followers_,
+                               std::move(on_durable));
+  pending_records_.clear();
+  pending_replies_.clear();
   wal_dirty_ = false;
   if (final) wait_commits_drained();
 }
@@ -479,19 +469,15 @@ void WlanShard::wait_commits_drained() {
 
 void WlanShard::release_pending() {
   if (!followers_.empty() && !pending_records_.empty()) {
-    const auto now = std::chrono::steady_clock::now();
-    for (const std::uint64_t conn : followers_) {
-      for (const WalRecord& rec : pending_records_) {
-        post_(conn, now,
-              encode_frame(0, LogRecordFrame{wlan_id_, rec.seq, rec.payload}));
-      }
-    }
+    append_log_records(direct_, followers_, wlan_id_, pending_records_, 0,
+                       pending_records_.entries.size(),
+                       std::chrono::steady_clock::now());
   }
   pending_records_.clear();
-  for (PendingReply& p : pending_replies_) {
-    post_(p.conn_id, p.t0, std::move(p.frame));
-  }
+  direct_.append(pending_replies_);
   pending_replies_.clear();
+  if (!direct_.empty()) post_(direct_);
+  direct_.clear();
 }
 
 void WlanShard::publish_counters_locked() {

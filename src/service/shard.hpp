@@ -22,7 +22,7 @@
 // is durable. The shard never touches the disk for that — when its
 // mailbox drains, or after `wal_flush_us` under sustained backlog, it
 // hands its pending records and withheld replies to the SyncCoordinator
-// as one CommitBatch, so a pipelined burst pays one fdatasync, not one
+// as one commit batch, so a pipelined burst pays one fdatasync, not one
 // per event, and one fdatasync covers every shard's batch. A successful
 // epoch snapshot supersedes the logged records and is reported to the
 // coordinator as a checkpoint, which lets it retire covered segments.
@@ -43,8 +43,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -52,12 +50,11 @@
 #include "service/eventlog.hpp"
 #include "service/metrics.hpp"
 #include "service/snapshot.hpp"
+#include "service/sync_coordinator.hpp"
 #include "service/wire.hpp"
 #include "util/worker_pool.hpp"
 
 namespace acorn::service {
-
-class SyncCoordinator;
 
 struct ShardOptions {
   /// Reconfiguration period; <= 0 disables the timer (epochs then run
@@ -85,7 +82,7 @@ struct ShardOptions {
   /// (daemon-wide percentiles for --log and stats consumers).
   LatencyHistogram* epoch_latency = nullptr;
   /// The WAL: the shard packages records + withheld replies into
-  /// CommitBatches for this coordinator's fleet-wide group commit, and
+  /// commit batches for this coordinator's fleet-wide group commit, and
   /// reports snapshot checkpoints for segment retirement. Set exactly
   /// when `state_dir` is; the coordinator must outlive the shard's
   /// stop(). Null means no durability.
@@ -125,11 +122,6 @@ class WlanShard : public util::PooledExecutor::Task {
     std::chrono::steady_clock::time_point t0;
     Message msg;
   };
-  /// Invoked with the encoded reply frame.
-  using CompletionFn = std::function<void(
-      std::uint64_t conn_id, std::chrono::steady_clock::time_point t0,
-      std::vector<std::uint8_t> reply_frame)>;
-
   /// Build from registration or recovery state (`state.association`
   /// empty means a fresh WLAN: everyone unassociated, channels seeded
   /// deterministically from the deployment's RNG seed), then replay the
@@ -137,7 +129,8 @@ class WlanShard : public util::PooledExecutor::Task {
   /// events_applied, applied through apply_locked). Throws
   /// std::invalid_argument on a malformed deployment or a snapshot the
   /// runtime rejects, or without an executor.
-  WlanShard(ShardOptions options, WlanSnapshot state, CompletionFn post,
+  /// `post` receives the shard's encoded replies (and follower frames).
+  WlanShard(ShardOptions options, WlanSnapshot state, ReplyFn post,
             std::vector<WalRecord> replay = {});
   ~WlanShard();
 
@@ -166,6 +159,12 @@ class WlanShard : public util::PooledExecutor::Task {
   /// Drain the remaining mailbox on the caller's thread (stop(), after
   /// the executor detach).
   void drain_inline();
+  /// The next queued job, or null when the mailbox is empty. Refills the
+  /// pass's run from the mailbox under queue_mutex_; the job stays valid
+  /// until the following call. Running pass (or stop()) only.
+  Job* peek_job();
+  /// No job left in the pass's run nor in the mailbox.
+  bool mailbox_empty();
   void process(Job& job);
   /// One runtime call per message, its result mapped to a reply.
   Message apply_locked(const Message& msg);
@@ -184,7 +183,7 @@ class WlanShard : public util::PooledExecutor::Task {
   /// wait for a sync.
   bool journal_locked(std::uint64_t seq, const Message& msg);
   /// Release withheld replies + forward durable records to followers by
-  /// handing them to the coordinator as one CommitBatch (released on
+  /// handing them to the coordinator as one commit batch (released on
   /// its commit thread, in submission order, after the sync). `need_sync`
   /// false when a snapshot already made everything durable: with
   /// nothing in flight that short-circuits to a direct release,
@@ -220,7 +219,7 @@ class WlanShard : public util::PooledExecutor::Task {
   mutable std::mutex counters_mutex_;
   ShardCounters published_counters_;
 
-  CompletionFn post_;
+  ReplyFn post_;
 
   // Write-ahead log + group-commit state. Everything below is touched
   // only by the running pass (construction/start/stop excepted, when no
@@ -228,17 +227,14 @@ class WlanShard : public util::PooledExecutor::Task {
   /// events_applied_ value the newest on-disk snapshot covers; records
   /// with seq <= this are redundant and are not appended.
   std::uint64_t wal_base_seq_ = 0;
-  struct PendingReply {
-    std::uint64_t conn_id = 0;
-    std::chrono::steady_clock::time_point t0;
-    std::vector<std::uint8_t> frame;
-  };
+  /// Replies sent straight back (nothing withheld ahead of them).
+  ReplyBuffer direct_;
   /// Replies withheld until the records they acknowledge are durable
   /// (WAL sync or snapshot). FIFO, so per-connection order holds even
   /// for interleaved non-logged requests.
-  std::vector<PendingReply> pending_replies_;
+  ReplyBuffer pending_replies_;
   /// Records in waiting for the WAL and for follower forwarding.
-  std::vector<WalRecord> pending_records_;
+  RecordBuffer pending_records_;
   std::uint64_t pending_max_seq_ = 0;
   bool wal_dirty_ = false;
   std::chrono::steady_clock::time_point first_unflushed_;
@@ -253,9 +249,13 @@ class WlanShard : public util::PooledExecutor::Task {
   /// Suppresses disk writes while the constructor replays the WAL.
   bool replaying_ = false;
 
-  // Mailbox.
+  // Mailbox: submit() appends to jobs_; the running pass swaps the whole
+  // run into draining_ and works through it without the lock, so a job
+  // needs no node of its own.
   std::mutex queue_mutex_;
-  std::deque<Job> jobs_;
+  std::vector<Job> jobs_;
+  std::vector<Job> draining_;  // running pass only
+  std::size_t next_job_ = 0;   // index into draining_
   /// Attached to options_.executor: start() ran and stop() has not.
   bool running_ = false;
   std::chrono::steady_clock::time_point next_epoch_;

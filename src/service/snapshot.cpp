@@ -15,15 +15,6 @@ namespace acorn::service {
 
 namespace {
 
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 void encode_channels(ByteWriter& w, const std::vector<net::Channel>& cs) {
   w.u32(static_cast<std::uint32_t>(cs.size()));
   for (const net::Channel& c : cs) w.channel(c);
@@ -78,7 +69,8 @@ core::WlanState to_state(const WlanSnapshot& snap) {
 }
 
 std::vector<std::uint8_t> encode_snapshot(const WlanSnapshot& snap) {
-  ByteWriter w;
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
   w.u32(kSnapshotMagic);
   w.u16(kSnapshotVersion);
   w.u32(snap.wlan_id);
@@ -102,9 +94,8 @@ std::vector<std::uint8_t> encode_snapshot(const WlanSnapshot& snap) {
   }
   w.u32(static_cast<std::uint32_t>(snap.dirty_clients.size()));
   for (std::uint32_t c : snap.dirty_clients) w.u32(c);
-  const std::uint64_t checksum = fnv1a(w.data());
-  w.u64(checksum);
-  return w.take();
+  w.u64(fnv1a(out));
+  return out;
 }
 
 WlanSnapshot decode_snapshot(std::span<const std::uint8_t> bytes) {

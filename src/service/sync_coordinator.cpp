@@ -2,8 +2,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <iterator>
 #include <memory>
 
 #include "service/wire.hpp"
@@ -20,8 +20,68 @@ constexpr auto kSyncRetryBackoff = std::chrono::milliseconds(10);
 
 }  // namespace
 
-SyncCoordinator::SyncCoordinator(Options options)
-    : options_(std::move(options)) {}
+void ReplyBuffer::add(std::uint64_t conn_id,
+                      std::chrono::steady_clock::time_point t0,
+                      std::uint32_t seq, const Message& msg) {
+  const std::size_t offset = bytes.size();
+  encode_frame_into(bytes, seq, msg);
+  entries.push_back(Entry{conn_id, t0, offset,
+                          static_cast<std::uint32_t>(bytes.size() - offset)});
+}
+
+void ReplyBuffer::append(const ReplyBuffer& other, std::size_t first,
+                         std::size_t last) {
+  if (first == last) return;
+  // Frames [first, last) are contiguous in other.bytes.
+  const std::size_t from = other.entries[first].offset;
+  const Entry& tail = other.entries[last - 1];
+  const std::size_t shift = bytes.size() - from;
+  bytes.insert(bytes.end(),
+               other.bytes.begin() + static_cast<std::ptrdiff_t>(from),
+               other.bytes.begin() +
+                   static_cast<std::ptrdiff_t>(tail.offset + tail.len));
+  for (std::size_t i = first; i < last; ++i) {
+    Entry e = other.entries[i];
+    e.offset += shift;
+    entries.push_back(e);
+  }
+}
+
+void RecordBuffer::add(std::uint64_t seq, const Message& msg) {
+  const std::size_t offset = bytes.size();
+  encode_payload_into(bytes, 0, msg);
+  entries.push_back(
+      Entry{seq, offset, static_cast<std::uint32_t>(bytes.size() - offset)});
+}
+
+void RecordBuffer::append(const RecordBuffer& other) {
+  const std::size_t shift = bytes.size();
+  bytes.insert(bytes.end(), other.bytes.begin(), other.bytes.end());
+  for (Entry e : other.entries) {
+    e.offset += shift;
+    entries.push_back(e);
+  }
+}
+
+void append_log_records(ReplyBuffer& out,
+                        const std::vector<std::uint64_t>& followers,
+                        std::uint32_t wlan_id, const RecordBuffer& records,
+                        std::size_t first, std::size_t last,
+                        std::chrono::steady_clock::time_point t0) {
+  for (const std::uint64_t conn : followers) {
+    for (std::size_t i = first; i < last; ++i) {
+      const RecordBuffer::Entry& rec = records.entries[i];
+      const std::span<const std::uint8_t> payload = records.payload(rec);
+      out.add(conn, t0, 0,
+              LogRecordFrame{wlan_id, rec.seq,
+                             std::vector<std::uint8_t>(payload.begin(),
+                                                       payload.end())});
+    }
+  }
+}
+
+SyncCoordinator::SyncCoordinator(Options options, ReplyFn post)
+    : options_(std::move(options)), post_(std::move(post)) {}
 
 SyncCoordinator::~SyncCoordinator() { stop(); }
 
@@ -56,10 +116,20 @@ void SyncCoordinator::stop() {
   writer_.close();
 }
 
-void SyncCoordinator::submit(CommitBatch batch) {
+void SyncCoordinator::submit(std::uint32_t wlan_id,
+                             const RecordBuffer& records,
+                             std::uint64_t write_from_seq,
+                             const ReplyBuffer& replies,
+                             const std::vector<std::uint64_t>& followers,
+                             std::function<void()> on_durable) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(batch));
+    queue_.records.append(records);
+    queue_.replies.append(replies);
+    queue_.batches.push_back(Batch{wlan_id, write_from_seq,
+                                   queue_.records.entries.size(),
+                                   queue_.replies.entries.size(), followers,
+                                   std::move(on_durable), false});
   }
   cv_.notify_all();
 }
@@ -97,17 +167,16 @@ void SyncCoordinator::remove_wlan(std::uint32_t wlan_id) {
       cv_.notify_all();
       return;
     }
-    CommitBatch batch;
-    batch.wlan_id = wlan_id;
-    batch.tombstone = true;
-    batch.on_durable = [sig] {
+    auto on_durable = [sig] {
       {
         const std::lock_guard<std::mutex> lock(sig->m);
         sig->done = true;
       }
       sig->cv.notify_all();
     };
-    queue_.push_back(std::move(batch));
+    queue_.batches.push_back(Batch{wlan_id, 0, queue_.records.entries.size(),
+                                   queue_.replies.entries.size(), {},
+                                   std::move(on_durable), true});
   }
   cv_.notify_all();
   std::unique_lock<std::mutex> lock(sig->m);
@@ -135,13 +204,11 @@ std::size_t SyncCoordinator::segment_count() const {
 void SyncCoordinator::run() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    if (!queue_.empty()) {
-      std::vector<CommitBatch> batches(
-          std::make_move_iterator(queue_.begin()),
-          std::make_move_iterator(queue_.end()));
-      queue_.clear();
+    if (!queue_.batches.empty()) {
+      std::swap(queue_, draining_);
       lock.unlock();
-      commit(batches);
+      commit(draining_);
+      draining_.clear();
       lock.lock();
       continue;
     }
@@ -157,7 +224,7 @@ void SyncCoordinator::run() {
   }
 }
 
-void SyncCoordinator::commit(std::vector<CommitBatch>& batches) {
+void SyncCoordinator::commit(const Run& run) {
   // Append every batch's fresh records to the shared segment in
   // submission order. The bookkeeping must move in the same order — a
   // tombstone erases exactly the coverage that precedes it, never a
@@ -166,7 +233,8 @@ void SyncCoordinator::commit(std::vector<CommitBatch>& batches) {
   std::uint64_t appended = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (CommitBatch& batch : batches) {
+    std::size_t rec = 0;
+    for (const Batch& batch : run.batches) {
       if (batch.tombstone) {
         if (durable_.load(std::memory_order_relaxed) &&
             ensure_writer_locked()) {
@@ -180,15 +248,16 @@ void SyncCoordinator::commit(std::vector<CommitBatch>& batches) {
         retire_pending_ = true;
         continue;
       }
-      for (const WalRecord& rec : batch.records) {
-        if (rec.seq <= batch.write_from_seq) continue;
+      for (; rec < batch.records_end; ++rec) {
+        const RecordBuffer::Entry& e = run.records.entries[rec];
+        if (e.seq <= batch.write_from_seq) continue;
         if (!durable_.load(std::memory_order_relaxed) ||
             !ensure_writer_locked()) {
-          break;
+          continue;
         }
-        writer_.append(batch.wlan_id, rec.seq, rec.payload);
+        writer_.append(batch.wlan_id, e.seq, run.records.payload(e));
         std::uint64_t& top = open_cover_[batch.wlan_id];
-        if (rec.seq > top) top = rec.seq;
+        if (e.seq > top) top = e.seq;
         ++appended;
       }
     }
@@ -223,24 +292,33 @@ void SyncCoordinator::commit(std::vector<CommitBatch>& batches) {
 
   maybe_rotate();
 
-  // Release in submission order: durable records to each batch's
+  // Release in submission order: each batch's durable records to its
   // followers first (a follower must observe an event no later than the
-  // client that caused it sees its reply), then the withheld replies,
-  // then the shard's in-flight hook.
-  for (CommitBatch& batch : batches) {
-    if (batch.post && !batch.followers.empty() && !batch.records.empty()) {
-      const auto now = std::chrono::steady_clock::now();
-      for (const std::uint64_t conn : batch.followers) {
-        for (const WalRecord& rec : batch.records) {
-          batch.post(conn, now,
-                     encode_frame(0, LogRecordFrame{batch.wlan_id, rec.seq,
-                                                    rec.payload}));
-        }
-      }
+  // client that caused it sees its reply), then its withheld replies —
+  // the whole commit in one hand-off — and only then the shards'
+  // in-flight hooks, so no reply a shard sends directly afterwards can
+  // overtake these. Without followers the run's replies already are in
+  // release order.
+  const ReplyBuffer* frames = &run.replies;
+  const bool forward = std::any_of(
+      run.batches.begin(), run.batches.end(),
+      [](const Batch& b) { return !b.followers.empty(); });
+  if (forward) {
+    release_.clear();
+    const auto now = std::chrono::steady_clock::now();
+    std::size_t records_begin = 0;
+    std::size_t replies_begin = 0;
+    for (const Batch& batch : run.batches) {
+      append_log_records(release_, batch.followers, batch.wlan_id,
+                         run.records, records_begin, batch.records_end, now);
+      release_.append(run.replies, replies_begin, batch.replies_end);
+      records_begin = batch.records_end;
+      replies_begin = batch.replies_end;
     }
-    for (CommitBatch::Reply& reply : batch.replies) {
-      batch.post(reply.conn_id, reply.t0, std::move(reply.frame));
-    }
+    frames = &release_;
+  }
+  if (!frames->empty()) post_(*frames);
+  for (const Batch& batch : run.batches) {
     if (batch.on_durable) batch.on_durable();
   }
 }

@@ -271,6 +271,16 @@ Message decode_body(MsgType type, ByteReader& r) {
                   std::to_string(static_cast<int>(type)));
 }
 
+/// Small frames (every update and its reply) fit in one allocation.
+constexpr std::size_t kFrameReserve = 64;
+
+void write_payload(ByteWriter& w, std::uint32_t seq, const Message& msg) {
+  w.u16(kWireVersion);
+  w.u16(static_cast<std::uint16_t>(type_of(msg)));
+  w.u32(seq);
+  std::visit([&w](const auto& m) { encode_body(w, m); }, msg);
+}
+
 }  // namespace
 
 MsgType type_of(const Message& msg) {
@@ -295,22 +305,34 @@ net::Channel ByteReader::channel() {
   return net::Channel::basic(primary);
 }
 
+void encode_frame_into(std::vector<std::uint8_t>& out, std::uint32_t seq,
+                       const Message& msg) {
+  const std::size_t start = out.size();
+  ByteWriter w(out);
+  w.u32(0);  // length prefix, patched below
+  write_payload(w, seq, msg);
+  w.patch_u32(start, static_cast<std::uint32_t>(out.size() - start - 4));
+}
+
+void encode_payload_into(std::vector<std::uint8_t>& out, std::uint32_t seq,
+                         const Message& msg) {
+  ByteWriter w(out);
+  write_payload(w, seq, msg);
+}
+
 std::vector<std::uint8_t> encode_payload(std::uint32_t seq,
                                          const Message& msg) {
-  ByteWriter payload;
-  payload.u16(kWireVersion);
-  payload.u16(static_cast<std::uint16_t>(type_of(msg)));
-  payload.u32(seq);
-  std::visit([&payload](const auto& m) { encode_body(payload, m); }, msg);
-  return payload.take();
+  std::vector<std::uint8_t> out;
+  out.reserve(kFrameReserve);
+  encode_payload_into(out, seq, msg);
+  return out;
 }
 
 std::vector<std::uint8_t> encode_frame(std::uint32_t seq, const Message& msg) {
-  const std::vector<std::uint8_t> payload = encode_payload(seq, msg);
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.bytes(payload);
-  return frame.take();
+  std::vector<std::uint8_t> out;
+  out.reserve(kFrameReserve);
+  encode_frame_into(out, seq, msg);
+  return out;
 }
 
 Frame decode_payload(std::span<const std::uint8_t> payload) {
@@ -328,11 +350,19 @@ Frame decode_payload(std::span<const std::uint8_t> payload) {
 }
 
 void FrameBuffer::append(const std::uint8_t* data, std::size_t n) {
-  // Compact once the consumed prefix dominates, so a long-lived
-  // connection does not grow its buffer without bound.
-  if (pos_ > 4096 && pos_ > buf_.size() / 2) {
+  // Drop the consumed prefix first. The daemon and the client parse
+  // every complete frame before they read again, so this moves at most
+  // one partial frame, and the buffer stays as large as the largest
+  // read instead of growing with the stream — a long-lived connection
+  // reuses one allocation.
+  if (pos_ > 0) {
     buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
     pos_ = 0;
+  }
+  if (buf_.size() + n > buf_.capacity()) {
+    // Grow geometrically (insert alone would grow to the exact size, and
+    // reallocate at every new largest read).
+    buf_.reserve(std::max({kReadChunk, 2 * buf_.capacity(), buf_.size() + n}));
   }
   buf_.insert(buf_.end(), data, data + n);
 }

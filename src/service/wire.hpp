@@ -232,23 +232,20 @@ MsgType type_of(const Message& msg);
 
 // ---- Byte-level helpers (shared with the snapshot codec) ----------------
 
+/// Appends little-endian fields to a buffer the caller owns: the bytes
+/// already in it stay, so frames, WAL records and snapshots are encoded
+/// in place into whatever buffer they end up in, and a reused buffer
+/// costs no allocation once it has grown.
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) {
-    buf_.push_back(static_cast<std::uint8_t>(v));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
+  explicit ByteWriter(std::vector<std::uint8_t>& out) : out_(out) {}
+  ByteWriter(const ByteWriter&) = delete;
+  ByteWriter& operator=(const ByteWriter&) = delete;
+
+  void u8(std::uint8_t v) { out_.push_back(v); }
+  void u16(std::uint16_t v) { le(v); }
+  void u32(std::uint32_t v) { le(v); }
+  void u64(std::uint64_t v) { le(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void f64(double v) {
     std::uint64_t bits;
@@ -257,24 +254,48 @@ class ByteWriter {
   }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    out_.insert(out_.end(), s.begin(), s.end());
   }
   void channel(const net::Channel& c);
   void bytes(std::span<const std::uint8_t> b) {
-    buf_.insert(buf_.end(), b.begin(), b.end());
+    out_.insert(out_.end(), b.begin(), b.end());
   }
   /// Length-prefixed byte blob (u32 count + raw bytes).
   void blob(std::span<const std::uint8_t> b) {
     u32(static_cast<std::uint32_t>(b.size()));
     bytes(b);
   }
-
-  const std::vector<std::uint8_t>& data() const { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
+  /// Overwrite the u32 at byte offset `pos` (a length patched in once
+  /// the body after it is written).
+  void patch_u32(std::size_t pos, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      out_[pos + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
 
  private:
-  std::vector<std::uint8_t> buf_;
+  template <typename T>
+  void le(T v) {
+    std::uint8_t b[sizeof(T)];
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    out_.insert(out_.end(), b, b + sizeof(T));
+  }
+
+  std::vector<std::uint8_t>& out_;
 };
+
+/// 64-bit FNV-1a: the checksum trailing every snapshot and WAL record.
+inline std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 /// Bounds-checked cursor over one payload; every read throws WireError
 /// instead of walking off the end.
@@ -337,11 +358,21 @@ class ByteReader {
 
 // ---- Frame codec --------------------------------------------------------
 
-/// Encode one frame, length prefix included: ready to write to a socket.
+/// Append one frame, length prefix included, to `out`: the prefix, the
+/// header and the body in one pass, the length patched in last. Bytes
+/// already in `out` are kept.
+void encode_frame_into(std::vector<std::uint8_t>& out, std::uint32_t seq,
+                       const Message& msg);
+
+/// Append one payload (version/type/seq/body, no length prefix) to `out`
+/// — the unit the write-ahead log stores and LogRecordFrame forwards.
+void encode_payload_into(std::vector<std::uint8_t>& out, std::uint32_t seq,
+                         const Message& msg);
+
+/// encode_frame_into a fresh buffer: ready to write to a socket.
 std::vector<std::uint8_t> encode_frame(std::uint32_t seq, const Message& msg);
 
-/// Encode a payload only (version/type/seq/body, no length prefix) —
-/// the unit the write-ahead log stores and LogRecordFrame forwards.
+/// encode_payload_into a fresh buffer.
 std::vector<std::uint8_t> encode_payload(std::uint32_t seq,
                                          const Message& msg);
 
@@ -354,6 +385,10 @@ Frame decode_payload(std::span<const std::uint8_t> payload);
 /// malformed ones) and nullopt when more bytes are needed.
 class FrameBuffer {
  public:
+  /// Bytes the daemon and the client read from a socket at a time; the
+  /// buffer starts with room for one such read.
+  static constexpr std::size_t kReadChunk = 16384;
+
   void append(const std::uint8_t* data, std::size_t n);
   std::optional<Frame> next();
   std::size_t buffered() const { return buf_.size() - pos_; }

@@ -1,5 +1,7 @@
 #include "util/worker_pool.hpp"
 
+#include <algorithm>
+
 namespace acorn::util {
 
 WorkerPool::WorkerPool(int threads) : threads_(threads < 1 ? 1 : threads) {
@@ -135,7 +137,10 @@ void PooledExecutor::detach(Task& task) {
   task.attached_ = false;
   ++task.timer_gen_;  // kill any armed timer entry
   if (task.state_ == Task::State::kReady) {
-    std::erase(ready_, &task);
+    ready_.erase(std::remove(ready_.begin() +
+                                 static_cast<std::ptrdiff_t>(ready_head_),
+                             ready_.end(), &task),
+                 ready_.end());
     task.state_ = Task::State::kIdle;
   }
   // A worker mid-pass finishes its pass, sees attached_ == false, parks
@@ -167,10 +172,15 @@ void PooledExecutor::notify(Task& task) {
 void PooledExecutor::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    ready_cv_.wait(lock, [&] { return stop_ || !ready_.empty(); });
+    ready_cv_.wait(lock,
+                   [&] { return stop_ || ready_head_ < ready_.size(); });
     if (stop_) return;
-    Task* task = ready_.front();
-    ready_.pop_front();
+    Task* task = ready_[ready_head_++];
+    if (2 * ready_head_ >= ready_.size()) {
+      ready_.erase(ready_.begin(),
+                   ready_.begin() + static_cast<std::ptrdiff_t>(ready_head_));
+      ready_head_ = 0;
+    }
     task->state_ = Task::State::kRunning;
     lock.unlock();
     const Clock::time_point next = task->run_pass();

@@ -17,7 +17,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -157,7 +156,11 @@ class PooledExecutor {
   std::condition_variable ready_cv_;   // workers wait here
   std::condition_variable timer_cv_;   // timer thread waits here
   std::condition_variable quiesce_cv_; // detach() waits for kRunning*
-  std::deque<Task*> ready_;
+  /// Ready tasks, FIFO from ready_head_. The consumed prefix is dropped
+  /// once it is half the vector, so steady scheduling reuses one
+  /// allocation (a deque would take a node every 64 pushes).
+  std::vector<Task*> ready_;
+  std::size_t ready_head_ = 0;
   std::priority_queue<TimerEntry, std::vector<TimerEntry>,
                       std::greater<TimerEntry>>
       timers_;

@@ -20,14 +20,17 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "service/client.hpp"
 #include "service/snapshot.hpp"
+#include "util/rng.hpp"
 
 namespace acorn::service {
 namespace {
@@ -591,6 +594,269 @@ client 38 11
     EXPECT_EQ(encode_snapshot(*recovered), encode_snapshot(good));
     daemon.stop();
   }
+}
+
+// A raw Unix-socket connection to `path`.
+int connect_raw(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) throw std::runtime_error("socket");
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    throw std::runtime_error("connect " + path);
+  }
+  return fd;
+}
+
+std::uint64_t events_applied(Client& client, std::uint32_t wlan_id) {
+  const Message reply = client.call(QueryConfig{wlan_id});
+  if (!std::holds_alternative<ConfigReply>(reply)) return ~0ull;
+  return std::get<ConfigReply>(reply).events_applied;
+}
+
+// A peer that went away must cost a write error, never a SIGPIPE that
+// ends the process embedding the daemon or the client. The daemon side:
+// a peer that shut its read side gets a reply written to it, which
+// fails with EPIPE; the daemon closes that connection and serves the
+// next. The client side: once the daemon dropped the connection,
+// Client::send throws.
+TEST(ServiceDaemon, DroppedPeerRaisesInsteadOfSigpipe) {
+  const TempDir dir;
+  DaemonConfig config;
+  config.unix_path = dir.path() + "/sock";
+  config.epoch_s = 0.0;
+  Daemon daemon(config);
+  daemon.start();
+
+  const int fd = connect_raw(config.unix_path);
+  ASSERT_EQ(::shutdown(fd, SHUT_RD), 0);
+  // An unknown WLAN: the daemon answers inline, into the closed side.
+  const std::vector<std::uint8_t> query = encode_frame(1, QueryConfig{99});
+  ASSERT_EQ(::write(fd, query.data(), query.size()),
+            static_cast<ssize_t>(query.size()));
+  Client client = Client::connect_unix(config.unix_path);
+  EXPECT_TRUE(std::holds_alternative<StatsReply>(client.call(QueryStats{})));
+  // The daemon closed the raw connection: a write to it now fails too.
+  bool closed = false;
+  for (int i = 0; i < 200 && !closed; ++i) {
+    closed = ::send(fd, query.data(), query.size(), MSG_NOSIGNAL) < 0;
+    if (!closed) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(closed) << "daemon kept the connection after EPIPE";
+  ::close(fd);
+
+  daemon.stop();  // drops `client`'s connection
+  EXPECT_THROW(client.send(QueryStats{}), std::system_error);
+}
+
+// Requests that arrive together with the client's EOF still count: the
+// daemon dispatches every complete frame it buffered before it closes
+// the connection (their replies have no reader and are dropped).
+TEST(ServiceDaemon, RequestsArrivingWithEofAreApplied) {
+  const TempDir dir;
+  DaemonConfig config;
+  config.unix_path = dir.path() + "/sock";
+  config.epoch_s = 0.0;
+  Daemon daemon(config);
+  daemon.start();
+  Client client = Client::connect_unix(config.unix_path);
+  ASSERT_TRUE(std::holds_alternative<OkReply>(
+      client.call(RegisterWlan{1, kDeployment})));
+
+  constexpr std::uint64_t kUpdates = 200;
+  std::vector<std::uint8_t> burst;
+  for (std::uint64_t i = 0; i < kUpdates; ++i) {
+    encode_frame_into(burst, static_cast<std::uint32_t>(i + 1),
+                      SnrUpdate{1, static_cast<std::uint32_t>(i % 3),
+                                static_cast<std::uint32_t>(i % 8),
+                                80.0 + static_cast<double>(i % 11)});
+  }
+  const int fd = connect_raw(config.unix_path);
+  ASSERT_EQ(::write(fd, burst.data(), burst.size()),
+            static_cast<ssize_t>(burst.size()));
+  ::close(fd);
+
+  std::uint64_t applied = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((applied = events_applied(client, 1)) != kUpdates &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(applied, kUpdates);
+  daemon.stop();
+}
+
+// A client that pipelines requests but never reads its replies is
+// dropped once more than kMaxConnOutBytes (8 MiB) of replies sit unread
+// (QueryConfig replies take the shard path, ~120 bytes each); every
+// other connection keeps being served.
+TEST(ServiceDaemon, UnreadRepliesPastTheCapDropTheConnection) {
+  const TempDir dir;
+  DaemonConfig config;
+  config.unix_path = dir.path() + "/sock";
+  config.epoch_s = 0.0;
+  Daemon daemon(config);
+  daemon.start();
+  Client other = Client::connect_unix(config.unix_path);
+  ASSERT_TRUE(std::holds_alternative<OkReply>(
+      other.call(RegisterWlan{1, kDeployment})));
+  for (std::uint32_t c = 0; c < 8; ++c) {
+    ASSERT_TRUE(std::holds_alternative<OkReply>(other.call(ClientJoin{1, c})));
+  }
+
+  Client flooder = Client::connect_unix(config.unix_path);
+  testing::internal::CaptureStderr();
+  // 100k replies are ~12 MiB. The shard answers more slowly than the
+  // requests go out, so keep trickling requests until a send fails: the
+  // daemon has closed the connection.
+  bool dropped = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  for (int i = 0; !dropped && std::chrono::steady_clock::now() < deadline;
+       ++i) {
+    try {
+      flooder.send(QueryConfig{1});
+    } catch (const std::system_error&) {
+      dropped = true;
+    }
+    if (i >= 100000) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(dropped) << "the flooding connection was never dropped";
+  EXPECT_NE(log.find("dropping connection"), std::string::npos) << log;
+  EXPECT_EQ(events_applied(other, 1), 8u);
+  daemon.stop();
+}
+
+// Replies released by group commit keep the per-connection contract: a
+// durable daemon, two connections each pipelining to a WLAN of its own
+// and to one shared WLAN — journaled updates (withheld until the sync),
+// QueryConfig (withheld behind in-flight commits), ForceReconfigure
+// (covered by its snapshot, released without a sync) and rejected
+// updates. Every request gets exactly one reply carrying its own seq,
+// replies come back in send order per WLAN, and every QueryConfig on an
+// unshared WLAN reports exactly the events sent to it before.
+TEST(ServiceDaemon, DurableRepliesKeepOrderPerConnectionAndWlan) {
+  const TempDir dir;
+  DaemonConfig config;
+  config.unix_path = dir.path() + "/sock";
+  config.state_dir = dir.path() + "/state";
+  config.epoch_s = 0.0;
+  config.workers = 2;
+  Daemon daemon(config);
+  daemon.start();
+  {
+    Client setup = Client::connect_unix(config.unix_path);
+    for (std::uint32_t wlan = 1; wlan <= 3; ++wlan) {
+      ASSERT_TRUE(std::holds_alternative<OkReply>(
+          setup.call(RegisterWlan{wlan, kDeployment})));
+      for (std::uint32_t c = 0; c < 8; ++c) {
+        ASSERT_TRUE(std::holds_alternative<OkReply>(
+            setup.call(ClientJoin{wlan, c})));
+      }
+    }
+  }
+
+  enum class Op { kSnr, kLoad, kQuery, kForce, kRejected };
+  struct Sent {
+    std::uint32_t seq = 0;
+    std::uint32_t wlan = 0;
+    Op op = Op::kSnr;
+    std::uint64_t expect_applied = 0;  // kQuery on the own WLAN only
+  };
+  const auto drive = [&config](std::uint32_t own, std::uint64_t seed,
+                               std::string& failure) {
+    Client client = Client::connect_unix(config.unix_path);
+    util::Rng rng(seed);
+    std::uint64_t own_applied = 8;  // the joins
+    std::vector<Sent> sent;
+    for (int i = 0; i < 600; ++i) {
+      Sent s;
+      s.wlan = rng.uniform() < 0.6 ? own : 1;
+      const double pick = rng.uniform();
+      s.op = pick < 0.35   ? Op::kSnr
+             : pick < 0.65 ? Op::kLoad
+             : pick < 0.82 ? Op::kQuery
+             : pick < 0.92 ? Op::kForce
+                           : Op::kRejected;
+      const auto client_id = static_cast<std::uint32_t>(rng.uniform_int(0, 7));
+      Message msg;
+      switch (s.op) {
+        case Op::kSnr:
+          msg = SnrUpdate{s.wlan,
+                          static_cast<std::uint32_t>(rng.uniform_int(0, 2)),
+                          client_id, rng.uniform(70.0, 120.0)};
+          break;
+        case Op::kLoad:
+          msg = LoadUpdate{s.wlan, client_id, rng.uniform()};
+          break;
+        case Op::kQuery:
+          msg = QueryConfig{s.wlan};
+          break;
+        case Op::kForce:
+          msg = ForceReconfigure{s.wlan};
+          break;
+        case Op::kRejected:
+          msg = LoadUpdate{s.wlan, 500, 0.5};
+          break;
+      }
+      if (s.wlan == own) {
+        if (s.op == Op::kQuery) s.expect_applied = own_applied;
+        if (s.op == Op::kSnr || s.op == Op::kLoad || s.op == Op::kForce) {
+          ++own_applied;
+        }
+      }
+      s.seq = client.send(msg);
+      sent.push_back(s);
+    }
+    std::vector<int> replies(sent.size(), 0);
+    std::map<std::uint32_t, std::size_t> last_index;
+    for (std::size_t r = 0; r < sent.size() && failure.empty(); ++r) {
+      const Frame f = client.recv();
+      const std::size_t idx = f.seq - sent.front().seq;
+      if (idx >= sent.size() || replies[idx]++ != 0) {
+        failure = "unexpected or repeated reply seq " + std::to_string(f.seq);
+        break;
+      }
+      const Sent& s = sent[idx];
+      const auto last = last_index.find(s.wlan);
+      if (last != last_index.end() && last->second > idx) {
+        failure = "reply " + std::to_string(idx) + " for wlan " +
+                  std::to_string(s.wlan) + " overtook reply " +
+                  std::to_string(last->second);
+      }
+      last_index[s.wlan] = idx;
+      const bool ok = std::holds_alternative<OkReply>(f.msg);
+      const auto* cfg = std::get_if<ConfigReply>(&f.msg);
+      if (s.op == Op::kRejected) {
+        if (!std::holds_alternative<ErrorReply>(f.msg)) {
+          failure = "rejected update was not answered with an error";
+        }
+      } else if (s.op == Op::kQuery) {
+        if (cfg == nullptr || cfg->wlan_id != s.wlan) {
+          failure = "QueryConfig not answered with its WLAN's config";
+        } else if (s.wlan == own && cfg->events_applied != s.expect_applied) {
+          failure = "QueryConfig on wlan " + std::to_string(own) +
+                    " read " + std::to_string(cfg->events_applied) +
+                    " events, expected " + std::to_string(s.expect_applied);
+        }
+      } else if (!ok) {
+        failure = "update " + std::to_string(idx) + " was not acknowledged";
+      }
+    }
+  };
+  std::string failure_a;
+  std::string failure_b;
+  std::thread a([&] { drive(2, 0xA11CE, failure_a); });
+  std::thread b([&] { drive(3, 0xB0B, failure_b); });
+  a.join();
+  b.join();
+  EXPECT_EQ(failure_a, "");
+  EXPECT_EQ(failure_b, "");
+  daemon.stop();
 }
 
 // 0 used to select one dedicated thread per WLAN; that mode is gone.

@@ -69,18 +69,10 @@ TEST(ServiceSnapshot, EmptyFieldsRoundTrip) {
   expect_equal(decode_snapshot(encode_snapshot(snap)), snap);
 }
 
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // Encode `snap` in the version-1 layout (no dirty-client section).
 std::vector<std::uint8_t> encode_snapshot_v1(const WlanSnapshot& snap) {
-  ByteWriter w;
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
   w.u32(kSnapshotMagic);
   w.u16(1);
   w.u32(snap.wlan_id);
@@ -104,8 +96,8 @@ std::vector<std::uint8_t> encode_snapshot_v1(const WlanSnapshot& snap) {
     w.u32(l.client);
     w.f64(l.load);
   }
-  w.u64(fnv1a(w.data()));
-  return w.take();
+  w.u64(fnv1a(out));
+  return out;
 }
 
 // Upgrading a deployment must not drop its persisted v1 state: the old

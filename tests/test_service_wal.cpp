@@ -162,10 +162,10 @@ void write_file(const std::string& path,
 // ACWL header, then one record per (seq, payload).
 std::vector<std::uint8_t> legacy_wal_bytes(
     const std::vector<WalRecord>& records) {
-  ByteWriter hdr;
+  std::vector<std::uint8_t> bytes;
+  ByteWriter hdr(bytes);
   hdr.u32(kWalMagic);
   hdr.u16(kWalVersion);
-  std::vector<std::uint8_t> bytes = hdr.take();
   for (const WalRecord& r : records) {
     const std::vector<std::uint8_t> rec = encode_wal_record(r.seq, r.payload);
     bytes.insert(bytes.end(), rec.begin(), rec.end());

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "service/eventlog.hpp"
 #include "util/rng.hpp"
 
 namespace acorn::service {
@@ -165,6 +166,53 @@ TEST(ServiceWire, RandomizedRoundTripAllTypes) {
   }
 }
 
+// The in-place encoders append exactly the one-shot encoders' bytes
+// after whatever the buffer already holds: the length prefix is patched
+// at the frame's own offset, and a segment record's checksum covers the
+// appended record alone.
+TEST(ServiceWire, InPlaceEncodersAppendTheOneShotBytes) {
+  util::Rng rng(0x1A1ACE);
+  std::vector<std::uint8_t> frames = {0xde, 0xad};
+  std::vector<std::uint8_t> payloads = {0xbe};
+  std::vector<std::uint8_t> records = {0xef, 0x01, 0x02};
+  const auto tail = [](const std::vector<std::uint8_t>& buf, std::size_t at) {
+    return std::vector<std::uint8_t>(
+        buf.begin() + static_cast<std::ptrdiff_t>(at), buf.end());
+  };
+  for (int trial = 0; trial < 500; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const auto seq = static_cast<std::uint32_t>(rng.next_u64());
+    const Message msg = random_message(rng);
+
+    const std::vector<std::uint8_t> frame = encode_frame(seq, msg);
+    std::size_t at = frames.size();
+    encode_frame_into(frames, seq, msg);
+    ASSERT_EQ(tail(frames, at), frame);
+
+    const std::vector<std::uint8_t> payload = encode_payload(seq, msg);
+    at = payloads.size();
+    encode_payload_into(payloads, seq, msg);
+    ASSERT_EQ(tail(payloads, at), payload);
+    // A frame is its payload behind a u32 length prefix.
+    ASSERT_EQ(std::vector<std::uint8_t>(frame.begin() + 4, frame.end()),
+              payload);
+    ASSERT_EQ(frame[0] | (frame[1] << 8) | (frame[2] << 16) |
+                  (static_cast<std::uint32_t>(frame[3]) << 24),
+              payload.size());
+
+    const auto wlan_id = static_cast<std::uint32_t>(rng.next_u64());
+    const std::uint64_t record_seq = rng.next_u64();
+    at = records.size();
+    encode_segment_record_into(records, wlan_id, record_seq, payload);
+    const std::vector<std::uint8_t> record = tail(records, at);
+    ASSERT_EQ(record, encode_segment_record(wlan_id, record_seq, payload));
+    const std::span<const std::uint8_t> body(record.data(),
+                                             record.size() - 8);
+    ByteReader trailer(std::span<const std::uint8_t>(record).last(8));
+    ASSERT_EQ(trailer.u64(), fnv1a(body));
+  }
+}
+
 TEST(ServiceWire, PipelinedFramesComeBackInOrder) {
   util::Rng rng(7);
   std::vector<Message> msgs;
@@ -273,7 +321,8 @@ TEST(ServiceWire, TruncatedBodyAndTrailingBytesRejected) {
 TEST(ServiceWire, MalformedChannelRejected) {
   // Hand-craft a ConfigReply whose channel word claims a bonded channel
   // on an odd primary (bonded primaries are always even).
-  ByteWriter w;
+  std::vector<std::uint8_t> payload;
+  ByteWriter w(payload);
   w.u16(kWireVersion);
   w.u16(static_cast<std::uint16_t>(MsgType::kConfigReply));
   w.u32(1);     // seq
@@ -286,7 +335,7 @@ TEST(ServiceWire, MalformedChannelRejected) {
   w.u8(1);      // bonded
   w.i32(3);     // odd primary -> invalid
   w.u32(0);     // operating: empty
-  EXPECT_THROW(decode_payload(w.data()), WireError);
+  EXPECT_THROW(decode_payload(payload), WireError);
 }
 
 TEST(ServiceWire, DoubleBitPatternsSurvive) {
