@@ -1,8 +1,8 @@
 // Shared helpers for the experiment benches: banner printing, the canned
 // deployments of the paper's evaluation section, a tiny command-line
-// parser (--threads N, --smoke) and a machine-readable throughput
-// emitter that appends JSON lines to BENCH_baseband.json so the perf
-// trajectory of the baseband engine is tracked across PRs.
+// parser (--threads N, --smoke) and one JSON-lines row writer behind the
+// BENCH_baseband.json, BENCH_network.json and BENCH_service.json
+// emitters, so the perf trajectory is tracked across changes.
 #pragma once
 
 #include <chrono>
@@ -103,112 +103,95 @@ inline const HwContext& hw_context() {
   return ctx;
 }
 
-/// The provenance fields every emitter appends, leading comma included:
+/// Append one JSON row: the bench and case names and the label, then
+/// `fields` (empty or starting with ','), then the provenance of the run:
 /// the recording hardware (`hw_threads`, `cpu`), the source revision
 /// (`revision`, from ACORN_BENCH_REVISION; left out when that is unset)
 /// and the bench scale (`scale`: `smoke` under --smoke, else `full`).
-inline std::string provenance_json_fields() {
-  const HwContext& c = hw_context();
-  char buf[320];
-  std::snprintf(buf, sizeof(buf), ",\"hw_threads\":%d,\"cpu\":\"%s\"",
-                c.hw_threads, c.cpu.c_str());
-  std::string fields = buf;
-  if (const char* revision = std::getenv("ACORN_BENCH_REVISION")) {
-    fields += ",\"revision\":\"" + json_safe(revision) + "\"";
-  }
-  fields += g_smoke_scale ? ",\"scale\":\"smoke\"" : ",\"scale\":\"full\"";
-  return fields;
+/// The row goes to `default_path` unless ACORN_BENCH_JSON names another
+/// file. The label is `label_override`, else ACORN_BENCH_LABEL, else
+/// `smoke` for a --smoke run and `current` for a full one.
+inline void emit_row(const char* default_path, const std::string& bench,
+                     const std::string& case_name, const char* label_override,
+                     const std::string& fields) {
+  const char* path = std::getenv("ACORN_BENCH_JSON");
+  std::FILE* f = std::fopen(path != nullptr ? path : default_path, "a");
+  if (f == nullptr) return;
+  const char* label = label_override != nullptr
+                          ? label_override
+                          : std::getenv("ACORN_BENCH_LABEL");
+  if (label == nullptr) label = g_smoke_scale ? "smoke" : "current";
+  const HwContext& hw = hw_context();
+  const char* revision = std::getenv("ACORN_BENCH_REVISION");
+  const std::string revision_field =
+      revision != nullptr ? ",\"revision\":\"" + json_safe(revision) + "\""
+                          : std::string();
+  std::fprintf(f,
+               "{\"bench\":\"%s\",\"case\":\"%s\",\"label\":\"%s\"%s"
+               ",\"hw_threads\":%d,\"cpu\":\"%s\"%s,\"scale\":\"%s\"}\n",
+               bench.c_str(), case_name.c_str(), label, fields.c_str(),
+               hw.hw_threads, hw.cpu.c_str(), revision_field.c_str(),
+               g_smoke_scale ? "smoke" : "full");
+  std::fclose(f);
 }
 
-/// Append one JSON line to BENCH_baseband.json (path overridable via
-/// ACORN_BENCH_JSON; record label via ACORN_BENCH_LABEL, e.g. "seed" for
-/// a before/after comparison). `samples` counts complex baseband samples
-/// pushed through the chain, so msamples_per_sec tracks the sample-level
-/// work independent of packet size.
+/// A row of BENCH_baseband.json. `samples` counts complex baseband
+/// samples pushed through the chain, so msamples_per_sec tracks the
+/// sample-level work independent of packet size.
 inline void emit_throughput(const std::string& bench,
                             const std::string& case_name, double seconds,
                             std::int64_t packets, std::int64_t samples,
                             int threads) {
-  const char* path = std::getenv("ACORN_BENCH_JSON");
-  const char* label = std::getenv("ACORN_BENCH_LABEL");
-  std::FILE* f = std::fopen(path != nullptr ? path : "BENCH_baseband.json",
-                            "a");
-  if (f == nullptr) return;
   const double pps = seconds > 0.0 ? static_cast<double>(packets) / seconds
                                    : 0.0;
   const double msps = seconds > 0.0
                           ? static_cast<double>(samples) / seconds / 1e6
                           : 0.0;
-  std::fprintf(f,
-               "{\"bench\":\"%s\",\"case\":\"%s\",\"label\":\"%s\","
-               "\"threads\":%d,\"packets\":%lld,\"seconds\":%.6f,"
-               "\"packets_per_sec\":%.1f,\"msamples_per_sec\":%.3f%s}\n",
-               bench.c_str(), case_name.c_str(),
-               label != nullptr ? label : "current", threads,
-               static_cast<long long>(packets), seconds, pps, msps,
-               provenance_json_fields().c_str());
-  std::fclose(f);
+  char fields[256];
+  std::snprintf(fields, sizeof(fields),
+                ",\"threads\":%d,\"packets\":%lld,\"seconds\":%.6f,"
+                "\"packets_per_sec\":%.1f,\"msamples_per_sec\":%.3f",
+                threads, static_cast<long long>(packets), seconds, pps, msps);
+  emit_row("BENCH_baseband.json", bench, case_name, nullptr, fields);
 }
 
-/// Append one JSON line to BENCH_network.json (path overridable via
-/// ACORN_BENCH_JSON) for the network-layer scenario sweeps: `evals`
-/// counts full-network Wlan evaluations pushed through the engine.
-/// Unlike the baseband emitter, the record label is usually passed
-/// explicitly ("seed" for the reference evaluator rows, "after" for the
-/// flat engine) because one bench run times both implementations;
-/// `label_override == nullptr` falls back to ACORN_BENCH_LABEL.
+/// A row of BENCH_network.json for the network-layer scenario sweeps:
+/// `evals` counts full-network Wlan evaluations pushed through the
+/// engine. The label is usually passed explicitly ("seed" for the
+/// reference evaluator rows, "after" for the flat engine) because one
+/// bench run times both implementations.
 inline void emit_evals(const std::string& bench,
                        const std::string& case_name, double seconds,
                        std::int64_t evals, int threads,
                        const char* label_override = nullptr) {
-  const char* path = std::getenv("ACORN_BENCH_JSON");
-  const char* label = label_override != nullptr
-                          ? label_override
-                          : std::getenv("ACORN_BENCH_LABEL");
-  std::FILE* f = std::fopen(path != nullptr ? path : "BENCH_network.json",
-                            "a");
-  if (f == nullptr) return;
   const double eps = seconds > 0.0 ? static_cast<double>(evals) / seconds
                                    : 0.0;
-  std::fprintf(f,
-               "{\"bench\":\"%s\",\"case\":\"%s\",\"label\":\"%s\","
-               "\"threads\":%d,\"evals\":%lld,\"seconds\":%.6f,"
-               "\"evals_per_sec\":%.1f%s}\n",
-               bench.c_str(), case_name.c_str(),
-               label != nullptr ? label : "current", threads,
-               static_cast<long long>(evals), seconds, eps,
-               provenance_json_fields().c_str());
-  std::fclose(f);
+  char fields[192];
+  std::snprintf(fields, sizeof(fields),
+                ",\"threads\":%d,\"evals\":%lld,\"seconds\":%.6f,"
+                "\"evals_per_sec\":%.1f",
+                threads, static_cast<long long>(evals), seconds, eps);
+  emit_row("BENCH_network.json", bench, case_name, label_override, fields);
 }
 
-/// Append one JSON line to BENCH_service.json (path overridable via
-/// ACORN_BENCH_JSON) for the acornd protocol benches: `events` counts
-/// request frames fully round-tripped (sent, dispatched, replied).
-/// `extra_json` lets a caller attach bench-specific fields (fleet size,
-/// worker count, epoch percentiles); it must be empty or start with ','.
+/// A row of BENCH_service.json for the acornd protocol benches: `events`
+/// counts request frames fully round-tripped (sent, dispatched,
+/// replied). `extra_json` lets a caller attach bench-specific fields
+/// (fleet size, worker count, epoch percentiles); it must be empty or
+/// start with ','.
 inline void emit_events(const std::string& bench,
                         const std::string& case_name, double seconds,
                         std::int64_t events,
                         const char* label_override = nullptr,
                         const std::string& extra_json = std::string()) {
-  const char* path = std::getenv("ACORN_BENCH_JSON");
-  const char* label = label_override != nullptr
-                          ? label_override
-                          : std::getenv("ACORN_BENCH_LABEL");
-  std::FILE* f = std::fopen(path != nullptr ? path : "BENCH_service.json",
-                            "a");
-  if (f == nullptr) return;
   const double eps = seconds > 0.0 ? static_cast<double>(events) / seconds
                                    : 0.0;
-  std::fprintf(f,
-               "{\"bench\":\"%s\",\"case\":\"%s\",\"label\":\"%s\","
-               "\"events\":%lld,\"seconds\":%.6f,"
-               "\"events_per_sec\":%.1f%s%s}\n",
-               bench.c_str(), case_name.c_str(),
-               label != nullptr ? label : "current",
-               static_cast<long long>(events), seconds, eps,
-               extra_json.c_str(), provenance_json_fields().c_str());
-  std::fclose(f);
+  char fields[160];
+  std::snprintf(fields, sizeof(fields),
+                ",\"events\":%lld,\"seconds\":%.6f,\"events_per_sec\":%.1f",
+                static_cast<long long>(events), seconds, eps);
+  emit_row("BENCH_service.json", bench, case_name, label_override,
+           fields + extra_json);
 }
 
 inline void banner(const std::string& experiment,

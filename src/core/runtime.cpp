@@ -184,11 +184,16 @@ EpochRecord WlanRuntime::run_epoch() {
     state_.operating[ap] = next;
   }
   ++state_.epoch;
+  goodput_bps_.reset();
   return rec;
 }
 
 double WlanRuntime::goodput_bps() {
-  return oracle().snapshot().evaluate(state_.operating).total_goodput_bps;
+  if (!goodput_bps_) {
+    goodput_bps_ =
+        oracle().snapshot().evaluate(state_.operating).total_goodput_bps;
+  }
+  return *goodput_bps_;
 }
 
 CachedOracle& WlanRuntime::oracle() {
@@ -208,6 +213,7 @@ CachedOracle& WlanRuntime::oracle() {
 }
 
 void WlanRuntime::retire_oracle() {
+  goodput_bps_.reset();
   if (!oracle_) return;
   retired_ = oracle_stats();
   oracle_.reset();

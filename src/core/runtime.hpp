@@ -21,12 +21,15 @@
 //
 // The CachedOracle is reused across epochs and goodput queries for as
 // long as the association, link budget and loads are unchanged; an event
-// that changes one of them retires it, and the next use rebuilds it.
+// that changes one of them retires it, and the next use rebuilds it. The
+// goodput total is kept likewise until an event retires the oracle or an
+// epoch runs, so repeated config queries cost no evaluation.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -87,7 +90,8 @@ class WlanRuntime {
   /// Dirty re-probes, Algorithm 2, then the width fallback.
   EpochRecord run_epoch();
 
-  /// Aggregate goodput on the operating channels.
+  /// Aggregate goodput on the operating channels, kept until an input
+  /// changes.
   double goodput_bps();
   const WlanState& state() const { return state_; }
   /// Cumulative over every oracle this runtime built.
@@ -106,6 +110,7 @@ class WlanRuntime {
   WlanState state_;
   std::unique_ptr<CachedOracle> oracle_;
   OracleCacheStats retired_;
+  std::optional<double> goodput_bps_;
 };
 
 }  // namespace acorn::core

@@ -471,136 +471,144 @@ void Daemon::dispatch(std::uint64_t conn_id, Frame frame,
                       std::chrono::steady_clock::time_point t0) {
   metrics_.events_total.fetch_add(1, std::memory_order_relaxed);
   const std::uint32_t seq = frame.seq;
+  std::visit(
+      [&](const auto& m) {
+        using T = std::decay_t<decltype(m)>;
+        if constexpr (T::kScope == Scope::kDaemon) {
+          handle(conn_id, seq, m, t0);
+        } else if constexpr (T::kScope == Scope::kShard) {
+          WlanShard* shard = find_shard(m.wlan_id);
+          if (shard == nullptr) {
+            reply_now(conn_id, seq,
+                      ErrorReply{static_cast<std::uint16_t>(
+                                     ErrorCode::kUnknownWlan),
+                                 "unknown wlan id"},
+                      t0);
+            return;
+          }
+          shard->submit(WlanShard::Job{WlanShard::Job::Kind::kMessage,
+                                       conn_id, seq, t0, Message{m}});
+        } else {
+          reply_now(conn_id, seq,
+                    ErrorReply{static_cast<std::uint16_t>(
+                                   ErrorCode::kBadArgument),
+                               "not a request"},
+                    t0);
+        }
+      },
+      frame.msg);
+}
 
-  if (auto* reg = std::get_if<RegisterWlan>(&frame.msg)) {
-    std::unique_ptr<WlanShard> shard;
-    {
-      const std::lock_guard<std::mutex> lock(shards_mutex_);
-      if (shards_.count(reg->wlan_id) != 0) {
-        reply_now(conn_id, seq,
-                  ErrorReply{static_cast<std::uint16_t>(
-                                 ErrorCode::kAlreadyRegistered),
-                             "wlan id already registered"},
-                  t0);
-        return;
-      }
-    }
-    // Re-registration of an id whose records still sit in WAL
-    // segments: append a durable tombstone first, so a crash can never
-    // merge the dead incarnation's records (per-WLAN ordinals restart
-    // at zero) into the new one's replay.
-    if (coordinator_ && coordinator_->has_records(reg->wlan_id)) {
-      coordinator_->remove_wlan(reg->wlan_id);
-    }
-    try {
-      WlanSnapshot fresh;
-      fresh.wlan_id = reg->wlan_id;
-      fresh.deployment = reg->deployment;
-      shard = make_shard(shard_options(config_.epoch_s), std::move(fresh));
-    } catch (const std::exception& e) {
+void Daemon::handle(std::uint64_t conn_id, std::uint32_t seq,
+                    const RegisterWlan& reg,
+                    std::chrono::steady_clock::time_point t0) {
+  std::unique_ptr<WlanShard> shard;
+  {
+    const std::lock_guard<std::mutex> lock(shards_mutex_);
+    if (shards_.count(reg.wlan_id) != 0) {
       reply_now(conn_id, seq,
                 ErrorReply{static_cast<std::uint16_t>(
-                               ErrorCode::kBadDeployment),
-                           e.what()},
+                               ErrorCode::kAlreadyRegistered),
+                           "wlan id already registered"},
                 t0);
       return;
     }
-    shard->start();
-    WlanShard* raw = shard.get();
-    {
-      const std::lock_guard<std::mutex> lock(shards_mutex_);
-      shards_.emplace(reg->wlan_id, std::move(shard));
-    }
-    // Followers that subscribed before this WLAN existed get its
-    // snapshot now and its log records from here on.
-    for (const std::uint64_t follower : follower_conns_) {
-      raw->submit(WlanShard::Job{WlanShard::Job::Kind::kAttachFollower,
-                                 follower, 0, t0, Message{}});
-    }
-    reply_now(conn_id, seq, OkReply{static_cast<std::int32_t>(reg->wlan_id)},
+  }
+  // Re-registration of an id whose records still sit in WAL segments:
+  // append a durable tombstone first, so a crash can never merge the
+  // dead incarnation's records (per-WLAN ordinals restart at zero) into
+  // the new one's replay.
+  if (coordinator_ && coordinator_->has_records(reg.wlan_id)) {
+    coordinator_->remove_wlan(reg.wlan_id);
+  }
+  try {
+    WlanSnapshot fresh;
+    fresh.wlan_id = reg.wlan_id;
+    fresh.deployment = reg.deployment;
+    shard = make_shard(shard_options(config_.epoch_s), std::move(fresh));
+  } catch (const std::exception& e) {
+    reply_now(conn_id, seq,
+              ErrorReply{static_cast<std::uint16_t>(ErrorCode::kBadDeployment),
+                         e.what()},
               t0);
     return;
   }
-
-  if (auto* rem = std::get_if<RemoveWlan>(&frame.msg)) {
-    std::unique_ptr<WlanShard> shard;
-    {
-      const std::lock_guard<std::mutex> lock(shards_mutex_);
-      const auto it = shards_.find(rem->wlan_id);
-      if (it != shards_.end()) {
-        shard = std::move(it->second);
-        shards_.erase(it);
-      }
-    }
-    if (!shard) {
-      reply_now(conn_id, seq,
-                ErrorReply{static_cast<std::uint16_t>(ErrorCode::kUnknownWlan),
-                           "unknown wlan id"},
-                t0);
-      return;
-    }
-    shard->stop();
-    remove_durable_state(rem->wlan_id);
-    // Tell followers to tear the WLAN down too. record_seq 0 marks a
-    // control record (not part of any shard's event ordinals).
-    if (!follower_conns_.empty()) {
-      const std::vector<std::uint8_t> bytes = encode_frame(
-          0, LogRecordFrame{rem->wlan_id, 0,
-                            encode_payload(0, RemoveWlan{rem->wlan_id})});
-      // A copy: write_out may close a follower, which leaves the set.
-      const std::vector<std::uint64_t> followers(follower_conns_.begin(),
-                                                 follower_conns_.end());
-      for (const std::uint64_t follower : followers) {
-        const auto it = conns_.find(follower);
-        if (it == conns_.end() || it->second.peer_gone) continue;
-        it->second.out.insert(it->second.out.end(), bytes.begin(),
-                              bytes.end());
-        write_out(follower, it->second);
-      }
-    }
-    reply_now(conn_id, seq, OkReply{}, t0);
-    return;
-  }
-
-  if (std::get_if<FollowLog>(&frame.msg) != nullptr) {
-    reply_now(conn_id, seq, OkReply{}, t0);
-    follower_conns_.insert(conn_id);
+  shard->start();
+  WlanShard* raw = shard.get();
+  {
     const std::lock_guard<std::mutex> lock(shards_mutex_);
-    for (auto& [id, shard] : shards_) {
-      shard->submit(WlanShard::Job{WlanShard::Job::Kind::kAttachFollower,
-                                   conn_id, 0, t0, Message{}});
+    shards_.emplace(reg.wlan_id, std::move(shard));
+  }
+  // Followers that subscribed before this WLAN existed get its snapshot
+  // now and its log records from here on.
+  for (const std::uint64_t follower : follower_conns_) {
+    raw->submit(WlanShard::Job{WlanShard::Job::Kind::kAttachFollower,
+                               follower, 0, t0, Message{}});
+  }
+  reply_now(conn_id, seq, OkReply{static_cast<std::int32_t>(reg.wlan_id)}, t0);
+}
+
+void Daemon::handle(std::uint64_t conn_id, std::uint32_t seq,
+                    const RemoveWlan& rem,
+                    std::chrono::steady_clock::time_point t0) {
+  std::unique_ptr<WlanShard> shard;
+  {
+    const std::lock_guard<std::mutex> lock(shards_mutex_);
+    const auto it = shards_.find(rem.wlan_id);
+    if (it != shards_.end()) {
+      shard = std::move(it->second);
+      shards_.erase(it);
     }
-    return;
   }
-
-  if (std::get_if<QueryStats>(&frame.msg) != nullptr) {
-    reply_now(conn_id, seq, stats(), t0);
-    return;
-  }
-
-  if (std::get_if<Shutdown>(&frame.msg) != nullptr) {
-    reply_now(conn_id, seq, OkReply{}, t0);
-    shutdown_requested_ = true;
-    return;
-  }
-
-  // Everything else is WLAN-scoped: route to the shard.
-  std::uint32_t wlan_id = 0;
-  std::visit(
-      [&wlan_id](const auto& m) {
-        if constexpr (requires { m.wlan_id; }) wlan_id = m.wlan_id;
-      },
-      frame.msg);
-  WlanShard* shard = find_shard(wlan_id);
-  if (shard == nullptr) {
+  if (!shard) {
     reply_now(conn_id, seq,
               ErrorReply{static_cast<std::uint16_t>(ErrorCode::kUnknownWlan),
                          "unknown wlan id"},
               t0);
     return;
   }
-  shard->submit(WlanShard::Job{WlanShard::Job::Kind::kMessage, conn_id, seq,
-                               t0, std::move(frame.msg)});
+  shard->stop();
+  remove_durable_state(rem.wlan_id);
+  // Tell followers to tear the WLAN down too. record_seq 0 marks a
+  // control record (not part of any shard's event ordinals).
+  if (!follower_conns_.empty()) {
+    const std::vector<std::uint8_t> bytes = encode_frame(
+        0, LogRecordFrame{rem.wlan_id, 0,
+                          encode_payload(0, RemoveWlan{rem.wlan_id})});
+    // A copy: write_out may close a follower, which leaves the set.
+    const std::vector<std::uint64_t> followers(follower_conns_.begin(),
+                                               follower_conns_.end());
+    for (const std::uint64_t follower : followers) {
+      const auto it = conns_.find(follower);
+      if (it == conns_.end() || it->second.peer_gone) continue;
+      it->second.out.insert(it->second.out.end(), bytes.begin(), bytes.end());
+      write_out(follower, it->second);
+    }
+  }
+  reply_now(conn_id, seq, OkReply{}, t0);
+}
+
+void Daemon::handle(std::uint64_t conn_id, std::uint32_t seq, const FollowLog&,
+                    std::chrono::steady_clock::time_point t0) {
+  reply_now(conn_id, seq, OkReply{}, t0);
+  follower_conns_.insert(conn_id);
+  const std::lock_guard<std::mutex> lock(shards_mutex_);
+  for (auto& [id, shard] : shards_) {
+    shard->submit(WlanShard::Job{WlanShard::Job::Kind::kAttachFollower,
+                                 conn_id, 0, t0, Message{}});
+  }
+}
+
+void Daemon::handle(std::uint64_t conn_id, std::uint32_t seq,
+                    const QueryStats&,
+                    std::chrono::steady_clock::time_point t0) {
+  reply_now(conn_id, seq, stats(), t0);
+}
+
+void Daemon::handle(std::uint64_t conn_id, std::uint32_t seq, const Shutdown&,
+                    std::chrono::steady_clock::time_point t0) {
+  reply_now(conn_id, seq, OkReply{}, t0);
+  shutdown_requested_ = true;
 }
 
 WlanShard* Daemon::find_shard(std::uint32_t wlan_id) {

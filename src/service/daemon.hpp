@@ -4,14 +4,18 @@
 // domain connections, reassembles length-prefixed wire frames
 // (service/wire.hpp) and dispatches them:
 //
-//   * registry operations (register/remove WLAN), stats queries and
-//     shutdown are handled inline on the loop thread;
-//   * WLAN-scoped events (join/leave/SNR/load/reconfigure/config) are
+//   * daemon-scoped requests (register/remove WLAN, follow-log, stats,
+//     shutdown) are handled inline on the loop thread;
+//   * shard-scoped requests (join/leave/SNR/load/reconfigure/config) are
 //     forwarded to that WLAN's shard worker (service/shard.hpp), whose
 //     replies come back through a completion queue + wake pipe and are
 //     written out by the loop: one wake byte per burst (only when the
 //     queue goes from empty to non-empty), and per drain one write per
-//     connection carrying every reply queued for it.
+//     connection carrying every reply queued for it;
+//   * a response or replication frame sent as a request gets an
+//     ErrorReply (kBadArgument), and the connection stays open.
+//
+// The scope of each message is declared with it in service/wire.hpp.
 //
 // A framing error on a connection (garbage length prefix, unknown type,
 // truncated body) closes that connection: once the stream is
@@ -147,8 +151,21 @@ class Daemon {
   void loop();
   void accept_all(int listen_fd);
   void handle_readable(std::uint64_t conn_id);
+  /// Route a request by its message's scope: a daemon handler, its
+  /// WLAN's shard, or an ErrorReply for a response or replication frame.
   void dispatch(std::uint64_t conn_id, Frame frame,
                 std::chrono::steady_clock::time_point t0);
+  // The daemon-scoped handlers, on the loop thread.
+  void handle(std::uint64_t conn_id, std::uint32_t seq, const RegisterWlan& m,
+              std::chrono::steady_clock::time_point t0);
+  void handle(std::uint64_t conn_id, std::uint32_t seq, const RemoveWlan& m,
+              std::chrono::steady_clock::time_point t0);
+  void handle(std::uint64_t conn_id, std::uint32_t seq, const FollowLog& m,
+              std::chrono::steady_clock::time_point t0);
+  void handle(std::uint64_t conn_id, std::uint32_t seq, const QueryStats& m,
+              std::chrono::steady_clock::time_point t0);
+  void handle(std::uint64_t conn_id, std::uint32_t seq, const Shutdown& m,
+              std::chrono::steady_clock::time_point t0);
   void reply_now(std::uint64_t conn_id, std::uint32_t seq, Message msg,
                  std::chrono::steady_clock::time_point t0);
   /// Write what `conn` has buffered; false on a hard write error.

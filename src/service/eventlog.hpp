@@ -57,6 +57,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -81,10 +82,19 @@ struct WalLoadResult {
   bool clean = true;
 };
 
+// ---- Disk primitives (shared with the snapshot files) -------------------
+
 /// Fsync a directory so a just-created/renamed/unlinked entry survives a
 /// power cut (fsyncing the file alone does not persist its dir entry).
 /// Returns false on failure; callers treat that as the write failing.
 bool fsync_dir(const std::string& dir);
+
+/// The whole file at `path`, or nullopt when it cannot be opened.
+std::optional<std::vector<std::uint8_t>> read_file(const std::string& path);
+
+/// Write all of `bytes` to `fd`, resuming after short writes and EINTR.
+/// False on any other error, with a prefix possibly written.
+bool write_all(int fd, std::span<const std::uint8_t> bytes);
 
 // ---- Legacy per-WLAN logs (read only) ----------------------------------
 

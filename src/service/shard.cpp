@@ -17,14 +17,14 @@ namespace {
 /// before this does.
 constexpr int kDrainBatchPerPass = 512;
 
-core::WlanRuntime make_runtime(const WlanSnapshot& state,
+core::WlanRuntime make_runtime(const WlanSnapshot& snap,
                                double width_hysteresis) {
-  const sim::DeploymentSpec spec = sim::parse_deployment(state.deployment);
+  const sim::DeploymentSpec spec = sim::parse_deployment(snap.deployment);
   // A fresh WLAN's channels: the deterministic equivalent of "whatever
   // the APs booted with", a random assignment seeded per WLAN.
   return core::WlanRuntime(spec.build(), net::ChannelPlan(spec.num_channels),
-                           to_state(state),
-                           spec.seed ^ (0x5eedull * (state.wlan_id + 1)),
+                           snap.state,
+                           spec.seed ^ (0x5eedull * (snap.wlan_id + 1)),
                            width_hysteresis);
 }
 
@@ -281,48 +281,63 @@ bool WlanShard::journal_locked(std::uint64_t seq, const Message& msg) {
 
 Message WlanShard::apply_locked(const Message& msg) {
   try {
-    if (const auto* join = std::get_if<ClientJoin>(&msg)) {
-      if (runtime_.join(join->client)) ++counters_.assoc_changes;
-      ++events_applied_;
-      return OkReply{runtime_.state().association[join->client]};
-    }
-    if (const auto* leave = std::get_if<ClientLeave>(&msg)) {
-      if (runtime_.leave(leave->client)) ++counters_.assoc_changes;
-      ++events_applied_;
-      return OkReply{net::kUnassociated};
-    }
-    if (const auto* snr = std::get_if<SnrUpdate>(&msg)) {
-      runtime_.set_link_loss(snr->ap, snr->client, snr->loss_db);
-      ++events_applied_;
-      return OkReply{};
-    }
-    if (const auto* load = std::get_if<LoadUpdate>(&msg)) {
-      runtime_.set_load(load->client, load->load);
-      ++events_applied_;
-      return OkReply{};
-    }
+    return std::visit(
+        [this](const auto& m) -> Message {
+          if constexpr (std::decay_t<decltype(m)>::kScope == Scope::kShard) {
+            return apply_locked(m);
+          } else {
+            // WAL replay and a leader's stream reach the shard without
+            // passing the daemon's scope check.
+            return ErrorReply{
+                static_cast<std::uint16_t>(ErrorCode::kBadArgument),
+                "message not routable to a shard"};
+          }
+        },
+        msg);
   } catch (const std::invalid_argument& e) {
     return ErrorReply{static_cast<std::uint16_t>(ErrorCode::kBadArgument),
                       e.what()};
   }
-  if (std::get_if<ForceReconfigure>(&msg) != nullptr) {
-    ++events_applied_;
-    return OkReply{run_epoch_locked().channel_switches};
-  }
-  if (std::get_if<QueryConfig>(&msg) != nullptr) {
-    const core::WlanState& state = runtime_.state();
-    ConfigReply reply;
-    reply.wlan_id = wlan_id_;
-    reply.epoch = state.epoch;
-    reply.events_applied = events_applied_;
-    reply.total_goodput_bps = runtime_.goodput_bps();
-    reply.association = state.association;
-    reply.allocated = state.allocated;
-    reply.operating = state.operating;
-    return reply;
-  }
-  return ErrorReply{static_cast<std::uint16_t>(ErrorCode::kBadArgument),
-                    "message not routable to a shard"};
+}
+
+Message WlanShard::apply_locked(const ClientJoin& m) {
+  if (runtime_.join(m.client)) ++counters_.assoc_changes;
+  ++events_applied_;
+  return OkReply{runtime_.state().association[m.client]};
+}
+
+Message WlanShard::apply_locked(const ClientLeave& m) {
+  if (runtime_.leave(m.client)) ++counters_.assoc_changes;
+  ++events_applied_;
+  return OkReply{net::kUnassociated};
+}
+
+Message WlanShard::apply_locked(const SnrUpdate& m) {
+  runtime_.set_link_loss(m.ap, m.client, m.loss_db);
+  ++events_applied_;
+  return OkReply{};
+}
+
+Message WlanShard::apply_locked(const LoadUpdate& m) {
+  runtime_.set_load(m.client, m.load);
+  ++events_applied_;
+  return OkReply{};
+}
+
+Message WlanShard::apply_locked(const ForceReconfigure&) {
+  ++events_applied_;
+  return OkReply{run_epoch_locked().channel_switches};
+}
+
+Message WlanShard::apply_locked(const QueryConfig&) {
+  const core::WlanState& state = runtime_.state();
+  return ConfigReply{wlan_id_,
+                     state.epoch,
+                     events_applied_,
+                     runtime_.goodput_bps(),
+                     state.association,
+                     state.allocated,
+                     state.operating};
 }
 
 void WlanShard::run_epoch() {
@@ -391,8 +406,8 @@ core::EpochRecord WlanShard::run_epoch_locked() {
 }
 
 WlanSnapshot WlanShard::build_snapshot_locked() const {
-  return make_snapshot(wlan_id_, events_applied_, deployment_text_,
-                       runtime_.state());
+  return WlanSnapshot{wlan_id_, events_applied_, deployment_text_,
+                      runtime_.state()};
 }
 
 bool WlanShard::checkpoint_locked() {

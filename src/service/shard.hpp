@@ -166,8 +166,15 @@ class WlanShard : public util::PooledExecutor::Task {
   /// No job left in the pass's run nor in the mailbox.
   bool mailbox_empty();
   void process(Job& job);
-  /// One runtime call per message, its result mapped to a reply.
+  /// One runtime call per message, its result mapped to a reply: the
+  /// handler of a shard-scoped message, or a refusal of any other.
   Message apply_locked(const Message& msg);
+  Message apply_locked(const ClientJoin& m);
+  Message apply_locked(const ClientLeave& m);
+  Message apply_locked(const SnrUpdate& m);
+  Message apply_locked(const LoadUpdate& m);
+  Message apply_locked(const ForceReconfigure& m);
+  Message apply_locked(const QueryConfig& m);
   void publish_counters_locked();
   /// A timer-started epoch.
   void run_epoch();

@@ -9,13 +9,23 @@
 // renamed by a buggy kernel, bit rot): decode_snapshot refuses payloads
 // whose checksum does not match.
 //
-// The snapshot stores the WLAN's *inputs* (the deployment text with its
-// shadowing seed, the applied loss overrides and load hints) plus the
-// controller *decisions* (association, allocated and operating channel
-// assignments, epoch and event counters). Recovery rebuilds the Wlan
-// from the deployment text — bit-identical to the original build — and
-// replays the overrides, so a recovered shard answers config queries
-// exactly as the pre-crash one did.
+// The snapshot stores the WLAN id, the event ordinal and the deployment
+// text (with its shadowing seed), plus the controller's whole
+// core::WlanState: the inputs applied since (loss overrides, loads, the
+// dirty-client set) and the decisions (association, allocated and
+// operating channels, epoch). The file is
+//
+//   [u32 magic "ACRN"][u16 version][u32 wlan_id][u64 epoch]
+//   [u64 events_applied][deployment][association][allocated][operating]
+//   [loss_overrides][loads][dirty, version 2 only][u64 fnv1a]
+//
+// with every field in the wire codec's ByteWriter::put form, so a state
+// map is a count and its entries in ascending key order. An override or
+// load listed twice decodes to its last entry and is written once on
+// re-encode. Recovery rebuilds the
+// Wlan from the deployment text — bit-identical to the original build —
+// and hands the state to core::WlanRuntime, so a recovered shard answers
+// config queries exactly as the pre-crash one did.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +34,6 @@
 #include <vector>
 
 #include "core/runtime.hpp"
-#include "net/channels.hpp"
-#include "net/interference.hpp"
 
 namespace acorn::service {
 
@@ -38,39 +46,12 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4e524341;  // "ACRN"
 // at the first post-upgrade epoch.
 inline constexpr std::uint16_t kSnapshotVersion = 2;
 
-struct LossOverride {
-  std::uint32_t ap = 0;
-  std::uint32_t client = 0;
-  double loss_db = 0.0;
-};
-
-struct LoadHint {
-  std::uint32_t client = 0;
-  double load = 1.0;
-};
-
 struct WlanSnapshot {
   std::uint32_t wlan_id = 0;
-  std::uint64_t epoch = 0;
   std::uint64_t events_applied = 0;
   std::string deployment;
-  net::Association association;
-  std::vector<net::Channel> allocated;
-  std::vector<net::Channel> operating;
-  std::vector<LossOverride> loss_overrides;  // ascending (ap, client)
-  std::vector<LoadHint> loads;               // ascending client
-  std::vector<std::uint32_t> dirty_clients;  // ascending client
+  core::WlanState state;
 };
-
-/// The snapshot of WLAN `wlan_id` whose controller holds `state` after
-/// `events_applied` events.
-WlanSnapshot make_snapshot(std::uint32_t wlan_id, std::uint64_t events_applied,
-                           const std::string& deployment,
-                           const core::WlanState& state);
-
-/// The controller state `snap` stores. A loss override or load listed
-/// twice keeps its last entry.
-core::WlanState to_state(const WlanSnapshot& snap);
 
 std::vector<std::uint8_t> encode_snapshot(const WlanSnapshot& snap);
 

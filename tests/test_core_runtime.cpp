@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "testutil.hpp"
 
@@ -130,6 +134,42 @@ TEST(Runtime, ReportsThroughputOfCurrentPopulation) {
   rt.run_epoch();
   EXPECT_EQ(associated(rt), 1);
   EXPECT_GT(rt.goodput_bps(), 10e6);
+}
+
+// goodput_bps() keeps its total until an input changes: after every kind
+// of event, and after an epoch, it equals bit for bit the total of a
+// runtime freshly built from the same state.
+TEST(Runtime, GoodputMatchesAFreshRuntimeAfterEveryInput) {
+  WlanRuntime rt = make_runtime();
+  const std::vector<std::pair<std::string, std::function<void()>>> steps = {
+      {"join 0", [&] { rt.join(0); }},
+      {"join 2", [&] { rt.join(2); }},
+      {"join 3", [&] { rt.join(3); }},
+      {"epoch", [&] { rt.run_epoch(); }},
+      {"link loss", [&] { rt.set_link_loss(1, 2, 95.0); }},
+      {"changed load", [&] { rt.set_load(3, 0.25); }},
+      {"unchanged load", [&] { rt.set_load(3, 0.25); }},
+      {"leave 2", [&] { rt.leave(2); }},
+      {"epoch", [&] { rt.run_epoch(); }},
+  };
+  std::vector<std::string> moved;
+  double last = rt.goodput_bps();
+  for (const auto& [name, step] : steps) {
+    SCOPED_TRACE(name);
+    step();
+    const double got = rt.goodput_bps();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(
+                  make_runtime(rt.state()).goodput_bps()));
+    if (got != last) moved.push_back(name);
+    last = got;
+  }
+  // These steps move the total, so a stale kept value cannot pass. A
+  // load weights only Algorithm 2's objective, not the reported total,
+  // and the last epoch finds nothing to improve.
+  EXPECT_EQ(moved, (std::vector<std::string>{"join 0", "join 2", "join 3",
+                                             "epoch", "link loss",
+                                             "leave 2"}));
 }
 
 TEST(Runtime, EventsRejectBadInputsWithoutChangingState) {

@@ -370,6 +370,68 @@ TEST(ServiceDaemon, ErrorPaths) {
   daemon.stop();
 }
 
+// Responses and replication frames are not requests. The daemon refuses
+// each with kBadArgument, whether or not a WLAN matches its wlan_id (or
+// 0), keeps the connection, and no shard sees the frame.
+TEST(ServiceDaemon, NonRequestsAreRefusedAtTheDaemon) {
+  const TempDir dir;
+  DaemonConfig config;
+  config.unix_path = dir.path() + "/sock";
+  config.epoch_s = 0.0;
+  Daemon daemon(config);
+  daemon.start();
+  Client client = Client::connect_unix(config.unix_path);
+
+  constexpr std::uint32_t kWlan = 5;
+  const std::vector<Message> frames = {
+      OkReply{3},
+      ErrorReply{4, "echo"},
+      ConfigReply{kWlan, 1, 2, 3.0, {0}, {net::Channel::basic(0)},
+                  {net::Channel::basic(0)}},
+      StatsReply{},
+      SnapshotFrame{{1, 2, 3}},
+      LogRecordFrame{kWlan, 1, encode_payload(0, ClientJoin{kWlan, 0})},
+  };
+  const auto send_all = [&] {
+    for (const Message& msg : frames) {
+      SCOPED_TRACE("type " + std::to_string(static_cast<int>(type_of(msg))));
+      const Message reply = client.call(msg);
+      ASSERT_TRUE(std::holds_alternative<ErrorReply>(reply));
+      EXPECT_EQ(std::get<ErrorReply>(reply).code,
+                static_cast<std::uint16_t>(ErrorCode::kBadArgument));
+    }
+  };
+  {
+    SCOPED_TRACE("no WLAN registered");
+    send_all();
+  }
+  for (const std::uint32_t id : {0u, kWlan}) {
+    ASSERT_TRUE(std::holds_alternative<OkReply>(
+        client.call(RegisterWlan{id, kDeployment})));
+    ASSERT_TRUE(std::holds_alternative<OkReply>(
+        client.call(ClientJoin{id, 1})));
+  }
+  const auto state_bytes = [&daemon] {
+    std::vector<std::vector<std::uint8_t>> out;
+    for (const std::uint32_t id : {0u, kWlan}) {
+      out.push_back(encode_snapshot(*daemon.wlan_state(id)));
+    }
+    return out;
+  };
+  const auto before = state_bytes();
+  {
+    SCOPED_TRACE("WLANs 0 and 5 registered");
+    send_all();
+  }
+  EXPECT_EQ(state_bytes(), before);
+  for (const std::uint32_t id : {0u, kWlan}) {
+    EXPECT_EQ(daemon.wlan_state(id)->events_applied, 1u);
+  }
+  // The connection is still open and still served.
+  EXPECT_TRUE(std::holds_alternative<StatsReply>(client.call(QueryStats{})));
+  daemon.stop();
+}
+
 TEST(ServiceDaemon, TcpTransport) {
   DaemonConfig config;
   config.tcp = true;
@@ -564,11 +626,11 @@ client 38 11
   const WlanSnapshot& good = seeded.front();
 
   const std::vector<std::function<void(WlanSnapshot&)>> misfits = {
-      [](WlanSnapshot& s) { s.association = {5, 0}; },
-      [](WlanSnapshot& s) { s.association = {-7, 0}; },
+      [](WlanSnapshot& s) { s.state.association = {5, 0}; },
+      [](WlanSnapshot& s) { s.state.association = {-7, 0}; },
       [](WlanSnapshot& s) {
         // Basic channels 60 and 61 of a 12-channel plan.
-        s.allocated[1] = s.operating[1] = net::Channel::bonded(30);
+        s.state.allocated[1] = s.state.operating[1] = net::Channel::bonded(30);
       },
   };
   for (std::size_t i = 0; i < misfits.size(); ++i) {

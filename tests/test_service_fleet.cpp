@@ -288,13 +288,13 @@ TEST(ServiceFleet, DaemonMatchesCoreRuntime) {
   ASSERT_TRUE(first.has_value());
   const sim::DeploymentSpec spec = sim::parse_deployment(floor);
   const net::ChannelPlan plan(spec.num_channels);
-  core::WlanRuntime rt(spec.build(), plan, to_state(*first), 0,
+  core::WlanRuntime rt(spec.build(), plan, first->state, 0,
                        config.width_hysteresis);
   // The registration's channels are the per-WLAN seeded draw.
   const core::WlanRuntime fresh(spec.build(), plan, {},
                                 spec.seed ^ (0x5eedull * (kWlan + 1)),
                                 config.width_hysteresis);
-  EXPECT_EQ(fresh.state().allocated, first->allocated);
+  EXPECT_EQ(fresh.state().allocated, first->state.allocated);
 
   util::Rng rng(0xC0DE);
   std::uint64_t applied = 0;
@@ -322,8 +322,8 @@ TEST(ServiceFleet, DaemonMatchesCoreRuntime) {
     const std::optional<WlanSnapshot> got = daemon.wlan_state(kWlan);
     ASSERT_TRUE(got.has_value());
     ASSERT_EQ(encode_snapshot(*got),
-              encode_snapshot(make_snapshot(kWlan, applied, floor,
-                                            rt.state())))
+              encode_snapshot(WlanSnapshot{kWlan, applied, floor,
+                                           rt.state()}))
         << "diverged at event " << i << ", epoch " << epochs;
   }
   EXPECT_EQ(epochs, 30);
