@@ -1,8 +1,12 @@
 #include "sim/deployment_file.hpp"
 
 #include <cstdio>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/flags.hpp"
 
 namespace acorn::sim {
 
@@ -38,7 +42,17 @@ DeploymentSpec parse_deployment(std::istream& in) {
       double y = 0.0;
       if (!(tokens >> x >> y)) fail(line_no, "ap needs <x> <y>");
       double tx = 15.0;
-      tokens >> tx;  // optional
+      std::string tx_text;
+      if (tokens >> tx_text) {  // optional, but a whole finite number
+        const std::optional<double> v = util::parse_number<double>(
+            tx_text, std::numeric_limits<double>::lowest(),
+            std::numeric_limits<double>::max());
+        if (!v) {
+          fail(line_no, "ap tx_dbm must be a finite number, got '" +
+                            tx_text + "'");
+        }
+        tx = *v;
+      }
       spec.topology.add_ap(net::Point{x, y}, tx);
     } else if (keyword == "client") {
       double x = 0.0;

@@ -1,7 +1,8 @@
-// Whole-value numeric parsing for command-line flags and endpoint
-// strings: the entire text must be one number inside the range, so
-// "80x", "", "-1" for a count or "inf" for a period are rejected rather
-// than truncated to a prefix, wrapped around or turned into 0.
+// Whole-value numeric parsing for command-line flags, endpoint strings
+// and deployment-file fields: the entire text must be one number inside
+// the range, so "80x", "", "-1" for a count or "inf" for a period are
+// rejected rather than truncated to a prefix, wrapped around or turned
+// into 0.
 #pragma once
 
 #include <charconv>

@@ -61,6 +61,10 @@ TEST(DeploymentFile, RejectsMalformedFields) {
   EXPECT_THROW(parse_deployment("ap 0 0\nchannels 0\n"),
                std::invalid_argument);
   EXPECT_THROW(parse_deployment("ap 0 0 15 77\n"), std::invalid_argument);
+  // A non-numeric or non-finite tx_dbm is an error, not an AP at 0 dBm.
+  EXPECT_THROW(parse_deployment("ap 0 0 abc\n"), std::invalid_argument);
+  EXPECT_THROW(parse_deployment("ap 0 0 abc 5\n"), std::invalid_argument);
+  EXPECT_THROW(parse_deployment("ap 0 0 inf\n"), std::invalid_argument);
 }
 
 TEST(DeploymentFile, RejectsEmptyDeployment) {
