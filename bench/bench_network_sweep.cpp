@@ -3,8 +3,9 @@
 // configurations each, UDP + TCP full-network evaluations) timed through
 // three paths:
 //
-//   seed  — the legacy object-at-a-time evaluator (Wlan::evaluate_
-//           reference, kept as the executable spec), serial;
+//   seed  — the object-at-a-time evaluator (sim::reference::evaluate in
+//           the test-only acorn_reference library, the executable
+//           spec), serial;
 //   after — the flat NetSnapshot engine (Wlan::evaluate), serial;
 //   after @ 2/4 threads — the same work through the deterministic
 //           parallel sweep driver (sim/sweep.hpp).
@@ -20,6 +21,7 @@
 #include "common.hpp"
 #include "sim/sweep.hpp"
 #include "sim/wlan.hpp"
+#include "sim/wlan_reference.hpp"
 #include "util/table.hpp"
 
 using namespace acorn;
@@ -59,8 +61,8 @@ double run_scenario(util::Rng& rng, const CaseSpec& spec, bool reference) {
     for (const mac::TrafficType traffic :
          {mac::TrafficType::kUdp, mac::TrafficType::kTcp}) {
       sum += reference
-                 ? wlan.evaluate_reference(cfg.association, cfg.assignment,
-                                           traffic)
+                 ? sim::reference::evaluate(wlan, cfg.association,
+                                            cfg.assignment, traffic)
                        .total_goodput_bps
                  : wlan.evaluate(cfg.association, cfg.assignment, traffic)
                        .total_goodput_bps;

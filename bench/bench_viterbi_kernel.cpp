@@ -1,10 +1,10 @@
 // Decoder-only microbench for the butterfly Viterbi trellis kernel:
 // the SIMD forward pass, the scalar butterfly fallback and the kept
-// pre-butterfly reference decoder over the same coded stream, plus the
-// full decode path (levels + forward + traceback) for hard and soft
-// inputs. Throughput is reported in trellis steps (coded bit pairs) per
-// second — the `samples` field of the JSON record counts steps here,
-// not baseband samples.
+// pre-butterfly reference decoder (acorn_reference) over the same coded
+// stream, plus the full decode path (levels + forward + traceback) for
+// hard and soft inputs. Throughput is reported in trellis steps (coded
+// bit pairs) per second — the `samples` field of the JSON record counts
+// steps here, not baseband samples.
 #include <array>
 #include <cstdio>
 #include <random>
@@ -149,5 +149,11 @@ int main(int argc, char** argv) {
   std::printf("(1 step = 1 trellis stage = 2 coded bits; %zu steps per "
               "%zu-bit packet)\n",
               steps, payload);
-  return 0;
+  // The timed kernel and reference must agree on the stream: hard
+  // decoding through the kernel is bit-exact.
+  const bool identical = code.decode(noisy, true) ==
+                         baseband::reference::viterbi_decode(noisy, true);
+  std::printf("kernel hard decode bit-identical to reference: %s\n",
+              identical ? "yes" : "NO");
+  return identical ? 0 : 1;
 }

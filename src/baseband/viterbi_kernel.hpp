@@ -32,7 +32,9 @@
 // add-compare-select, compiled when the compiler supports
 // __builtin_shufflevector) and a scalar fallback. forward() dispatches
 // at compile time; both are exposed so tests can pit them against each
-// other and against the kept reference decoder (viterbi_reference.hpp).
+// other and against the pre-butterfly reference decoder, which lives
+// outside the shipped libraries in the test-only acorn_reference
+// (reference/baseband/).
 #pragma once
 
 #include <cstddef>

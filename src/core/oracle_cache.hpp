@@ -26,8 +26,10 @@
 // cache misses run NetSnapshot::evaluate_cells_batch or
 // rescale_cell_shares, both bit-identical to the per-cell kernel the
 // evaluator uses (`NetSnapshot::evaluate_cell`, itself property-tested
-// bit-identical to the legacy `Wlan::evaluate_cell_in` reference path),
-// and cache hits replay a previously computed double unchanged. The
+// bit-identical to the test-only object-at-a-time cell evaluator in
+// reference/sim/wlan_reference.hpp), and cache hits replay a previously
+// computed double unchanged. `snapshot()` also serves the epoch's width
+// fallback (core::decide_width), so one snapshot scores both. The
 // caches are guarded by a mutex, so one CachedOracle may be shared by
 // the allocator's optional scan threads.
 #pragma once

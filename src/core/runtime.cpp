@@ -154,17 +154,16 @@ EpochRecord WlanRuntime::run_epoch() {
   rec.evaluations = result.evaluations;
   state_.allocated = result.assignment;
 
-  // The context-aware decide_width sees the interference graph and the
-  // full allocation, so hidden interference on the secondary channel
-  // can send an AP to the upper half.
+  // The context-aware decide_width scores each bonded cell on the
+  // oracle's snapshot under the full allocation, so hidden interference
+  // on the secondary channel can send an AP to the upper half.
+  const sim::NetSnapshot& snapshot = oracle().snapshot();
   for (std::size_t ap = 0; ap < state_.allocated.size(); ++ap) {
     const net::Channel& base = state_.allocated[ap];
     net::Channel next = base;
     if (base.is_bonded()) {
-      const int i = static_cast<int>(ap);
       const WidthDecision d =
-          decide_width(wlan_, i, wlan_.clients_of(state_.association, i),
-                       oracle().graph(), state_.allocated);
+          decide_width(snapshot, static_cast<int>(ap), state_.allocated);
       const net::Channel& current = state_.operating[ap];
       const bool was_narrow =
           !current.is_bonded() && base.conflicts(current);

@@ -25,9 +25,7 @@ WidthDecision decide_width(const sim::Wlan& wlan, int ap,
   return d;
 }
 
-WidthDecision decide_width(const sim::Wlan& wlan, int ap,
-                           const std::vector<int>& clients,
-                           const net::InterferenceGraph& graph,
+WidthDecision decide_width(const sim::NetSnapshot& snapshot, int ap,
                            const net::ChannelAssignment& assignment,
                            double medium_share, mac::TrafficType traffic) {
   const net::Channel bond = assignment[static_cast<std::size_t>(ap)];
@@ -35,12 +33,16 @@ WidthDecision decide_width(const sim::Wlan& wlan, int ap,
     throw std::invalid_argument("decide_width: AP holds no 40 MHz bond");
   }
   WidthDecision d;
+  // Only the activity of APs outside `ap`'s carrier-sense range enters
+  // the cell, and the graph is symmetric, so their shares do not depend
+  // on `ap`'s channel: one vector serves the bond and both halves.
+  std::vector<double> activity;
+  snapshot.unweighted_shares(assignment, activity);
   net::ChannelAssignment variant = assignment;
   const auto cell_bps = [&](const net::Channel& ch) {
     variant[static_cast<std::size_t>(ap)] = ch;
-    return wlan
-        .evaluate_cell_in(ap, clients, medium_share, graph, variant,
-                          traffic)
+    return snapshot
+        .evaluate_cell(ap, medium_share, variant, activity, traffic)
         .goodput_bps;
   };
   d.cell_bps_40 = cell_bps(bond);

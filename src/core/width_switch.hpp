@@ -2,13 +2,16 @@
 // with mobility"): an AP holding a 40 MHz allocation may use either the
 // full bond or one of its 20 MHz halves without changing the interference
 // it projects on neighbors, so it can track its clients' link quality and
-// switch widths on the fly.
+// switch widths on the fly. The width-only overload compares isolated
+// cells (Wlan::isolated_cell_bps); the context overload scores the cell
+// under the real assignment through the same sim::NetSnapshot that
+// Algorithm 2's oracle scans with.
 #pragma once
 
 #include <optional>
 #include <vector>
 
-#include "sim/wlan.hpp"
+#include "sim/netkernel.hpp"
 
 namespace acorn::core {
 
@@ -38,15 +41,14 @@ WidthDecision decide_width(const sim::Wlan& wlan, int ap,
                            const std::vector<int>& clients,
                            double medium_share = 1.0);
 
-/// Context-aware variant: evaluates the cell on the full bond AND on
-/// each 20 MHz half under the real (graph, assignment) context, so
+/// Context-aware variant: scores AP `ap`'s cell (its clients under the
+/// snapshot's association) on the full bond AND on each 20 MHz half
+/// under `assignment`, through sim::NetSnapshot::evaluate_cell, so
 /// secondary-channel hidden interference distinguishes the halves
 /// instead of silently falling back to the primary. `assignment[ap]`
 /// must be the AP's 40 MHz allocation; ties between halves go to the
 /// primary (the legacy behavior), a strictly better secondary half wins.
-WidthDecision decide_width(const sim::Wlan& wlan, int ap,
-                           const std::vector<int>& clients,
-                           const net::InterferenceGraph& graph,
+WidthDecision decide_width(const sim::NetSnapshot& snapshot, int ap,
                            const net::ChannelAssignment& assignment,
                            double medium_share = 1.0,
                            mac::TrafficType traffic =

@@ -1,24 +1,28 @@
-// Flat-array network evaluation kernel.
+// Flat-array network evaluation kernel: the one cell evaluator on every
+// production path (Algorithm 2's scan through core::CachedOracle, the
+// epoch's width fallback, Wlan::evaluate, the sweeps).
 //
-// `Wlan::evaluate_reference` walks objects for every cell it scores: each
-// client re-derives its SNR from Topology/LinkBudget lookups, re-runs the
-// full 16-row `best_rate` erfc/pow sweep, and every hidden-interference
-// term re-converts dBm to mW and re-counts contenders with allocating
-// `neighbors()` calls. All of that depends only on (topology, budget,
-// association) — invariant across the thousands of candidate assignments
-// an allocator run or a scenario sweep scores.
+// An object-at-a-time evaluation of a cell re-derives each client's SNR
+// from Topology/LinkBudget lookups, re-runs the full 16-row `best_rate`
+// erfc/pow sweep, and re-converts every hidden-interference term from
+// dBm and re-counts its contenders with allocating `neighbors()` calls.
+// All of that depends only on (topology, budget, association) —
+// invariant across the thousands of candidate assignments an allocator
+// run or a scenario sweep scores.
 //
 // NetSnapshot hoists it: built once per (wlan, association), it stores
 //   * the interference graph and flat per-AP client lists,
 //   * a row-major AP -> client received-power matrix in mW,
 //   * each associated client's per-subcarrier base SNR at both widths,
-//   * the per-(width, GI) MCS threshold tables (phy::RateTable),
-// so `evaluate` / `evaluate_cell` become contiguous array walks whose per
-// -client inner loop is a threshold scan plus ONE coded-PER evaluation.
-// Results are bit-identical to `Wlan::evaluate_reference` (randomized
-// property test in tests/test_sim_netkernel.cpp): every floating-point
-// expression is evaluated with the same operands in the same order, only
-// hoisted out of the loops.
+// and reads the Wlan's per-(width, GI) MCS threshold tables
+// (phy::RateTable), so `evaluate` / `evaluate_cell` become contiguous
+// array walks whose per-client inner loop is a threshold scan plus ONE
+// coded-PER evaluation. Results are bit-identical to the object-at-a-time
+// walk kept as the test-only spec `sim::reference::evaluate`
+// (reference/sim/wlan_reference.hpp; randomized property test in
+// tests/test_sim_netkernel.cpp): every floating-point expression is
+// evaluated with the same operands in the same order, only hoisted out of
+// the loops.
 #pragma once
 
 #include <span>
@@ -99,8 +103,8 @@ class NetSnapshot {
   double weighted_share(const net::ChannelAssignment& assignment,
                         int ap) const;
 
-  /// Evaluate one cell exactly as `Wlan::evaluate_reference` would under
-  /// (assignment, graph): `medium_share` is the cell's own share,
+  /// Evaluate one cell exactly as `evaluate` would under (assignment,
+  /// graph): `medium_share` is the cell's own share,
   /// `activity` the unweighted shares of all APs (used by the
   /// hidden-interference term when `sinr_interference` is on).
   ApStats evaluate_cell(int ap, double medium_share,
@@ -110,7 +114,7 @@ class NetSnapshot {
                             mac::TrafficType::kUdp) const;
 
   /// Full-network evaluation; bit-identical to
-  /// wlan.evaluate_reference(association, assignment, traffic).
+  /// sim::reference::evaluate(wlan, association, assignment, traffic).
   Evaluation evaluate(const net::ChannelAssignment& assignment,
                       mac::TrafficType traffic =
                           mac::TrafficType::kUdp) const;
@@ -155,7 +159,7 @@ class NetSnapshot {
 
  private:
   /// Per-subcarrier hidden-interference power (mW) at `client` on
-  /// `channel`; bit-identical to Wlan::hidden_interference_mw with the
+  /// `channel`; bit-identical to the reference evaluator's term with the
   /// per-interferer activity shares supplied instead of recomputed.
   double hidden_mw(int serving_ap, int client, const net::Channel& channel,
                    const net::ChannelAssignment& assignment,
@@ -179,9 +183,6 @@ class NetSnapshot {
   std::vector<double> cell_snr40_db_;
   // Row-major AP -> client received power in mW (hidden interference).
   std::vector<double> rx_mw_;
-
-  std::shared_ptr<const phy::RateTable> table20_;
-  std::shared_ptr<const phy::RateTable> table40_;
 };
 
 }  // namespace acorn::sim

@@ -235,7 +235,7 @@ void NetSnapshot::evaluate_cells_batch(
     ctx.own = (lane.flip_ap == ap) ? lane.flip_channel
                                    : base[static_cast<std::size_t>(ap)];
     const bool wide = ctx.own.width() == phy::ChannelWidth::k40MHz;
-    ctx.table = wide ? table40_.get() : table20_.get();
+    ctx.table = &wlan_->rate_table(ctx.own.width());
     ctx.snrs = (wide ? cell_snr40_db_ : cell_snr20_db_).data();
   }
   // Lane arrays are padded to a multiple of the vector width so the

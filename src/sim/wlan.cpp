@@ -1,12 +1,8 @@
 #include "sim/wlan.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
-#include "phy/noise.hpp"
-#include "phy/rate_table.hpp"
 #include "sim/netkernel.hpp"
-#include "util/units.hpp"
 
 namespace acorn::sim {
 
@@ -22,25 +18,23 @@ Wlan::Wlan(net::Topology topology, net::LinkBudget budget, WlanConfig config)
     : topology_(std::move(topology)),
       budget_(std::move(budget)),
       config_(config),
-      link_model_(patched_link(config)) {}
+      link_model_(patched_link(config)),
+      table20_(phy::RateTable::shared(link_model_, phy::ChannelWidth::k20MHz,
+                                      config.gi)),
+      table40_(phy::RateTable::shared(link_model_, phy::ChannelWidth::k40MHz,
+                                      config.gi)) {}
 
 double Wlan::client_snr_db(int ap, int client, phy::ChannelWidth width) const {
   return link_model_.snr_db(topology_.ap(ap).tx_dbm,
                             budget_.ap_client_loss_db(ap, client), width);
 }
 
-phy::RateDecision Wlan::client_rate(int ap, int client,
-                                    phy::ChannelWidth width) const {
-  return phy::best_rate(link_model_, width, client_snr_db(ap, client, width),
-                        config_.gi);
-}
-
 Wlan::ClientLink Wlan::client_link(phy::ChannelWidth width,
                                    double snr_db) const {
-  const phy::RateDecision rate =
-      phy::best_rate(link_model_, width, snr_db, config_.gi);
-  const phy::McsEntry& entry = phy::mcs(rate.mcs_index);
-  return ClientLink{entry.rate_bps(width, config_.gi), rate.per};
+  const phy::RateTable::Segment& seg =
+      rate_table(width).segment_for_snr(snr_db);
+  return ClientLink{seg.rate_bps,
+                    link_model_.per(phy::mcs(seg.mcs_index), snr_db)};
 }
 
 double Wlan::client_delay_s_per_bit(int ap, int client,
@@ -72,91 +66,15 @@ std::vector<std::vector<int>> Wlan::clients_by_ap(
   return out;
 }
 
-double Wlan::hidden_interference_mw(
-    int serving_ap, int client, const net::Channel& channel,
-    const net::InterferenceGraph& graph,
-    const net::ChannelAssignment& assignment) const {
-  double total_mw = 0.0;
-  for (int other = 0; other < topology_.num_aps(); ++other) {
-    if (other == serving_ap) continue;
-    // Contending APs defer to each other (already charged via M_a);
-    // only hidden co-channel APs add concurrent interference.
-    if (graph.adjacent(serving_ap, other)) continue;
-    const net::Channel& other_ch =
-        assignment[static_cast<std::size_t>(other)];
-    const double captured = other_ch.overlap_fraction(channel);
-    if (captured <= 0.0) continue;
-    const double rx_mw = util::dbm_to_mw(
-        budget_.rx_at_client_dbm(topology_, other, client));
-    // Activity factor: the interferer transmits for its medium share.
-    const double activity =
-        net::medium_access_share(graph, assignment, other);
-    // Spread over the interferer's data subcarriers; captured fraction
-    // falls inside this channel.
-    total_mw += captured * activity * rx_mw /
-                phy::data_subcarriers(other_ch.width());
-  }
-  return total_mw;
-}
-
-ApStats Wlan::evaluate_cell(int ap, const std::vector<int>& clients,
-                            phy::ChannelWidth width, double medium_share,
-                            mac::TrafficType traffic,
-                            const CellContext* context) const {
-  ApStats stats;
-  stats.ap_id = ap;
-  stats.num_clients = static_cast<int>(clients.size());
-  stats.medium_share = medium_share;
-  if (clients.empty()) return stats;
-
-  std::vector<mac::CellClient> cell;
-  cell.reserve(clients.size());
-  for (int c : clients) {
-    double snr_db = client_snr_db(ap, c, width);
-    if (config_.sinr_interference && context != nullptr) {
-      // Raise the per-subcarrier noise floor by the hidden interference.
-      const double noise_mw = util::dbm_to_mw(
-          phy::noise_per_subcarrier_dbm(config_.link.noise_figure_db));
-      const double interference_mw = hidden_interference_mw(
-          ap, c, context->channel, *context->graph, *context->assignment);
-      snr_db -= util::lin_to_db((noise_mw + interference_mw) / noise_mw);
-    }
-    const ClientLink link = client_link(width, snr_db);
-    cell.push_back(mac::CellClient{c, link.rate_bps, link.per});
-  }
-  const mac::CellThroughput mac_result = mac::anomaly_throughput(
-      config_.timing, cell, medium_share, config_.payload_bytes * 8);
-
-  stats.atd_s_per_bit = mac_result.atd_s_per_bit;
-  stats.mac_throughput_bps = mac_result.cell_bps;
-  stats.client_ids = clients;
-  stats.client_delay_s_per_bit = mac_result.client_delay_s_per_bit;
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const double goodput = mac::transport_goodput_bps(
-        config_.traffic, traffic, mac_result.per_client_bps, cell[i].per);
-    stats.client_goodput_bps.push_back(goodput);
-    stats.goodput_bps += goodput;
-  }
-  return stats;
-}
-
 double Wlan::isolated_cell_bps(int ap, const std::vector<int>& clients,
                                phy::ChannelWidth width,
                                mac::TrafficType traffic) const {
   if (clients.empty()) return 0.0;
-  // The isolated bound is evaluated once per (AP, width) for every
-  // candidate association move, so rate selection goes through the
-  // process-wide RateTable (threshold scan + one PER evaluation) instead
-  // of re-running the 16-row `best_rate` sweep per client.
-  const std::shared_ptr<const phy::RateTable> table =
-      phy::RateTable::shared(link_model_, width, config_.gi);
   std::vector<mac::CellClient> cell;
   cell.reserve(clients.size());
   for (int c : clients) {
-    const double snr_db = client_snr_db(ap, c, width);
-    const phy::RateTable::Segment& seg = table->segment_for_snr(snr_db);
-    const double per = link_model_.per(phy::mcs(seg.mcs_index), snr_db);
-    cell.push_back(mac::CellClient{c, seg.rate_bps, per});
+    const ClientLink link = client_link(width, client_snr_db(ap, c, width));
+    cell.push_back(mac::CellClient{c, link.rate_bps, link.per});
   }
   const mac::CellThroughput mac_result = mac::anomaly_throughput(
       config_.timing, cell, 1.0, config_.payload_bytes * 8);
@@ -169,13 +87,6 @@ double Wlan::isolated_cell_bps(int ap, const std::vector<int>& clients,
   return total;
 }
 
-double Wlan::isolated_cell_bps_reference(int ap,
-                                         const std::vector<int>& clients,
-                                         phy::ChannelWidth width,
-                                         mac::TrafficType traffic) const {
-  return evaluate_cell(ap, clients, width, 1.0, traffic).goodput_bps;
-}
-
 double Wlan::isolated_best_bps(int ap, const std::vector<int>& clients,
                                mac::TrafficType traffic) const {
   return std::max(
@@ -183,55 +94,12 @@ double Wlan::isolated_best_bps(int ap, const std::vector<int>& clients,
       isolated_cell_bps(ap, clients, phy::ChannelWidth::k40MHz, traffic));
 }
 
-ApStats Wlan::evaluate_cell_in(int ap, const std::vector<int>& clients,
-                               double medium_share,
-                               const net::InterferenceGraph& graph,
-                               const net::ChannelAssignment& assignment,
-                               mac::TrafficType traffic) const {
-  CellContext context;
-  context.graph = &graph;
-  context.assignment = &assignment;
-  context.channel = assignment[static_cast<std::size_t>(ap)];
-  return evaluate_cell(ap, clients,
-                       assignment[static_cast<std::size_t>(ap)].width(),
-                       medium_share, traffic, &context);
-}
-
 Evaluation Wlan::evaluate(const net::Association& assoc,
                           const net::ChannelAssignment& assignment,
                           mac::TrafficType traffic) const {
-  // One-shot snapshot build + flat evaluation. The snapshot constructor
-  // and NetSnapshot::evaluate throw the same invalid_argument messages
-  // (in the same order) as evaluate_reference on malformed inputs.
+  // One-shot snapshot build + flat evaluation; the snapshot constructor
+  // and NetSnapshot::evaluate reject malformed sizes.
   return NetSnapshot(*this, assoc).evaluate(assignment, traffic);
-}
-
-Evaluation Wlan::evaluate_reference(const net::Association& assoc,
-                                    const net::ChannelAssignment& assignment,
-                                    mac::TrafficType traffic) const {
-  if (static_cast<int>(assoc.size()) != topology_.num_clients()) {
-    throw std::invalid_argument("association size != client count");
-  }
-  if (static_cast<int>(assignment.size()) != topology_.num_aps()) {
-    throw std::invalid_argument("assignment size != AP count");
-  }
-  const net::InterferenceGraph graph(topology_, budget_, assoc,
-                                     config_.interference);
-  const std::vector<std::vector<int>> clients = clients_by_ap(assoc);
-  Evaluation eval;
-  eval.per_ap.reserve(static_cast<std::size_t>(topology_.num_aps()));
-  for (int ap = 0; ap < topology_.num_aps(); ++ap) {
-    const double share =
-        config_.weighted_contention
-            ? net::medium_access_share_weighted(graph, assignment, ap)
-            : net::medium_access_share(graph, assignment, ap);
-    const ApStats stats = evaluate_cell_in(
-        ap, clients[static_cast<std::size_t>(ap)], share, graph, assignment,
-        traffic);
-    eval.total_goodput_bps += stats.goodput_bps;
-    eval.per_ap.push_back(stats);
-  }
-  return eval;
 }
 
 }  // namespace acorn::sim

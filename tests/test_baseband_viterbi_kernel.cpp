@@ -1,6 +1,7 @@
 // Randomized equivalence suite for the butterfly Viterbi kernel against
-// the kept reference decoder (viterbi_reference.hpp), which derives its
-// trellis independently from the generator polynomials. Hard decoding
+// the kept reference decoder (reference/baseband/viterbi_reference.hpp,
+// in the test-only acorn_reference library), which derives its trellis
+// independently from the generator polynomials. Hard decoding
 // must be bit-exact; soft decoding is exact whenever the LLRs are
 // integers within +/-kSoftLevelMax (quantization scale 1). The SIMD and
 // scalar kernels must agree on every decision bitmask and final metric.

@@ -6,6 +6,7 @@
 
 #include "core/controller.hpp"
 #include "core/estimated_oracle.hpp"
+#include "sim/wlan_reference.hpp"
 #include "testutil.hpp"
 #include "util/rng.hpp"
 
@@ -13,6 +14,8 @@ namespace acorn::core {
 namespace {
 
 using testutil::CellSpec;
+using testutil::random_association;
+using testutil::random_builder;
 using testutil::ScenarioBuilder;
 
 // The paper's Topology 2 shape (five APs mixing good, marginal and poor
@@ -27,44 +30,6 @@ ScenarioBuilder topology2_builder() {
       CellSpec{{testutil::kWeakLinkLoss}},
   };
   return b;
-}
-
-// A random deployment: 1-5 APs with 0-3 clients each, random link
-// qualities, random AP-AP and cross-cell losses (spanning isolated,
-// contending and hidden-interferer regimes).
-ScenarioBuilder random_builder(util::Rng& rng, bool sinr, bool weighted) {
-  ScenarioBuilder b;
-  const int n_aps = static_cast<int>(rng.uniform_int(1, 5));
-  for (int a = 0; a < n_aps; ++a) {
-    CellSpec spec;
-    const int n_clients = static_cast<int>(rng.uniform_int(0, 3));
-    for (int c = 0; c < n_clients; ++c) {
-      spec.client_losses_db.push_back(rng.uniform(78.0, 112.0));
-    }
-    b.cells.push_back(spec);
-  }
-  b.ap_ap_loss_db = rng.uniform(80.0, 140.0);
-  b.cross_loss_db = rng.uniform(95.0, 140.0);
-  b.config.sinr_interference = sinr;
-  b.config.weighted_contention = weighted;
-  return b;
-}
-
-// Shuffle the intended association: some clients roam to a random AP,
-// some disconnect entirely.
-net::Association random_association(const ScenarioBuilder& b,
-                                    util::Rng& rng) {
-  net::Association assoc = b.intended_association();
-  const int n_aps = static_cast<int>(b.cells.size());
-  for (int& owner : assoc) {
-    const double roll = rng.uniform();
-    if (roll < 0.15) {
-      owner = net::kUnassociated;
-    } else if (roll < 0.35) {
-      owner = static_cast<int>(rng.uniform_int(0, n_aps - 1));
-    }
-  }
-  return assoc;
 }
 
 TEST(CachedOracle, BitIdenticalToFullEvaluateOnRandomTopologies) {
@@ -88,7 +53,7 @@ TEST(CachedOracle, BitIdenticalToFullEvaluateOnRandomTopologies) {
       // object-at-a-time path, so the whole chain is pinned to the
       // original semantics.
       EXPECT_EQ(expected,
-                wlan.evaluate_reference(assoc, f).total_goodput_bps)
+                sim::reference::evaluate(wlan, assoc, f).total_goodput_bps)
           << "trial " << trial << " rep " << rep;
       // Exact bit-identity, not near-equality: cache misses run the same
       // per-cell code, hits replay a stored double.

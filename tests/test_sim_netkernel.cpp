@@ -1,5 +1,5 @@
-// The flat-engine contract: sim::NetSnapshot must reproduce the legacy
-// object-at-a-time evaluator (Wlan::evaluate_reference) bit-for-bit —
+// The flat-engine contract: sim::NetSnapshot must reproduce the
+// object-at-a-time evaluator (sim::reference::evaluate) bit-for-bit —
 // every ApStats field of every cell, on randomized deployments covering
 // all four combos of sinr_interference x weighted_contention, both
 // transports, and degenerate associations (roamed / disconnected
@@ -11,51 +11,16 @@
 #include <stdexcept>
 
 #include "core/allocation.hpp"
+#include "sim/wlan_reference.hpp"
 #include "testutil.hpp"
 #include "util/rng.hpp"
 
 namespace acorn::sim {
 namespace {
 
-using testutil::CellSpec;
+using testutil::random_association;
+using testutil::random_builder;
 using testutil::ScenarioBuilder;
-
-// Random deployment: 1-5 APs with 0-3 clients each, random link
-// qualities, random AP-AP and cross-cell losses (spanning isolated,
-// contending and hidden-interferer regimes). Mirrors the oracle-cache
-// equivalence test's generator.
-ScenarioBuilder random_builder(util::Rng& rng, bool sinr, bool weighted) {
-  ScenarioBuilder b;
-  const int n_aps = static_cast<int>(rng.uniform_int(1, 5));
-  for (int a = 0; a < n_aps; ++a) {
-    CellSpec spec;
-    const int n_clients = static_cast<int>(rng.uniform_int(0, 3));
-    for (int c = 0; c < n_clients; ++c) {
-      spec.client_losses_db.push_back(rng.uniform(78.0, 112.0));
-    }
-    b.cells.push_back(spec);
-  }
-  b.ap_ap_loss_db = rng.uniform(80.0, 140.0);
-  b.cross_loss_db = rng.uniform(95.0, 140.0);
-  b.config.sinr_interference = sinr;
-  b.config.weighted_contention = weighted;
-  return b;
-}
-
-net::Association random_association(const ScenarioBuilder& b,
-                                    util::Rng& rng) {
-  net::Association assoc = b.intended_association();
-  const int n_aps = static_cast<int>(b.cells.size());
-  for (int& owner : assoc) {
-    const double roll = rng.uniform();
-    if (roll < 0.15) {
-      owner = net::kUnassociated;
-    } else if (roll < 0.35) {
-      owner = static_cast<int>(rng.uniform_int(0, n_aps - 1));
-    }
-  }
-  return assoc;
-}
 
 void expect_identical(const Evaluation& got, const Evaluation& expected) {
   EXPECT_EQ(got.total_goodput_bps, expected.total_goodput_bps);
@@ -92,7 +57,7 @@ TEST(NetSnapshot, BitIdenticalToReferenceOnRandomTopologies) {
       const mac::TrafficType traffic =
           (rep % 2) == 0 ? mac::TrafficType::kUdp : mac::TrafficType::kTcp;
       const Evaluation expected =
-          wlan.evaluate_reference(assoc, f, traffic);
+          reference::evaluate(wlan, assoc, f, traffic);
       SCOPED_TRACE("trial " + std::to_string(trial) + " rep " +
                    std::to_string(rep) + " sinr=" + std::to_string(sinr) +
                    " weighted=" + std::to_string(weighted));
@@ -157,21 +122,29 @@ TEST(NetSnapshot, RejectsMalformedInputsLikeTheReference) {
       std::invalid_argument);
 }
 
-// The consolidated rate helper behind client_delay_s_per_bit must still
-// agree with deriving the delay from client_rate by hand.
-TEST(Wlan, ClientDelayConsistentWithClientRate) {
-  const ScenarioBuilder b = testutil::topology1_builder();
-  const Wlan wlan = b.build();
-  for (int ap = 0; ap < wlan.topology().num_aps(); ++ap) {
-    for (int c = 0; c < wlan.topology().num_clients(); ++c) {
-      for (const phy::ChannelWidth width :
-           {phy::ChannelWidth::k20MHz, phy::ChannelWidth::k40MHz}) {
-        const phy::RateDecision rate = wlan.client_rate(ap, c, width);
-        const phy::McsEntry& entry = phy::mcs(rate.mcs_index);
-        const double expected = mac::per_bit_delay_s(
-            wlan.config().timing, entry.rate_bps(width, wlan.config().gi),
-            wlan.config().payload_bytes * 8, rate.per);
-        EXPECT_EQ(wlan.client_delay_s_per_bit(ap, c, width), expected);
+// The beacon term of Algorithm 1 (client_delay_s_per_bit) reads the
+// Wlan's RateTables; it must equal the delay derived by hand from the
+// 16-row best_rate sweep, for every AP-client pair of the random
+// deployments (saturated, marginal and dead links alike).
+TEST(Wlan, ClientDelayConsistentWithBestRate) {
+  util::Rng rng(0xBEAC);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Wlan wlan = random_builder(rng, false, false).build();
+    const WlanConfig& config = wlan.config();
+    for (int ap = 0; ap < wlan.topology().num_aps(); ++ap) {
+      for (int c = 0; c < wlan.topology().num_clients(); ++c) {
+        for (const phy::ChannelWidth width :
+             {phy::ChannelWidth::k20MHz, phy::ChannelWidth::k40MHz}) {
+          const phy::RateDecision rate =
+              phy::best_rate(wlan.link_model(), width,
+                             wlan.client_snr_db(ap, c, width), config.gi);
+          const double expected = mac::per_bit_delay_s(
+              config.timing,
+              phy::mcs(rate.mcs_index).rate_bps(width, config.gi),
+              config.payload_bytes * 8, rate.per);
+          EXPECT_EQ(wlan.client_delay_s_per_bit(ap, c, width), expected)
+              << "trial " << trial << " ap " << ap << " client " << c;
+        }
       }
     }
   }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/allocation.hpp"
+#include "sim/wlan_reference.hpp"
 #include "testutil.hpp"
 
 namespace acorn::sim {
@@ -120,11 +121,11 @@ TEST(SinrModel, InterferenceScalesWithOverlap) {
                                      wlan.config().interference);
   const net::ChannelAssignment other_on_bond = {net::Channel::basic(0),
                                                 net::Channel::bonded(0)};
-  const double full = wlan.hidden_interference_mw(
-      0, 0, net::Channel::bonded(0), graph,
+  const double full = reference::hidden_interference_mw(
+      wlan, 0, 0, net::Channel::bonded(0), graph,
       {net::Channel::bonded(0), net::Channel::bonded(0)});
-  const double half = wlan.hidden_interference_mw(
-      0, 0, net::Channel::basic(0), graph, other_on_bond);
+  const double half = reference::hidden_interference_mw(
+      wlan, 0, 0, net::Channel::basic(0), graph, other_on_bond);
   EXPECT_GT(full, 0.0);
   EXPECT_GT(full, half);
 }

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "sim/wlan_reference.hpp"
 #include "testutil.hpp"
 
 namespace acorn::sim {
@@ -97,10 +98,12 @@ TEST(Wlan, IsolatedCellBitIdenticalToReference) {
     for (mac::TrafficType traffic :
          {mac::TrafficType::kUdp, mac::TrafficType::kTcp}) {
       EXPECT_EQ(wlan.isolated_cell_bps(0, clients, width, traffic),
-                wlan.isolated_cell_bps_reference(0, clients, width, traffic));
+                reference::isolated_cell_bps(wlan, 0, clients, width,
+                                             traffic));
       for (int c : clients) {
         EXPECT_EQ(wlan.isolated_cell_bps(0, {c}, width, traffic),
-                  wlan.isolated_cell_bps_reference(0, {c}, width, traffic));
+                  reference::isolated_cell_bps(wlan, 0, {c}, width,
+                                               traffic));
       }
     }
   }

@@ -1,6 +1,7 @@
 // Shared helpers for the test suite: the library's scripted-deployment
-// builder plus a canned Topology-1 shape, and the hex form the byte-format
-// golden tests pin encodings in.
+// builder plus a canned Topology-1 shape, the random deployments the
+// bit-identity suites draw, and the hex form the byte-format golden tests
+// pin encodings in.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "sim/scenario.hpp"
+#include "util/rng.hpp"
 
 namespace acorn::testutil {
 
@@ -58,6 +60,45 @@ inline ScenarioBuilder topology1_builder() {
   b.cells = {CellSpec{{kPoorLinkLoss, kPoorLinkLoss + 0.2}},
              CellSpec{{kGoodLinkLoss, kGoodLinkLoss + 2.0}}};
   return b;
+}
+
+/// A random deployment: 1-5 APs with 0-3 clients each, random link
+/// qualities (saturated down to dead), random AP-AP and cross-cell losses
+/// (spanning isolated, contending and hidden-interferer regimes).
+inline ScenarioBuilder random_builder(util::Rng& rng, bool sinr,
+                                      bool weighted) {
+  ScenarioBuilder b;
+  const int n_aps = static_cast<int>(rng.uniform_int(1, 5));
+  for (int a = 0; a < n_aps; ++a) {
+    CellSpec spec;
+    const int n_clients = static_cast<int>(rng.uniform_int(0, 3));
+    for (int c = 0; c < n_clients; ++c) {
+      spec.client_losses_db.push_back(rng.uniform(78.0, 112.0));
+    }
+    b.cells.push_back(spec);
+  }
+  b.ap_ap_loss_db = rng.uniform(80.0, 140.0);
+  b.cross_loss_db = rng.uniform(95.0, 140.0);
+  b.config.sinr_interference = sinr;
+  b.config.weighted_contention = weighted;
+  return b;
+}
+
+/// Shuffle the intended association: some clients roam to a random AP,
+/// some disconnect entirely.
+inline net::Association random_association(const ScenarioBuilder& b,
+                                           util::Rng& rng) {
+  net::Association assoc = b.intended_association();
+  const int n_aps = static_cast<int>(b.cells.size());
+  for (int& owner : assoc) {
+    const double roll = rng.uniform();
+    if (roll < 0.15) {
+      owner = net::kUnassociated;
+    } else if (roll < 0.35) {
+      owner = static_cast<int>(rng.uniform_int(0, n_aps - 1));
+    }
+  }
+  return assoc;
 }
 
 }  // namespace acorn::testutil
