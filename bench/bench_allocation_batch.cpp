@@ -2,7 +2,7 @@
 // scoring paths: the exact evaluator called once per candidate (the
 // loop any custom ThroughputOracle runs), CachedOracle::total_bps
 // called once per candidate, and the default batched scan
-// (CachedOracle::total_bps_batch + persistent worker pool) — plus the
+// (CachedOracle::total_bps_batch) — plus the
 // RateTable construction cost before/after the bracketed probe
 // strategy.
 //
@@ -79,11 +79,8 @@ enum class Path {
 };
 
 PathResult run_path(const std::vector<Scenario>& scenarios, Path path,
-                    int threads, int reps) {
-  const net::ChannelPlan plan(12);
-  core::AllocationConfig acfg;
-  acfg.num_threads = threads;
-  const core::ChannelAllocator alloc{plan, acfg};
+                    int reps) {
+  const core::ChannelAllocator alloc{net::ChannelPlan(12)};
   PathResult r;
   // Each rep rebuilds its oracles, so reps repeat identical work; they
   // exist to stretch smoke-sized runs past scheduler noise.
@@ -142,28 +139,22 @@ int main(int argc, char** argv) {
   const std::vector<Scenario> floor_set =
       make_scenarios(scenarios, aps, clients, radius_m);
 
-  const PathResult exact = run_path(floor_set, Path::kExact, 1, reps);
+  const PathResult exact = run_path(floor_set, Path::kExact, reps);
   bench::emit_evals("bench_allocation_batch", "alloc_scan_random",
                     exact.seconds, exact.evals, 1, "exact");
-  const PathResult cached = run_path(floor_set, Path::kCached, 1, reps);
+  const PathResult cached = run_path(floor_set, Path::kCached, reps);
   bench::emit_evals("bench_allocation_batch", "alloc_scan_random",
                     cached.seconds, cached.evals, 1, "cached");
-  const PathResult batched = run_path(floor_set, Path::kBatched, 1, reps);
+  const PathResult batched = run_path(floor_set, Path::kBatched, reps);
   bench::emit_evals("bench_allocation_batch", "alloc_scan_random",
                     batched.seconds, batched.evals, 1, "batched");
-  // Multi-threaded run: a determinism check, not a perf claim (rows
-  // carry hw_threads) — hence the label.
-  const PathResult mt = run_path(floor_set, Path::kBatched, 2, reps);
-  bench::emit_evals("bench_allocation_batch", "alloc_scan_random",
-                    mt.seconds, mt.evals, 2, "batched_determinism");
 
   const double speedup = batched.seconds > 0.0 && exact.seconds > 0.0
                              ? exact.seconds / batched.seconds
                              : 0.0;
-  util::TextTable t({"path", "threads", "evals", "evals/s", "vs exact"});
-  const auto row = [&](const char* name, int threads, const PathResult& p) {
-    t.add_row({name, std::to_string(threads),
-               std::to_string(static_cast<long long>(p.evals)),
+  util::TextTable t({"path", "evals", "evals/s", "vs exact"});
+  const auto row = [&](const char* name, const PathResult& p) {
+    t.add_row({name, std::to_string(static_cast<long long>(p.evals)),
                util::TextTable::num(p.seconds > 0.0
                                         ? static_cast<double>(p.evals) /
                                               p.seconds
@@ -175,15 +166,14 @@ int main(int argc, char** argv) {
                                     2) +
                    "x"});
   };
-  row("exact per candidate", 1, exact);
-  row("cached per candidate", 1, cached);
-  row("batched", 1, batched);
-  row("batched", 2, mt);
+  row("exact per candidate", exact);
+  row("cached per candidate", cached);
+  row("batched", batched);
   std::printf("\n%s\n", t.to_string().c_str());
 
   bool identical = true;
   bool ok = true;
-  for (const PathResult* p : {&cached, &batched, &mt}) {
+  for (const PathResult* p : {&cached, &batched}) {
     if (p->checksum != exact.checksum || p->evals != exact.evals) {
       identical = false;
     }

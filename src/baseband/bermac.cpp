@@ -8,6 +8,7 @@
 #include "baseband/engine.hpp"
 #include "baseband/qpsk.hpp"
 #include "baseband/stbc.hpp"
+#include "util/parallel.hpp"
 #include "util/units.hpp"
 
 namespace acorn::baseband {
@@ -306,7 +307,7 @@ BermacResult run_bermac(const BermacConfig& config, util::Rng& rng) {
   };
 
   if (config.use_stbc) {
-    parallel_packets(
+    util::parallel_for(
         packets, config.num_threads,
         [&] { return StbcCtx(config, ofdm); },
         [&](StbcCtx& ctx, std::size_t p) {
@@ -315,7 +316,7 @@ BermacResult run_bermac(const BermacConfig& config, util::Rng& rng) {
                           capture_slice(p));
         });
   } else {
-    parallel_packets(
+    util::parallel_for(
         packets, config.num_threads,
         [&] { return SisoCtx(config, ofdm); },
         [&](SisoCtx& ctx, std::size_t p) {

@@ -1,23 +1,10 @@
-// Deterministic parallel packet driver for the Monte-Carlo sweeps.
-//
-// The contract that makes `num_threads` a pure performance knob (§ fast
-// engine in DESIGN.md): every packet index derives its own RNG stream
-// (util::Rng::derive_stream), workers pull indices from a shared atomic
-// counter, and each packet writes only its own preallocated result slot.
-// The caller reduces the slots in packet order afterwards, so BER / PER /
-// mean-SNR / constellation captures are bit-identical for any thread
-// count, including the serial path.
+// Shared per-packet statistics of the Monte-Carlo chains. The packet
+// loops themselves run on util::parallel_for (util/parallel.hpp).
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
-#include <mutex>
 #include <span>
-#include <thread>
-#include <vector>
 
 namespace acorn::baseband {
 
@@ -31,63 +18,6 @@ inline std::int64_t count_bit_errors(std::span<const std::uint8_t> sent,
     errors += sent[i] ^ received[i];
   }
   return errors;
-}
-
-/// Map the user-facing `num_threads` knob (0 = one per hardware thread)
-/// to a concrete worker count.
-inline int resolve_num_threads(int requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-/// Run `body(ctx, p)` for every packet index p in [0, packets). Each
-/// worker gets its own context from `make_ctx()` (per-worker channel +
-/// scratch buffers), so `body` must only touch its context and the
-/// packet-indexed slot it owns. `make_ctx` is invoked from worker
-/// threads and must be safe to call concurrently (it only reads shared
-/// immutable state). With `num_threads` <= 1 everything runs on the
-/// calling thread. The first exception thrown by any worker stops the
-/// sweep and is rethrown on the calling thread.
-template <typename MakeCtx, typename Body>
-void parallel_packets(std::size_t packets, int num_threads,
-                      MakeCtx&& make_ctx, Body&& body) {
-  const int threads = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(
-                                resolve_num_threads(num_threads)),
-                            std::max<std::size_t>(packets, 1)));
-  if (threads <= 1) {
-    auto ctx = make_ctx();
-    for (std::size_t p = 0; p < packets; ++p) body(ctx, p);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  std::mutex error_mutex;
-
-  const auto worker = [&]() {
-    try {
-      auto ctx = make_ctx();
-      while (!failed.load(std::memory_order_relaxed)) {
-        const std::size_t p = next.fetch_add(1, std::memory_order_relaxed);
-        if (p >= packets) break;
-        body(ctx, p);
-      }
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!error) error = std::current_exception();
-      failed.store(true, std::memory_order_relaxed);
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads - 1));
-  for (int t = 1; t < threads; ++t) pool.emplace_back(worker);
-  worker();
-  for (auto& th : pool) th.join();
-  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace acorn::baseband

@@ -10,6 +10,7 @@
 #include "baseband/ofdm.hpp"
 #include "baseband/qam.hpp"
 #include "baseband/scrambler.hpp"
+#include "util/parallel.hpp"
 #include "util/units.hpp"
 
 namespace acorn::baseband {
@@ -219,7 +220,7 @@ PhyChainResult run_phy_chain(const PhyChainConfig& config, int packets,
   };
   std::vector<PacketStats> stats(static_cast<std::size_t>(packets));
 
-  parallel_packets(
+  util::parallel_for(
       static_cast<std::size_t>(packets), config.num_threads,
       [&] { return ChainCtx(config, entry, ofdm, interleaver); },
       [&](ChainCtx& ctx, std::size_t p) {

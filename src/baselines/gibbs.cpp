@@ -93,35 +93,4 @@ net::ChannelAssignment GibbsAllocator::allocate(const sim::Wlan& wlan,
   return assignment;
 }
 
-net::ChannelAssignment GibbsAllocator::allocate_best(
-    const sim::Wlan& wlan, const net::Association& assoc, util::Rng& rng,
-    const core::ThroughputOracle& oracle) const {
-  const std::vector<net::Channel> colors =
-      config_.bonds_only ? plan_.bonded_channels() : plan_.all_channels();
-  if (colors.empty()) throw std::logic_error("empty color set");
-  if (!oracle) throw std::invalid_argument("null oracle");
-  const int n_aps = wlan.topology().num_aps();
-
-  net::ChannelAssignment assignment;
-  assignment.reserve(static_cast<std::size_t>(n_aps));
-  for (int i = 0; i < n_aps; ++i) {
-    assignment.push_back(colors[static_cast<std::size_t>(rng.uniform_int(
-        0, static_cast<std::int64_t>(colors.size()) - 1))]);
-  }
-  net::ChannelAssignment best = assignment;
-  double best_bps = oracle(assoc, assignment);
-
-  double temperature = config_.initial_temperature;
-  for (int s = 0; s < config_.sweeps; ++s) {
-    sweep(wlan, assignment, colors, temperature, rng);
-    temperature *= config_.cooling;
-    const double bps = oracle(assoc, assignment);
-    if (bps > best_bps) {
-      best_bps = bps;
-      best = assignment;
-    }
-  }
-  return best;
-}
-
 }  // namespace acorn::baselines

@@ -7,7 +7,6 @@
 // caller includes in the plan's color set.
 #pragma once
 
-#include "core/allocation.hpp"
 #include "net/channels.hpp"
 #include "sim/wlan.hpp"
 #include "util/rng.hpp"
@@ -40,18 +39,6 @@ class GibbsAllocator {
   /// Run the sampler from a random initialization.
   net::ChannelAssignment allocate(const sim::Wlan& wlan,
                                   util::Rng& rng) const;
-
-  /// Same sampler and random stream as `allocate`, but score the
-  /// assignment left by every sweep with `oracle` (the same throughput
-  /// oracle ACORN's allocator drives — pass core::make_cached_oracle for
-  /// the fast incremental one) and return the best-scoring assignment
-  /// observed instead of whatever the final sweep happened to leave.
-  /// Lets the benches compare baselines on equal measurement footing.
-  net::ChannelAssignment allocate_best(const sim::Wlan& wlan,
-                                       const net::Association& assoc,
-                                       util::Rng& rng,
-                                       const core::ThroughputOracle& oracle)
-      const;
 
  private:
   /// One Gibbs sweep over every AP at `temperature`, in place.

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/oracle_cache.hpp"
-#include "util/worker_pool.hpp"
 
 namespace acorn::core {
 
@@ -18,8 +17,8 @@ ChannelAllocator::ChannelAllocator(net::ChannelPlan plan,
   if (config_.max_rounds < 1) {
     throw std::invalid_argument("max_rounds must be >= 1");
   }
-  if (config_.batch_size < 1) {
-    throw std::invalid_argument("batch_size must be >= 1");
+  if (config_.num_threads != 1) {
+    throw std::invalid_argument("num_threads must be 1");
   }
 }
 
@@ -37,13 +36,17 @@ net::ChannelAssignment ChannelAllocator::random_assignment(
 
 namespace {
 
+// Candidates per total_bps_batch call in the batched scan.
+constexpr std::size_t kScanSlice = 64;
+
 // The shared Algorithm 2 loop. `batch` non-null scores through the
-// CachedOracle — the candidate scan through total_bps_batch — and
-// `oracle` is unused; otherwise (a custom oracle) every candidate is
-// one `oracle` call. Both paths score candidates into the same
-// trial_y slots and run the same first-strict-improvement winner rule,
-// so the committed switch sequence — and with it every downstream
-// double — is identical regardless of path, batch size or thread count.
+// CachedOracle — the candidate scan through total_bps_batch, in
+// consecutive slices of kScanSlice — and `oracle` is unused; otherwise
+// (a custom oracle) every candidate is one `oracle` call. Both paths
+// score candidates into the same trial_y slots and run the same
+// first-strict-improvement winner rule, so the committed switch
+// sequence — and with it every downstream double — is identical on
+// either path.
 AllocationResult run_algorithm2(const net::ChannelPlan& plan,
                                 const AllocationConfig& config,
                                 const net::Association& assoc,
@@ -60,11 +63,6 @@ AllocationResult run_algorithm2(const net::ChannelPlan& plan,
                               : oracle(assoc, result.assignment);
   result.trajectory_bps.push_back(y);
 
-  // One persistent pool for the whole run: the scan used to spawn and
-  // join a fresh std::vector<std::thread> per inner iteration, which
-  // dominates wall-clock once the per-candidate work is batched away.
-  util::WorkerPool pool(config.num_threads);
-
   struct Candidate {
     int ap;
     std::size_t color_idx;
@@ -72,6 +70,7 @@ AllocationResult run_algorithm2(const net::ChannelPlan& plan,
   std::vector<Candidate> candidates;
   std::vector<FlipCandidate> flips;
   std::vector<double> trial_y;
+  net::ChannelAssignment trial;
 
   for (int round = 0; round < config.max_rounds; ++round) {
     const double y_round_start = y;
@@ -94,52 +93,33 @@ AllocationResult run_algorithm2(const net::ChannelPlan& plan,
       result.evaluations += static_cast<std::int64_t>(candidates.size());
       trial_y.assign(candidates.size(), 0.0);
       if (batch != nullptr) {
-        // Batched scan: contiguous candidate blocks, each one
-        // total_bps_batch call, fanned across the pool.
         flips.resize(candidates.size());
         for (std::size_t j = 0; j < candidates.size(); ++j) {
           flips[j] = FlipCandidate{candidates[j].ap,
                                    colors[candidates[j].color_idx]};
         }
-        const std::size_t batch_size =
-            static_cast<std::size_t>(config.batch_size);
-        const int n_batches = static_cast<int>(
-            (candidates.size() + batch_size - 1) / batch_size);
-        pool.run(n_batches, [&](int b) {
-          const std::size_t begin =
-              static_cast<std::size_t>(b) * batch_size;
+        for (std::size_t begin = 0; begin < candidates.size();
+             begin += kScanSlice) {
           const std::size_t count =
-              std::min(batch_size, candidates.size() - begin);
+              std::min(kScanSlice, candidates.size() - begin);
           batch->total_bps_batch(
               result.assignment,
               std::span<const FlipCandidate>(flips).subspan(begin, count),
-              std::span<double>(trial_y).subspan(begin, count),
-              config.batch_kernel);
-        });
+              std::span<double>(trial_y).subspan(begin, count));
+        }
       } else {
-        // One oracle call per candidate, contiguous slices per worker
-        // (each slice reuses one flip/evaluate/restore trial vector).
-        const std::size_t n_slices = std::min<std::size_t>(
-            static_cast<std::size_t>(pool.threads()), candidates.size());
-        const std::size_t chunk =
-            (candidates.size() + n_slices - 1) / n_slices;
-        pool.run(static_cast<int>(n_slices), [&](int t) {
-          const std::size_t begin = static_cast<std::size_t>(t) * chunk;
-          const std::size_t end =
-              std::min(begin + chunk, candidates.size());
-          net::ChannelAssignment trial = result.assignment;
-          for (std::size_t j = begin; j < end; ++j) {
-            const Candidate& cand = candidates[j];
-            const std::size_t ap = static_cast<std::size_t>(cand.ap);
-            trial[ap] = colors[cand.color_idx];
-            trial_y[j] = oracle(assoc, trial);
-            trial[ap] = result.assignment[ap];
-          }
-        });
+        // One oracle call per candidate on one flip/evaluate/restore
+        // trial vector.
+        trial = result.assignment;
+        for (std::size_t j = 0; j < candidates.size(); ++j) {
+          const std::size_t ap = static_cast<std::size_t>(candidates[j].ap);
+          trial[ap] = colors[candidates[j].color_idx];
+          trial_y[j] = oracle(assoc, trial);
+          trial[ap] = result.assignment[ap];
+        }
       }
       // Winner: the first candidate in scan order whose throughput
-      // strictly beats everything before it — identical to the serial
-      // running-max, regardless of how the scan was partitioned.
+      // strictly beats everything before it.
       int winner = -1;
       double winner_y = y;
       for (std::size_t j = 0; j < candidates.size(); ++j) {

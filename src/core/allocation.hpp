@@ -13,6 +13,11 @@
 // graph k-coloring, §4.2); this greedy carries a worst-case
 // O(1/(Delta+1)) approximation bound but is near-optimal in practice
 // (Fig. 14).
+//
+// One run is serial: every candidate of a step is scored against the
+// same base and the first best in scan order commits. Independent runs
+// go parallel one level up, across scenarios (sim::sweep_scenarios) and
+// across WLANs (acornd's shard executor).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +25,6 @@
 #include <vector>
 
 #include "net/channels.hpp"
-#include "sim/netkernel.hpp"
 #include "sim/wlan.hpp"
 
 namespace acorn::core {
@@ -32,19 +36,8 @@ struct AllocationConfig {
   double epsilon = 1.05;
   /// Safety bound on rounds (the paper's loop always terminated quickly).
   int max_rounds = 16;
-  /// Worker threads for the candidate (AP, color) scan. 1 = serial. The
-  /// parallel scan picks the same winner as the serial one (first
-  /// candidate in scan order attaining the maximum), so results are
-  /// bit-identical. With > 1 a custom oracle must be thread-safe; the
-  /// CachedOracle is. The workers live in one persistent pool for the
-  /// whole allocate() run (no per-iteration thread spawns).
+  /// Must be 1: a run is serial (see above).
   int num_threads = 1;
-  /// Candidates per total_bps_batch call (also the SIMD lane-fill unit)
-  /// when the scan runs against a CachedOracle; results are
-  /// bit-identical at any batch size, thread count or kernel.
-  int batch_size = 64;
-  /// Kernel selection for the batched scan (kAuto = SIMD where built).
-  sim::BatchKernel batch_kernel = sim::BatchKernel::kAuto;
 };
 
 /// What an AP can observe when estimating "aggregate throughput with me
@@ -86,8 +79,8 @@ class ChannelAllocator {
 
   /// Run Algorithm 2 against an existing CachedOracle (which must be
   /// bound to `assoc`), scoring candidates through the oracle's batched
-  /// multi-candidate evaluator. Bit-identical to the ThroughputOracle
-  /// overload wrapping `oracle.total_bps`.
+  /// multi-candidate evaluator, 64 per call. Bit-identical to the
+  /// ThroughputOracle overload wrapping `oracle.total_bps`.
   AllocationResult allocate(const sim::Wlan& wlan,
                             const net::Association& assoc,
                             net::ChannelAssignment initial,

@@ -110,12 +110,11 @@ struct CellWork {
   }
 };
 
-// The scoring calls' scratch. Thread-local, so concurrent scans never
-// share it, and reused across calls and oracles: vectors only grow, so
-// a warm call allocates nothing (the same idea as the cell kernel's
-// BatchScratch in sim/netkernel_batch.cpp).
+// The scoring calls' scratch. Thread-local rather than per oracle, so
+// a fleet of oracles shares one copy per thread, and reused across
+// calls: vectors only grow, so a warm call allocates nothing (the same
+// idea as the cell kernel's BatchScratch in sim/netkernel_batch.cpp).
 struct ScanScratch {
-  std::vector<std::uint64_t> base_key;  // per-AP channel codes of the base
   std::vector<std::uint64_t> key;       // one memo key under construction
   std::vector<double> act;              // per-candidate activity vectors
   std::vector<Touch> touches;           // candidate by candidate
@@ -161,76 +160,26 @@ CachedOracle::CachedOracle(const sim::Wlan& wlan, net::Association assoc,
   }
 }
 
-// Holds one leased base for the length of a call: leasing finds the
-// pooled base built for the assignment or builds it into an idle one.
-// The destructor hands the base back and publishes the call's counters
-// in one critical section, on every exit path.
-class CachedOracle::Lease {
- public:
-  Lease(const CachedOracle& oracle, const net::ChannelAssignment& base,
-        sim::BatchKernel kernel)
-      : oracle_(oracle) {
-    std::vector<std::uint64_t>& key = scan_scratch().base_key;
-    key.resize(base.size());
-    for (std::size_t ap = 0; ap < base.size(); ++ap) {
-      key[ap] = channel_code(base[ap]);
-    }
-    std::lock_guard<std::mutex> lock(oracle_.mutex_);
-    BatchBase* idle = nullptr;
-    for (const std::unique_ptr<BatchBase>& bb : oracle_.bases_) {
-      if (std::ranges::equal(bb->key, key)) {
-        ++oracle_.stats_.share_hits;
-        bb_ = bb.get();
-        ++bb_->readers;
-        return;
-      }
-      if (idle == nullptr && bb->readers == 0) idle = bb.get();
-    }
-    if (idle == nullptr) {
-      oracle_.bases_.push_back(std::make_unique<BatchBase>());
-      idle = oracle_.bases_.back().get();
-    }
-    // Build under the lock: a duplicate concurrent build of one base
-    // would waste far more than the wait.
-    oracle_.build_batch_base(*idle, base, key, kernel);
-    bb_ = idle;
-    ++bb_->readers;
-  }
-  Lease(const Lease&) = delete;
-  Lease& operator=(const Lease&) = delete;
-  ~Lease() {
-    std::lock_guard<std::mutex> lock(oracle_.mutex_);
-    --bb_->readers;
-    OracleCacheStats& st = oracle_.stats_;
-    st.batch_calls += counts.batch_calls;
-    st.batch_candidates += counts.batch_candidates;
-    st.batch_full_evals += counts.batch_full_evals;
-  }
-  const BatchBase& base() const { return *bb_; }
-  OracleCacheStats counts;
-
- private:
-  const CachedOracle& oracle_;
-  BatchBase* bb_ = nullptr;
-};
-
 double CachedOracle::total_bps(const net::ChannelAssignment& assignment) const {
   if (static_cast<int>(assignment.size()) != snap_.num_aps()) {
     throw std::invalid_argument("assignment size != AP count");
   }
-  const Lease lease(*this, assignment, sim::BatchKernel::kAuto);
-  return lease.base().total;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return analyze(assignment, sim::BatchKernel::kAuto).total;
 }
 
-void CachedOracle::build_batch_base(BatchBase& bb,
-                                    const net::ChannelAssignment& base,
-                                    KeyView key,
-                                    sim::BatchKernel kernel) const {
+const CachedOracle::BatchBase& CachedOracle::analyze(
+    const net::ChannelAssignment& base, sim::BatchKernel kernel) const {
+  BatchBase& bb = base_;
+  if (bb.built && bb.assignment == base) {
+    ++stats_.share_hits;
+    return bb;
+  }
   const int n_aps = snap_.num_aps();
   const net::InterferenceGraph& graph = snap_.graph();
-  // The key is set last, so a build cut short by an exception leaves a
-  // base no lease can match.
-  bb.key.clear();
+  // `built` is set last, so a build cut short by an exception leaves a
+  // base no call can match.
+  bb.built = false;
   bb.assignment = base;
   bb.conflict_count.resize(static_cast<std::size_t>(n_aps));
   bb.activity.resize(static_cast<std::size_t>(n_aps));
@@ -306,7 +255,8 @@ void CachedOracle::build_batch_base(BatchBase& bb,
     bb.cell_cache.push_back(&scan->second);
     bb.total += value;
   }
-  bb.key.assign(key.begin(), key.end());
+  bb.built = true;
+  return bb;
 }
 
 void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
@@ -332,12 +282,12 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
   const std::size_t n = static_cast<std::size_t>(n_aps);
   const std::size_t n_cands = candidates.size();
 
-  Lease lease(*this, base, kernel);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const BatchBase& bb = analyze(base, kernel);
   ScanScratch& s = scan_scratch();
-  const BatchBase& bb = lease.base();
   const std::size_t n_cells = bb.cells.size();
-  lease.counts.batch_calls = 1;
-  lease.counts.batch_candidates = n_cands;
+  ++stats_.batch_calls;
+  stats_.batch_candidates += n_cands;
 
   // Per-candidate incremental state and per-cell lane lists.
   s.act.resize(n_cands * n);
@@ -357,16 +307,13 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
                   act_j);
     const KeyView key(s.key);
     CellWork& w = s.cells[idx];
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      const auto& memo = memo_[static_cast<std::size_t>(x)];
-      const auto it = memo.find(key);
-      if (it != memo.end()) {
-        ++stats_.cell_hits;
-        w.memo_vals.push_back(it->second);
-        return Touch{static_cast<int>(idx), 2,
-                     static_cast<int>(w.memo_vals.size()) - 1};
-      }
+    const auto& memo = memo_[static_cast<std::size_t>(x)];
+    const auto it = memo.find(key);
+    if (it != memo.end()) {
+      ++stats_.cell_hits;
+      w.memo_vals.push_back(it->second);
+      return Touch{static_cast<int>(idx), 2,
+                   static_cast<int>(w.memo_vals.size()) - 1};
     }
     for (std::size_t k = 0; k < w.full_lanes.size(); ++k) {
       if (std::ranges::equal(w.key(k), key)) {
@@ -527,13 +474,12 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
     const int x = bb.cells[idx];
     CellWork& w = s.cells[idx];
     if (!w.full_lanes.empty()) {
-      lease.counts.batch_full_evals += w.full_lanes.size();
+      stats_.batch_full_evals += w.full_lanes.size();
       w.full_vals.resize(w.full_lanes.size());
       snap_.evaluate_cells_batch(x, bb.assignment, w.full_lanes, traffic_,
                                  weights_, w.full_vals, nullptr, kernel);
       // Publish into the persistent memo so later batches and bases
       // replay these values for free.
-      std::lock_guard<std::mutex> lock(mutex_);
       auto& memo = memo_[static_cast<std::size_t>(x)];
       for (std::size_t k = 0; k < w.full_lanes.size(); ++k) {
         const KeyView key = w.key(k);
@@ -577,27 +523,6 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
 OracleCacheStats CachedOracle::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-ThroughputOracle make_cached_oracle(const sim::Wlan& wlan,
-                                    mac::TrafficType traffic) {
-  struct State {
-    std::mutex mutex;
-    std::shared_ptr<CachedOracle> cache;
-  };
-  auto state = std::make_shared<State>();
-  return [&wlan, traffic, state](const net::Association& assoc,
-                                 const net::ChannelAssignment& trial) {
-    std::shared_ptr<CachedOracle> cache;
-    {
-      std::lock_guard<std::mutex> lock(state->mutex);
-      if (!state->cache || state->cache->association() != assoc) {
-        state->cache = std::make_shared<CachedOracle>(wlan, assoc, traffic);
-      }
-      cache = state->cache;
-    }
-    return cache->total_bps(trial);
-  };
 }
 
 }  // namespace acorn::core

@@ -29,13 +29,12 @@
 // bit-identical to the test-only object-at-a-time cell evaluator in
 // reference/sim/wlan_reference.hpp), and cache hits replay a previously
 // computed double unchanged. `snapshot()` also serves the epoch's width
-// fallback (core::decide_width), so one snapshot scores both. The
-// caches are guarded by a mutex, so one CachedOracle may be shared by
-// the allocator's optional scan threads.
+// fallback (core::decide_width), so one snapshot scores both. Every
+// call holds one mutex throughout, so a CachedOracle may be shared
+// between threads; its calls then run one at a time.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
@@ -52,7 +51,7 @@ struct OracleCacheStats {
   std::uint64_t cell_evals = 0;
   std::uint64_t cell_hits = 0;    // cell memo replays (bases and lanes)
   std::uint64_t share_evals = 0;  // activity vectors: one per base build
-  std::uint64_t share_hits = 0;   // leases that found their base built
+  std::uint64_t share_hits = 0;   // calls that found their base built
   // Candidate flips (total_bps_batch).
   std::uint64_t batch_calls = 0;       // total_bps_batch invocations
   std::uint64_t batch_candidates = 0;  // flips scored through batches
@@ -86,9 +85,7 @@ class CachedOracle {
   /// wlan.evaluate(assoc, assignment, traffic).total_goodput_bps when
   /// no client weights were supplied, otherwise the weighted sum
   /// described above. This is the total of the base analysis of
-  /// `assignment`, the same one total_bps_batch leases; it is built
-  /// under the cache mutex, so concurrent calls on different
-  /// assignments run one at a time.
+  /// `assignment`, the same one total_bps_batch reads.
   double total_bps(const net::ChannelAssignment& assignment) const;
 
   /// Batched scan: out[j] = total_bps(base with candidates[j] applied),
@@ -103,10 +100,9 @@ class CachedOracle {
   /// base conflict counts. A base cell whose share-independent context
   /// was scored before, under any earlier base, is rescaled from the
   /// memoized scan cache instead of re-running its rate/PER pipeline.
-  /// Safe to call concurrently from many threads, on one base or on
-  /// different ones — each per-base analysis is built under the cache
-  /// mutex and shared read-only by the calls using it. Scratch is per
-  /// thread, so a repeated call on an unchanged base allocates nothing.
+  /// Scratch is per thread (a per-oracle copy would grow with every
+  /// WLAN of a fleet), so a repeated call on an unchanged base
+  /// allocates nothing.
   void total_bps_batch(const net::ChannelAssignment& base,
                        std::span<const FlipCandidate> candidates,
                        std::span<double> out,
@@ -139,14 +135,11 @@ class CachedOracle {
   template <class Value>
   using KeyMap = std::unordered_map<CellKey, Value, CellKeyHash, CellKeyEq>;
 
-  // Shared per-base-assignment analysis: the assignment's total and
-  // everything a single-AP flip perturbs incrementally. Built under
-  // mutex_ once per distinct base assignment and read without the lock
-  // by every call leasing it; `readers` counts those calls, and a base
-  // nobody leases is rebuilt in place for the next assignment, so its
-  // vectors keep their capacity.
+  // The analysis of one base assignment: its total and everything a
+  // single-AP flip perturbs incrementally. A call on a different base
+  // rebuilds it in place, so its vectors keep their capacity.
   struct BatchBase {
-    std::vector<std::uint64_t> key;  // per-AP packed channel codes
+    bool built = false;              // false until a build completes
     net::ChannelAssignment assignment;
     std::vector<double> activity;    // unweighted shares, all APs
     std::vector<int> conflict_count; // integer contender counts, all APs
@@ -156,15 +149,12 @@ class CachedOracle {
     // Per cells[] entry, the cell's scan cache in scan_memo_.
     std::vector<const sim::CellScanCache*> cell_cache;
     double total = 0.0;              // the assignment's total_bps
-    int readers = 0;                 // leasing calls, guarded by mutex_
   };
 
-  // One call's hold on the analysis of its base (`key` = the packed
-  // channel codes), which it builds, under mutex_, into an idle pooled
-  // base if no pooled base holds it.
-  class Lease;
-  void build_batch_base(BatchBase& bb, const net::ChannelAssignment& base,
-                        KeyView key, sim::BatchKernel kernel) const;
+  // base_ holding the analysis of `base`; rebuilt unless it already
+  // does. Called with mutex_ held.
+  const BatchBase& analyze(const net::ChannelAssignment& base,
+                           sim::BatchKernel kernel) const;
 
   const sim::Wlan& wlan_;
   net::Association assoc_;
@@ -172,7 +162,7 @@ class CachedOracle {
   std::vector<double> weights_;  // empty = unweighted objective
   sim::NetSnapshot snap_;        // graph + flat link state, built once
 
-  // Guards memo_, scan_memo_, bases_ (with each base's readers count),
+  // Held for the whole of every call: guards memo_, scan_memo_, base_,
   // the build buffers and stats_.
   mutable std::mutex mutex_;
   mutable std::vector<KeyMap<double>> memo_;
@@ -181,22 +171,11 @@ class CachedOracle {
   // Bases read it through pointers: unordered_map nodes are
   // address-stable under rehash and a stored cache is never mutated.
   mutable std::vector<KeyMap<sim::CellScanCache>> scan_memo_;
-  // Batch bases: never more than the calls ever concurrent.
-  mutable std::vector<std::unique_ptr<BatchBase>> bases_;
-  // build_batch_base's key and context buffers.
+  mutable BatchBase base_;
+  // analyze's key and context buffers.
   mutable std::vector<std::uint64_t> build_key_;
   mutable std::vector<std::uint64_t> build_ctx_;
   mutable OracleCacheStats stats_;
 };
-
-/// Wrap a Wlan in a self-managing cached ThroughputOracle. The returned
-/// callable lazily builds a CachedOracle on first use and rebuilds it
-/// whenever it is called with a *different* association (Algorithm 2 and
-/// the baselines hold the association fixed, so in practice the graph and
-/// client lists are built exactly once per allocate() run). `wlan` must
-/// outlive the returned oracle.
-ThroughputOracle make_cached_oracle(const sim::Wlan& wlan,
-                                    mac::TrafficType traffic =
-                                        mac::TrafficType::kUdp);
 
 }  // namespace acorn::core

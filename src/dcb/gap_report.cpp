@@ -25,8 +25,6 @@ GapReport run_gap_report(const GapReportConfig& config) {
   const std::vector<WidthPolicy> policies =
       standard_policies(config.wide_probability);
 
-  core::AllocationConfig alloc_config;
-  alloc_config.num_threads = 1;  // parallelism lives at the sweep level
   baselines::KaiConfig kai_config;
   kai_config.max_exact_evaluations = config.max_exact_evaluations;
 
@@ -40,7 +38,7 @@ GapReport run_gap_report(const GapReportConfig& config) {
         const net::Association assoc = baselines::rss_associate_all(wlan);
         const core::CachedOracle oracle(wlan, assoc, config.traffic);
 
-        const core::ChannelAllocator allocator(plan, alloc_config);
+        const core::ChannelAllocator allocator(plan);
         const core::AllocationResult acorn = allocator.allocate(
             wlan, assoc,
             allocator.random_assignment(wlan.topology().num_aps(), rng),

@@ -3,6 +3,7 @@
 #include "service/client.hpp"
 #include "service/eventlog.hpp"
 #include "service/snapshot.hpp"
+#include "util/parallel.hpp"
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -62,12 +63,8 @@ void Daemon::start() {
   }
 
   if (!executor_) {
-    const int workers =
-        config_.workers > 0
-            ? config_.workers
-            : std::max(1, static_cast<int>(
-                              std::thread::hardware_concurrency()));
-    executor_ = std::make_unique<util::PooledExecutor>(workers);
+    executor_ = std::make_unique<util::PooledExecutor>(
+        util::resolve_threads(config_.workers));
   }
 
   // Before any shard exists: the first reply posted must find a pipe to

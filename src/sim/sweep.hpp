@@ -1,45 +1,29 @@
-// Deterministic parallel scenario-sweep driver for the network layer —
-// the counterpart of baseband/engine.hpp's packet driver one level up:
-// instead of packets through a PHY chain, whole scenarios (random
-// topology + configuration search, a table-3 trial, a fig-10 comparison
-// point) through an evaluation function.
+// Deterministic parallel scenario-sweep driver for the network layer:
+// whole scenarios (random topology + configuration search, a table-3
+// trial, a fig-10 comparison point) through an evaluation function, on
+// util::parallel_for (util/parallel.hpp), the same fan-out the baseband
+// packet loops use.
 //
 // The determinism contract that makes `num_threads` a pure performance
-// knob:
-//  * scenario `i` always computes with `Rng::derive_stream(seed, i)` — a
-//    pure function of (seed, i), independent of which worker runs it or
-//    in what order;
-//  * workers pull indices from a shared atomic counter and write only
-//    their own preallocated result slot;
-//  * the results come back in index order (the ordered reduction), so
-//    any fold over them is bit-identical for any thread count, including
-//    the serial path.
+// knob: scenario `i` always computes with `Rng::derive_stream(seed, i)`
+// — a pure function of (seed, i), independent of which worker runs it
+// or in what order — and writes only its own slot, and the results come
+// back in index order, so any fold over them is bit-identical for any
+// thread count, including the serial path. Scenarios are the unit of
+// parallelism: Algorithm 2 and Kai's search run serially inside each.
 // tests/test_sim_sweep.cpp asserts bit-identical output at 1 vs 2 vs 5
 // threads on full evaluate/allocate scenarios.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
-#include <mutex>
-#include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace acorn::sim {
-
-/// Map the user-facing thread-count knob (0 = one per hardware thread)
-/// to a concrete worker count. Same semantics as the baseband driver.
-inline int resolve_sweep_threads(int requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
 
 struct SweepOptions {
   std::uint64_t seed = 0;
@@ -62,45 +46,12 @@ auto sweep_scenarios(std::size_t num_scenarios, const SweepOptions& options,
   static_assert(std::is_default_constructible_v<Result>,
                 "sweep result slots are preallocated");
   std::vector<Result> results(num_scenarios);
-
-  const auto run_one = [&](std::size_t i) {
-    util::Rng rng = util::Rng::derive_stream(options.seed, i);
-    results[i] = body(rng, i);
-  };
-
-  const int threads = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(resolve_sweep_threads(options.num_threads)),
-      std::max<std::size_t>(num_scenarios, 1)));
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < num_scenarios; ++i) run_one(i);
-    return results;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  std::mutex error_mutex;
-
-  const auto worker = [&]() {
-    try {
-      while (!failed.load(std::memory_order_relaxed)) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= num_scenarios) break;
-        run_one(i);
-      }
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!error) error = std::current_exception();
-      failed.store(true, std::memory_order_relaxed);
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads - 1));
-  for (int t = 1; t < threads; ++t) pool.emplace_back(worker);
-  worker();
-  for (auto& th : pool) th.join();
-  if (error) std::rethrow_exception(error);
+  util::parallel_for(
+      num_scenarios, options.num_threads, [] { return 0; },
+      [&](int, std::size_t i) {
+        util::Rng rng = util::Rng::derive_stream(options.seed, i);
+        results[i] = body(rng, i);
+      });
   return results;
 }
 

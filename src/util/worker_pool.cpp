@@ -4,93 +4,6 @@
 
 namespace acorn::util {
 
-WorkerPool::WorkerPool(int threads) : threads_(threads < 1 ? 1 : threads) {
-  workers_.reserve(static_cast<std::size_t>(threads_ - 1));
-  for (int slot = 1; slot < threads_; ++slot) {
-    workers_.emplace_back([this, slot] { worker_loop(slot); });
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  wake_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void WorkerPool::run_slice(int slice, int num_tasks, int num_slices,
-                           const std::function<void(int)>& fn) {
-  // Contiguous slices, the same partition the allocator's ad-hoc thread
-  // spawns used: slice t gets [t * chunk, min((t+1) * chunk, n)).
-  const int chunk = (num_tasks + num_slices - 1) / num_slices;
-  const int begin = slice * chunk;
-  const int end = std::min(begin + chunk, num_tasks);
-  for (int task = begin; task < end; ++task) fn(task);
-}
-
-void WorkerPool::worker_loop(int slot) {
-  std::uint64_t seen = 0;
-  while (true) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    wake_.wait(lock, [&] { return stop_ || generation_ != seen; });
-    if (stop_) return;
-    seen = generation_;
-    const int num_tasks = num_tasks_;
-    const int num_slices = num_slices_;
-    const std::function<void(int)>* fn = fn_;
-    lock.unlock();
-    std::exception_ptr error;
-    if (slot < num_slices) {
-      try {
-        run_slice(slot, num_tasks, num_slices, *fn);
-      } catch (...) {
-        error = std::current_exception();
-      }
-    }
-    lock.lock();
-    if (error && !error_) error_ = error;
-    if (--remaining_ == 0) {
-      lock.unlock();
-      done_.notify_one();
-    }
-  }
-}
-
-void WorkerPool::run(int num_tasks, const std::function<void(int)>& fn) {
-  if (num_tasks <= 0) return;
-  if (threads_ <= 1 || num_tasks == 1) {
-    for (int task = 0; task < num_tasks; ++task) fn(task);
-    return;
-  }
-  const int num_slices = std::min(threads_, num_tasks);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    num_tasks_ = num_tasks;
-    num_slices_ = num_slices;
-    fn_ = &fn;
-    error_ = nullptr;
-    remaining_ = static_cast<int>(workers_.size());
-    ++generation_;
-  }
-  wake_.notify_all();
-  // The caller is participant 0.
-  std::exception_ptr error;
-  try {
-    run_slice(0, num_tasks, num_slices, fn);
-  } catch (...) {
-    error = std::current_exception();
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_.wait(lock, [&] { return remaining_ == 0; });
-  if (error && !error_) error_ = error;
-  const std::exception_ptr rethrow = error_;
-  error_ = nullptr;
-  lock.unlock();
-  if (rethrow) std::rethrow_exception(rethrow);
-}
-
 PooledExecutor::PooledExecutor(int workers)
     : workers_(workers < 1 ? 1 : workers) {
   threads_.reserve(static_cast<std::size_t>(workers_));

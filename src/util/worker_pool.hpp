@@ -1,17 +1,5 @@
-// A small persistent fork-join worker pool.
-//
-// The allocator's candidate scan used to construct and join a fresh
-// std::vector<std::thread> for every inner iteration of every round —
-// thousands of thread spawns per allocate() run once the scan itself is
-// fast. WorkerPool keeps `threads - 1` workers parked on a condition
-// variable for the pool's lifetime; each run() hands every participant
-// (the callers's thread included) a disjoint slice of a task index
-// range and blocks until all slices are done.
-//
-// Determinism: run() imposes no ordering of its own — tasks must write
-// to disjoint output slots, exactly like the slices the allocator's scan
-// already used. A pool with threads <= 1 degenerates to running every
-// task inline on the caller's thread.
+// PooledExecutor, acornd's shard executor. Independent index loops run
+// on util::parallel_for (util/parallel.hpp) instead.
 #pragma once
 
 #include <chrono>
@@ -24,47 +12,6 @@
 #include <vector>
 
 namespace acorn::util {
-
-class WorkerPool {
- public:
-  /// Spawns `threads - 1` workers (the caller's thread is the remaining
-  /// participant). threads <= 1 spawns nothing.
-  explicit WorkerPool(int threads);
-  ~WorkerPool();
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  int threads() const { return threads_; }
-
-  /// Run fn(task) for every task in [0, num_tasks), partitioned across
-  /// all participants as contiguous slices; returns when every call has
-  /// finished. `fn` must be safe to invoke concurrently on distinct
-  /// arguments. Exceptions thrown by fn on any thread are rethrown on
-  /// the caller (first one wins; the others are dropped).
-  void run(int num_tasks, const std::function<void(int)>& fn);
-
- private:
-  void worker_loop(int slot);
-  void run_slice(int slice, int num_tasks, int num_slices,
-                 const std::function<void(int)>& fn);
-
-  const int threads_;
-  std::vector<std::thread> workers_;
-
-  std::mutex mutex_;
-  std::condition_variable wake_;
-  std::condition_variable done_;
-  // One fork-join generation per run() call: workers start a generation
-  // when it becomes visible and report in when their slice is finished.
-  std::uint64_t generation_ = 0;
-  int num_tasks_ = 0;
-  int num_slices_ = 0;
-  const std::function<void(int)>* fn_ = nullptr;
-  int remaining_ = 0;
-  std::exception_ptr error_;
-  bool stop_ = false;
-};
 
 /// Cooperative N-tasks-over-M-workers executor: many long-lived tasks
 /// (acornd's WLAN shards) multiplexed over a small fixed worker set,

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "baseband/bermac.hpp"
-#include "baseband/engine.hpp"
 #include "baseband/phy_chain.hpp"
 #include "util/rng.hpp"
 
@@ -216,13 +215,6 @@ TEST(EngineAllocation, PhyChainSteadyStateIsAllocationFree) {
     const std::size_t long_run = chain_alloc_count(12, soft);
     EXPECT_EQ(short_run, long_run) << (soft ? "soft" : "hard");
   }
-}
-
-TEST(EngineThreads, ResolveNumThreads) {
-  EXPECT_EQ(baseband::resolve_num_threads(1), 1);
-  EXPECT_EQ(baseband::resolve_num_threads(4), 4);
-  EXPECT_GE(baseband::resolve_num_threads(0), 1);
-  EXPECT_GE(baseband::resolve_num_threads(-3), 1);
 }
 
 }  // namespace

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <stdexcept>
 
-#include "core/oracle_cache.hpp"
 #include "testutil.hpp"
 
 namespace acorn::baselines {
@@ -99,39 +97,6 @@ TEST(Gibbs, DeterministicPerSeed) {
   util::Rng r1(4);
   util::Rng r2(4);
   EXPECT_EQ(gibbs.allocate(wlan, r1), gibbs.allocate(wlan, r2));
-}
-
-TEST(Gibbs, AllocateBestNeverScoresBelowPlainAllocate) {
-  // allocate_best consumes the same random stream as allocate, so the
-  // final sweep's assignment is among the candidates it scored — the
-  // returned assignment can only be at least as good under the oracle.
-  ScenarioBuilder b;
-  b.cells = {CellSpec{{testutil::kGoodLinkLoss}},
-             CellSpec{{testutil::kMediumLinkLoss}},
-             CellSpec{{testutil::kPoorLinkLoss}}};
-  b.ap_ap_loss_db = 85.0;
-  const sim::Wlan wlan = b.build();
-  const net::Association assoc = b.intended_association();
-  const core::ThroughputOracle oracle = core::make_cached_oracle(wlan);
-  const GibbsAllocator gibbs{net::ChannelPlan(12)};
-  for (std::uint64_t seed = 10; seed < 15; ++seed) {
-    util::Rng r1(seed);
-    util::Rng r2(seed);
-    const net::ChannelAssignment plain = gibbs.allocate(wlan, r1);
-    const net::ChannelAssignment best =
-        gibbs.allocate_best(wlan, assoc, r2, oracle);
-    EXPECT_GE(oracle(assoc, best), oracle(assoc, plain));
-  }
-}
-
-TEST(Gibbs, AllocateBestRejectsNullOracle) {
-  const ScenarioBuilder b = testutil::topology1_builder();
-  const sim::Wlan wlan = b.build();
-  const GibbsAllocator gibbs{net::ChannelPlan(12)};
-  util::Rng rng(5);
-  EXPECT_THROW(
-      gibbs.allocate_best(wlan, b.intended_association(), rng, {}),
-      std::invalid_argument);
 }
 
 }  // namespace

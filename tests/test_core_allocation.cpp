@@ -17,6 +17,10 @@ TEST(Allocator, ValidatesConfig) {
                std::invalid_argument);
   EXPECT_THROW(ChannelAllocator(net::ChannelPlan(4), {1.05, 0}),
                std::invalid_argument);
+  EXPECT_THROW(ChannelAllocator(net::ChannelPlan(4), {1.05, 16, 0}),
+               std::invalid_argument);
+  EXPECT_THROW(ChannelAllocator(net::ChannelPlan(4), {1.05, 16, 2}),
+               std::invalid_argument);
 }
 
 TEST(Allocator, RandomAssignmentUsesPlanColors) {

@@ -2,9 +2,9 @@
 //
 // The contract under test: CachedOracle::total_bps_batch and the
 // batch-scanning ChannelAllocator::allocate overload produce EXACTLY the
-// doubles the serial one-candidate-at-a-time path produces — same
-// winner sequence, same trajectory, same final assignment — at any
-// batch size, thread count, or kernel (SIMD vs scalar), across all four
+// doubles the one-candidate-at-a-time path produces — same winner
+// sequence, same trajectory, same final assignment — at any slice of
+// the candidates and on either kernel (SIMD vs scalar), across all four
 // sinr_interference x weighted_contention model combos and on
 // degenerate networks. Equality is ==, never near.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -159,6 +160,20 @@ TEST(BatchScan, TotalBpsBatchBitIdenticalToSerialFlips) {
     std::vector<double> scalar(flips.size(), -1.0);
     oracle_scalar.total_bps_batch(base, flips, scalar,
                                   sim::BatchKernel::kScalar);
+    // The same flips in consecutive slices, each slice size on a fresh
+    // oracle, the way the allocator's scan feeds them.
+    const std::size_t slice_sizes[] = {1, 7, 16};
+    std::vector<std::vector<double>> sliced;
+    for (const std::size_t slice : slice_sizes) {
+      const CachedOracle fresh(wlan, assoc);
+      std::vector<double>& got = sliced.emplace_back(flips.size(), -1.0);
+      for (std::size_t begin = 0; begin < flips.size(); begin += slice) {
+        const std::size_t count = std::min(slice, flips.size() - begin);
+        fresh.total_bps_batch(
+            base, std::span<const FlipCandidate>(flips).subspan(begin, count),
+            std::span<double>(got).subspan(begin, count));
+      }
+    }
 
     // Independent oracle for the serial reference, so no state the batch
     // call may have created can leak into it.
@@ -171,6 +186,10 @@ TEST(BatchScan, TotalBpsBatchBitIdenticalToSerialFlips) {
           << "trial " << trial << " flip " << j << " (sinr=" << sinr
           << " weighted=" << weighted << ")";
       EXPECT_EQ(want, scalar[j]) << "scalar kernel, flip " << j;
+      for (std::size_t k = 0; k < sliced.size(); ++k) {
+        EXPECT_EQ(want, sliced[k][j])
+            << "slices of " << slice_sizes[k] << ", flip " << j;
+      }
       ++checked;
     }
     const OracleCacheStats stats = oracle.stats();
@@ -410,7 +429,7 @@ TEST(BatchScanAllocation, WarmCallOnUnchangedBaseIsAllocationFree) {
   }
 }
 
-TEST(BatchScan, AllocateIdenticalAcrossBatchSizesThreadsAndKernels) {
+TEST(BatchScan, AllocateIdenticalToPerCandidateLoop) {
   util::Rng rng(0xA110C);
   const net::ChannelPlan plan(6);
   for (int trial = 0; trial < 12; ++trial) {
@@ -421,42 +440,19 @@ TEST(BatchScan, AllocateIdenticalAcrossBatchSizesThreadsAndKernels) {
     const net::Association assoc = random_association(b, rng);
     const int n_aps = wlan.topology().num_aps();
 
-    const ChannelAllocator serial_alloc{plan};
-    const net::ChannelAssignment initial =
-        serial_alloc.random_assignment(n_aps, rng);
+    const ChannelAllocator alloc{plan};
+    const net::ChannelAssignment initial = alloc.random_assignment(n_aps, rng);
     const CachedOracle oracle(wlan, assoc);
     const AllocationResult want =
-        serial_alloc.allocate(wlan, assoc, initial, per_candidate(oracle));
+        alloc.allocate(wlan, assoc, initial, per_candidate(oracle));
 
-    struct Combo {
-      int batch_size;
-      int threads;
-      sim::BatchKernel kernel;
-    };
-    const Combo combos[] = {
-        {1, 1, sim::BatchKernel::kAuto},
-        {7, 1, sim::BatchKernel::kAuto},
-        {16, 1, sim::BatchKernel::kScalar},
-        {64, 1, sim::BatchKernel::kAuto},
-        {16, 2, sim::BatchKernel::kAuto},
-        {7, 5, sim::BatchKernel::kScalar},
-        {64, 5, sim::BatchKernel::kAuto},
-    };
-    for (const Combo& combo : combos) {
-      AllocationConfig cfg;
-      cfg.batch_size = combo.batch_size;
-      cfg.num_threads = combo.threads;
-      cfg.batch_kernel = combo.kernel;
-      const ChannelAllocator batch_alloc{plan, cfg};
-      const CachedOracle fresh(wlan, assoc);
-      const AllocationResult got =
-          batch_alloc.allocate(wlan, assoc, initial, fresh);
-      expect_identical(want, got);
-      // The batched scan must actually have engaged (unless the run had
-      // nothing to scan, which random non-empty deployments never hit).
-      if (want.evaluations > 1) {
-        EXPECT_GT(fresh.stats().batch_calls, 0u);
-      }
+    const CachedOracle fresh(wlan, assoc);
+    const AllocationResult got = alloc.allocate(wlan, assoc, initial, fresh);
+    expect_identical(want, got);
+    // The batched scan must actually have engaged (unless the run had
+    // nothing to scan, which random non-empty deployments never hit).
+    if (want.evaluations > 1) {
+      EXPECT_GT(fresh.stats().batch_calls, 0u);
     }
   }
 }

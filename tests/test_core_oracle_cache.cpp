@@ -211,23 +211,6 @@ TEST(CachedOracle, RejectsWrongAssignmentSize) {
                std::invalid_argument);
 }
 
-TEST(MakeCachedOracle, RebuildsOnAssociationChange) {
-  const ScenarioBuilder b = topology2_builder();
-  const sim::Wlan wlan = b.build();
-  const ThroughputOracle oracle = make_cached_oracle(wlan);
-  const ChannelAllocator alloc{net::ChannelPlan(12)};
-  util::Rng rng(9);
-  const net::ChannelAssignment f = alloc.random_assignment(5, rng);
-  const net::Association intended = b.intended_association();
-  net::Association roamed = intended;
-  roamed[0] = net::kUnassociated;
-  EXPECT_EQ(oracle(intended, f),
-            wlan.evaluate(intended, f).total_goodput_bps);
-  EXPECT_EQ(oracle(roamed, f), wlan.evaluate(roamed, f).total_goodput_bps);
-  EXPECT_EQ(oracle(intended, f),
-            wlan.evaluate(intended, f).total_goodput_bps);
-}
-
 // The acceptance gate for the cache: allocation driven by the cached
 // oracle lands on exactly the same assignment, throughput and trajectory
 // as the exact evaluator called once per candidate, on the bench's
@@ -262,31 +245,6 @@ TEST(CachedOracle, AllocationIdenticalToUncachedPath) {
       for (std::size_t i = 0; i < a.trajectory_bps.size(); ++i) {
         EXPECT_EQ(a.trajectory_bps[i], u.trajectory_bps[i]);
       }
-    }
-  }
-}
-
-TEST(CachedOracle, ParallelScanIdenticalToSerial) {
-  ScenarioBuilder b = topology2_builder();
-  b.ap_ap_loss_db = 85.0;
-  const sim::Wlan wlan = b.build();
-  const net::Association assoc = b.intended_association();
-
-  AllocationConfig parallel_cfg;
-  parallel_cfg.num_threads = 4;
-  const ChannelAllocator serial{net::ChannelPlan(6)};
-  const ChannelAllocator parallel{net::ChannelPlan(6), parallel_cfg};
-  util::Rng rng(43);
-  for (int trial = 0; trial < 3; ++trial) {
-    const net::ChannelAssignment start = serial.random_assignment(5, rng);
-    const AllocationResult s = serial.allocate(wlan, assoc, start);
-    const AllocationResult p = parallel.allocate(wlan, assoc, start);
-    EXPECT_EQ(s.final_bps, p.final_bps);
-    EXPECT_EQ(s.evaluations, p.evaluations);
-    EXPECT_EQ(s.switches, p.switches);
-    ASSERT_EQ(s.assignment.size(), p.assignment.size());
-    for (std::size_t i = 0; i < s.assignment.size(); ++i) {
-      EXPECT_EQ(s.assignment[i], p.assignment[i]);
     }
   }
 }

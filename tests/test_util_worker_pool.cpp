@@ -1,13 +1,10 @@
-// Edge cases for util::WorkerPool (the fork-join pool the allocator's
-// candidate scan uses) and scheduling semantics of util::PooledExecutor
-// (the N-shards-over-M-workers executor acornd runs on).
+// Scheduling semantics of util::PooledExecutor (the
+// N-shards-over-M-workers executor acornd runs on).
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <numeric>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -17,75 +14,6 @@
 
 namespace acorn::util {
 namespace {
-
-// ---------------------------------------------------------------- pool
-
-TEST(WorkerPool, ZeroTasksReturnsImmediately) {
-  WorkerPool pool(4);
-  std::atomic<int> calls{0};
-  pool.run(0, [&](int) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 0);
-}
-
-TEST(WorkerPool, FewerTasksThanWorkersRunsEachOnce) {
-  WorkerPool pool(8);
-  std::vector<std::atomic<int>> hits(3);
-  pool.run(3, [&](int i) { hits[static_cast<std::size_t>(i)]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkerPool, ManyMoreTasksThanWorkersCoversAll) {
-  WorkerPool pool(3);
-  constexpr int kTasks = 1000;
-  std::vector<std::atomic<int>> hits(kTasks);
-  pool.run(kTasks, [&](int i) { hits[static_cast<std::size_t>(i)]++; });
-  int total = 0;
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-    total += h.load();
-  }
-  EXPECT_EQ(total, kTasks);
-}
-
-TEST(WorkerPool, ExceptionInTaskRethrowsOnCaller) {
-  WorkerPool pool(4);
-  EXPECT_THROW(pool.run(16,
-                        [](int i) {
-                          if (i == 7) throw std::runtime_error("boom");
-                        }),
-               std::runtime_error);
-}
-
-TEST(WorkerPool, UsableAgainAfterException) {
-  WorkerPool pool(4);
-  EXPECT_THROW(
-      pool.run(8, [](int) { throw std::runtime_error("first round"); }),
-      std::runtime_error);
-  std::atomic<int> calls{0};
-  pool.run(8, [&](int) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 8);
-}
-
-TEST(WorkerPool, ReuseAcrossManyRounds) {
-  WorkerPool pool(4);
-  std::atomic<long> sum{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.run(64, [&](int i) { sum.fetch_add(i); });
-  }
-  EXPECT_EQ(sum.load(), 50L * (64L * 63L / 2L));
-}
-
-TEST(WorkerPool, SingleThreadRunsInline) {
-  WorkerPool pool(1);
-  EXPECT_EQ(pool.threads(), 1);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::thread::id> seen(16);
-  pool.run(16, [&](int i) { seen[static_cast<std::size_t>(i)] =
-                                std::this_thread::get_id(); });
-  for (const auto& id : seen) EXPECT_EQ(id, caller);
-}
-
-// ------------------------------------------------------------ executor
 
 /// Counting task: each run_pass() consumes the pending count and
 /// returns the preloaded wake hint.
