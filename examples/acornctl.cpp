@@ -42,6 +42,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -53,11 +54,15 @@
 #include "service/client.hpp"
 #include "sim/deployment_file.hpp"
 #include "sim/sweep.hpp"
+#include "util/flags.hpp"
 #include "util/table.hpp"
 
 using namespace acorn;
 
 namespace {
+
+constexpr const char* kProg = "acornctl";
+constexpr double kHuge = std::numeric_limits<double>::max();
 
 constexpr const char* kDemo = R"(# demo floor: 3 APs, 8 clients
 pathloss exponent 3.5
@@ -201,9 +206,17 @@ int run_connect(const std::string& endpoint, int argc, char** argv,
     return 2;
   }
   const std::string cmd = argv[first];
-  const auto arg_u32 = [&](int k) {
-    return static_cast<std::uint32_t>(
-        std::strtoul(argv[first + k], nullptr, 10));
+  // Argument k of the command, parsed whole: an id that fits a u32, or
+  // a loss or load that is finite and >= 0, as the daemon accepts.
+  const auto arg_u32 = [&](int k, const char* name) {
+    return static_cast<std::uint32_t>(util::flag_value<long long>(
+        kProg, name, argv[first + k], 0,
+        std::numeric_limits<std::uint32_t>::max(),
+        "an id in [0, 4294967295]"));
+  };
+  const auto arg_non_negative = [&](int k, const char* name) {
+    return util::flag_value<double>(kProg, name, argv[first + k], 0.0, kHuge,
+                                    "a finite number >= 0");
   };
   const int nargs = argc - first - 1;
   const auto need = [&](int n, const char* usage) {
@@ -216,6 +229,7 @@ int run_connect(const std::string& endpoint, int argc, char** argv,
   Message request;
   if (cmd == "register") {
     need(2, "register <id> <deployment-file|--demo>");
+    const std::uint32_t id = arg_u32(1, "<id>");
     std::string text;
     if (std::strcmp(argv[first + 2], "--demo") == 0) {
       text = kDemo;
@@ -229,29 +243,31 @@ int run_connect(const std::string& endpoint, int argc, char** argv,
       ss << file.rdbuf();
       text = ss.str();
     }
-    request = RegisterWlan{arg_u32(1), std::move(text)};
+    request = RegisterWlan{id, std::move(text)};
   } else if (cmd == "remove") {
     need(1, "remove <id>");
-    request = RemoveWlan{arg_u32(1)};
+    request = RemoveWlan{arg_u32(1, "<id>")};
   } else if (cmd == "join") {
     need(2, "join <id> <client>");
-    request = ClientJoin{arg_u32(1), arg_u32(2)};
+    request = ClientJoin{arg_u32(1, "<id>"), arg_u32(2, "<client>")};
   } else if (cmd == "leave") {
     need(2, "leave <id> <client>");
-    request = ClientLeave{arg_u32(1), arg_u32(2)};
+    request = ClientLeave{arg_u32(1, "<id>"), arg_u32(2, "<client>")};
   } else if (cmd == "snr") {
     need(4, "snr <id> <ap> <client> <loss-db>");
-    request = SnrUpdate{arg_u32(1), arg_u32(2), arg_u32(3),
-                        std::atof(argv[first + 4])};
+    request = SnrUpdate{arg_u32(1, "<id>"), arg_u32(2, "<ap>"),
+                        arg_u32(3, "<client>"),
+                        arg_non_negative(4, "<loss-db>")};
   } else if (cmd == "load") {
     need(3, "load <id> <client> <fraction>");
-    request = LoadUpdate{arg_u32(1), arg_u32(2), std::atof(argv[first + 3])};
+    request = LoadUpdate{arg_u32(1, "<id>"), arg_u32(2, "<client>"),
+                         arg_non_negative(3, "<fraction>")};
   } else if (cmd == "reconfig") {
     need(1, "reconfig <id>");
-    request = ForceReconfigure{arg_u32(1)};
+    request = ForceReconfigure{arg_u32(1, "<id>")};
   } else if (cmd == "config") {
     need(1, "config <id>");
-    request = QueryConfig{arg_u32(1)};
+    request = QueryConfig{arg_u32(1, "<id>")};
   } else if (cmd == "stats") {
     need(0, "stats");
     request = QueryStats{};
@@ -290,6 +306,14 @@ int main(int argc, char** argv) {
   int dcb_sweep_n = 0;
   bool dcb_drop = false;
   dcb::GapReportConfig dcb_config;
+  // Every numeric value is parsed whole and range-checked: a bad one
+  // names its flag and exits 2.
+  const auto int_flag = [&](int& i, long long lo, long long hi,
+                            const char* expected) {
+    const char* flag = argv[i];
+    return static_cast<int>(
+        util::flag_value<long long>(kProg, flag, argv[++i], lo, hi, expected));
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tcp") == 0) {
       tcp = true;
@@ -298,27 +322,39 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--demo") == 0) {
       demo = true;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      seed = util::flag_value<std::uint64_t>(
+          kProg, "--seed", argv[++i], 0,
+          std::numeric_limits<std::uint64_t>::max(), "a non-negative integer");
     } else if (std::strcmp(argv[i], "--sweep") == 0 && i + 1 < argc) {
-      sweep_n = std::atoi(argv[++i]);
+      sweep_n = int_flag(i, 0, std::numeric_limits<int>::max(),
+                         "a trial count >= 0");
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      sweep_threads = std::atoi(argv[++i]);
+      sweep_threads = int_flag(i, 0, 4096, "a thread count in [0, 4096]");
     } else if (std::strcmp(argv[i], "--dcb-sweep") == 0 && i + 1 < argc) {
-      dcb_sweep_n = std::atoi(argv[++i]);
+      dcb_sweep_n = int_flag(i, 0, std::numeric_limits<int>::max(),
+                             "a scenario count >= 0");
     } else if (std::strcmp(argv[i], "--dcb-drop") == 0) {
       dcb_drop = true;
     } else if (std::strcmp(argv[i], "--dcb-aps") == 0 && i + 1 < argc) {
-      dcb_config.drop.num_aps = std::atoi(argv[++i]);
+      dcb_config.drop.num_aps =
+          int_flag(i, 1, 1024, "an AP count in [1, 1024]");
     } else if (std::strcmp(argv[i], "--dcb-clients") == 0 &&
                i + 1 < argc) {
-      dcb_config.drop.num_clients = std::atoi(argv[++i]);
+      dcb_config.drop.num_clients =
+          int_flag(i, 0, 4096, "a client count in [0, 4096]");
     } else if (std::strcmp(argv[i], "--dcb-area") == 0 && i + 1 < argc) {
-      dcb_config.drop.area_m = std::atof(argv[++i]);
+      dcb_config.drop.area_m = util::flag_value<double>(
+          kProg, "--dcb-area", argv[++i],
+          std::numeric_limits<double>::denorm_min(), kHuge,
+          "a finite side in metres > 0");
     } else if (std::strcmp(argv[i], "--dcb-channels") == 0 &&
                i + 1 < argc) {
-      dcb_config.drop.num_channels = std::atoi(argv[++i]);
+      dcb_config.drop.num_channels =
+          int_flag(i, 1, 1024, "a channel count in [1, 1024]");
     } else if (std::strcmp(argv[i], "--wide-prob") == 0 && i + 1 < argc) {
-      dcb_config.wide_probability = std::atof(argv[++i]);
+      dcb_config.wide_probability = util::flag_value<double>(
+          kProg, "--wide-prob", argv[++i], 0.0, 1.0,
+          "a probability in [0, 1]");
     } else {
       path = argv[i];
     }
