@@ -108,13 +108,23 @@ inline const HwContext& hw_context() {
 /// the recording hardware (`hw_threads`, `cpu`), the source revision
 /// (`revision`, from ACORN_BENCH_REVISION; left out when that is unset)
 /// and the bench scale (`scale`: `smoke` under --smoke, else `full`).
-/// The row goes to `default_path` unless ACORN_BENCH_JSON names another
-/// file. The label is `label_override`, else ACORN_BENCH_LABEL, else
-/// `smoke` for a --smoke run and `current` for a full one.
+/// The row goes to the file ACORN_BENCH_JSON names, else to
+/// `default_path` — but a --smoke run writes only to the former, so a
+/// smoke run from the source tree leaves the tracked rows alone. The
+/// label is `label_override`, else ACORN_BENCH_LABEL, else `smoke` for
+/// a --smoke run and `current` for a full one.
 inline void emit_row(const char* default_path, const std::string& bench,
                      const std::string& case_name, const char* label_override,
                      const std::string& fields) {
   const char* path = std::getenv("ACORN_BENCH_JSON");
+  if (path == nullptr && g_smoke_scale) {
+    static bool noted = false;
+    if (!noted) {
+      std::printf("smoke run with ACORN_BENCH_JSON unset: no rows written\n");
+      noted = true;
+    }
+    return;
+  }
   std::FILE* f = std::fopen(path != nullptr ? path : default_path, "a");
   if (f == nullptr) return;
   const char* label = label_override != nullptr
