@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "sim/scenario.hpp"
+#include "util/flags.hpp"
 #include "util/table.hpp"
 
 namespace acorn::bench {
@@ -32,14 +33,18 @@ struct BenchOptions {
 /// stamped `"scale":"smoke"` instead of `"full"`.
 inline bool g_smoke_scale = false;
 
+/// A missing, malformed or out-of-range --threads value exits 2 naming
+/// the flag.
 inline BenchOptions parse_options(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       opts.smoke = true;
       g_smoke_scale = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opts.threads = std::atoi(argv[++i]);
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
+      opts.threads = static_cast<int>(util::flag_value<long long>(
+          argv[0], "--threads", util::next_flag_value(argv[0], argc, argv, i),
+          0, 4096, "a thread count in [0, 4096]"));
     }
   }
   return opts;

@@ -292,8 +292,9 @@ int run_connect(const std::string& endpoint, int argc, char** argv,
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--connect") == 0 && i + 1 < argc) {
-      return run_connect(argv[i + 1], argc, argv, i + 2);
+    if (std::strcmp(argv[i], "--connect") == 0) {
+      const char* endpoint = util::next_flag_value(kProg, argc, argv, i);
+      return run_connect(endpoint, argc, argv, i + 1);
     }
   }
   bool tcp = false;
@@ -306,13 +307,17 @@ int main(int argc, char** argv) {
   int dcb_sweep_n = 0;
   bool dcb_drop = false;
   dcb::GapReportConfig dcb_config;
-  // Every numeric value is parsed whole and range-checked: a bad one
-  // names its flag and exits 2.
+  // Every value flag needs an argument after it, and every numeric value
+  // is parsed whole and range-checked: a missing or bad one names its
+  // flag and exits 2.
+  const auto value = [&](int& i) {
+    return util::next_flag_value(kProg, argc, argv, i);
+  };
   const auto int_flag = [&](int& i, long long lo, long long hi,
                             const char* expected) {
     const char* flag = argv[i];
     return static_cast<int>(
-        util::flag_value<long long>(kProg, flag, argv[++i], lo, hi, expected));
+        util::flag_value<long long>(kProg, flag, value(i), lo, hi, expected));
   };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tcp") == 0) {
@@ -321,39 +326,37 @@ int main(int argc, char** argv) {
       compare = true;
     } else if (std::strcmp(argv[i], "--demo") == 0) {
       demo = true;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--seed") == 0) {
       seed = util::flag_value<std::uint64_t>(
-          kProg, "--seed", argv[++i], 0,
+          kProg, "--seed", value(i), 0,
           std::numeric_limits<std::uint64_t>::max(), "a non-negative integer");
-    } else if (std::strcmp(argv[i], "--sweep") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--sweep") == 0) {
       sweep_n = int_flag(i, 0, std::numeric_limits<int>::max(),
                          "a trial count >= 0");
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
       sweep_threads = int_flag(i, 0, 4096, "a thread count in [0, 4096]");
-    } else if (std::strcmp(argv[i], "--dcb-sweep") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--dcb-sweep") == 0) {
       dcb_sweep_n = int_flag(i, 0, std::numeric_limits<int>::max(),
                              "a scenario count >= 0");
     } else if (std::strcmp(argv[i], "--dcb-drop") == 0) {
       dcb_drop = true;
-    } else if (std::strcmp(argv[i], "--dcb-aps") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--dcb-aps") == 0) {
       dcb_config.drop.num_aps =
           int_flag(i, 1, 1024, "an AP count in [1, 1024]");
-    } else if (std::strcmp(argv[i], "--dcb-clients") == 0 &&
-               i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--dcb-clients") == 0) {
       dcb_config.drop.num_clients =
           int_flag(i, 0, 4096, "a client count in [0, 4096]");
-    } else if (std::strcmp(argv[i], "--dcb-area") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--dcb-area") == 0) {
       dcb_config.drop.area_m = util::flag_value<double>(
-          kProg, "--dcb-area", argv[++i],
+          kProg, "--dcb-area", value(i),
           std::numeric_limits<double>::denorm_min(), kHuge,
           "a finite side in metres > 0");
-    } else if (std::strcmp(argv[i], "--dcb-channels") == 0 &&
-               i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--dcb-channels") == 0) {
       dcb_config.drop.num_channels =
           int_flag(i, 1, 1024, "a channel count in [1, 1024]");
-    } else if (std::strcmp(argv[i], "--wide-prob") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--wide-prob") == 0) {
       dcb_config.wide_probability = util::flag_value<double>(
-          kProg, "--wide-prob", argv[++i], 0.0, 1.0,
+          kProg, "--wide-prob", value(i), 0.0, 1.0,
           "a probability in [0, 1]");
     } else {
       path = argv[i];

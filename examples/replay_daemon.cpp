@@ -74,14 +74,15 @@ int main(int argc, char** argv) {
       "/tmp/acorn_replay_" + std::to_string(::getpid()) + ".sock";
   config.epoch_s = 0.0;  // epochs on demand: the schedule paces time
 
-  // Every numeric value is parsed whole and range-checked: a bad one
-  // names its flag and exits 2 before the daemon starts.
+  // Every value flag needs an argument after it, and every numeric value
+  // is parsed whole and range-checked: a missing or bad one names its
+  // flag and exits 2 before the daemon starts.
   const double positive = std::numeric_limits<double>::denorm_min();
   const double huge = std::numeric_limits<double>::max();
   for (int i = 1; i < argc; ++i) {
     const char* flag = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
+    const auto value = [&] {
+      return util::next_flag_value(kProg, argc, argv, i);
     };
     if (std::strcmp(flag, "--wlans") == 0) {
       load.num_wlans = static_cast<std::uint32_t>(util::flag_value<long long>(

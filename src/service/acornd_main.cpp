@@ -75,13 +75,8 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0],
-                     arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
+    auto value = [&] {
+      return acorn::util::next_flag_value(kProg, argc, argv, i);
     };
     if (arg == "--unix") {
       config.unix_path = value();

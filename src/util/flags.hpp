@@ -39,6 +39,18 @@ std::optional<T> parse_number(std::string_view text, T lo, T hi) {
   std::exit(2);
 }
 
+/// The argument after the flag at argv[i], advancing i to it. A flag
+/// with nothing after it prints `<prog>: missing value for <flag>` to
+/// stderr and exits with status 2.
+inline const char* next_flag_value(const char* prog, int argc, char** argv,
+                                   int& i) {
+  if (i + 1 >= argc) {
+    std::fprintf(stderr, "%s: missing value for %s\n", prog, argv[i]);
+    std::exit(2);
+  }
+  return argv[++i];
+}
+
 /// A flag's value through parse_number, or bad_flag_value.
 template <class T>
 T flag_value(const char* prog, const char* flag, const char* text, T lo,
