@@ -3,11 +3,11 @@
 //
 // The full run is the acceptance configuration: 200 dense random-drop
 // scenarios (5 APs, 4 basic channels), each solved by Algorithm 2 AND
-// the exact Kai et al. optimum (6^5 = 7776 assignments, scored as 1296
-// batched scans of AP 0's six colors through the memoizing oracle, each
-// against a base whose cells are nearly always rescaled from the
-// oracle's scan-cache memo), with all three width policies evaluated on
-// Algorithm 2's allocation. The bench enforces the quality floors the
+// the exact Kai et al. optimum (6^5 = 7776 assignments, each scored as
+// a sum of per-cell values read from tables that the memoizing oracle
+// fills once per cell width and contention level, or per hidden-
+// interferer context with SINR on), with all three width policies
+// evaluated on Algorithm 2's allocation. The bench enforces the quality floors the
 // subsystem advertises (exact optimum on every scenario of the family,
 // mean/p95 gap bounds) and re-runs the sweep at a second thread count
 // to prove bit-identical results, so `ctest -L perf_smoke` catches both

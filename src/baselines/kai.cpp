@@ -1,7 +1,11 @@
 #include "baselines/kai.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace acorn::baselines {
@@ -84,47 +88,156 @@ KaiResult bounded_search(const core::CachedOracle& oracle,
 KaiResult kai_exact_allocation(const core::CachedOracle& oracle,
                                const net::ChannelPlan& plan,
                                long long max_evaluations) {
-  const int n_aps = oracle.snapshot().num_aps();
+  const sim::NetSnapshot& snap = oracle.snapshot();
+  const int n_aps = snap.num_aps();
   if (n_aps < 1) throw std::invalid_argument("kai: empty network");
   const std::vector<net::Channel> colors = plan.all_channels();
   if (search_space(colors, n_aps) > static_cast<double>(max_evaluations)) {
     throw std::invalid_argument("kai: search space too large for brute force");
   }
-  // An odometer over APs 1..n-1 (AP 1 fastest). Each of its settings is
-  // one batched scan whose flips move AP 0 through every color against
-  // a base holding AP 0 at colors[0] (that flip is the no-op one and
-  // scores the base itself), so the assignments are scored, and ties go
-  // to the first, in the order of a full odometer with AP 0 fastest.
-  std::vector<core::FlipCandidate> flips;
-  for (const net::Channel& color : colors) flips.push_back({0, color});
-  std::vector<double> scores(colors.size());
-  net::ChannelAssignment base(static_cast<std::size_t>(n_aps),
-                              colors.front());
-  std::vector<std::size_t> idx(static_cast<std::size_t>(n_aps), 0);
+  const net::InterferenceGraph& graph = snap.graph();
+  const bool sinr = snap.wlan().config().sinr_interference;
+  const bool weighted = snap.wlan().config().weighted_contention;
+  const std::size_t n = static_cast<std::size_t>(n_aps);
+  const std::size_t k = colors.size();
+  // For colors c and d at [c * k + d]: whether they overlap, and the
+  // contention units a cell on c takes from a neighbour on d — the
+  // conflict, or under weighted contention twice the overlap fraction
+  // (0, 1 or 2). A cell's summed units fix its medium share exactly:
+  // 1/(units + 1), or 1/(1 + units/2) weighted, whose ascending-b
+  // partial sums of 0, 0.5 and 1 are all exact in a double.
+  std::vector<int> conflict(k * k);
+  std::vector<int> units(k * k);
+  for (std::size_t c = 0; c < k; ++c) {
+    for (std::size_t d = 0; d < k; ++d) {
+      conflict[c * k + d] = colors[c].conflicts(colors[d]) ? 1 : 0;
+      units[c * k + d] =
+          weighted ? static_cast<int>(2.0 * colors[c].overlap_fraction(
+                                                colors[d]))
+                   : conflict[c * k + d];
+    }
+  }
+  std::vector<std::vector<int>> neighbors(n);
+  for (int ap = 0; ap < n_aps; ++ap) {
+    neighbors[static_cast<std::size_t>(ap)] = graph.neighbors(ap);
+  }
+
+  // The cells with clients, ascending: total_bps's summation order. A
+  // cell that cannot see a hidden interferer (SINR off, or every other
+  // AP in carrier-sense range) is worth the same under every assignment
+  // giving it the same width and contention units, so it reads a table
+  // filled on first use. Any other cell is worth the same wherever its
+  // memo key is: its color and units, and the color and contender count
+  // of every AP out of its range that overlaps it. It keeps its values
+  // by that key, packed into one integer (mixed radix, one digit per
+  // input), unless the key does not fit in 64 bits.
+  struct Cell {
+    int ap = 0;
+    bool hidden = false;
+    std::vector<double> table;      // [wide][units], NaN until filled
+    std::vector<int> out_of_range;  // hidden cells: the APs it can hear
+    bool packed = false;            // hidden cells: the key fits
+    std::unordered_map<std::uint64_t, double> seen;
+  };
+  const std::size_t unit_max = weighted ? 2 : 1;
+  std::vector<Cell> cells;
+  for (int ap = 0; ap < n_aps; ++ap) {
+    if (snap.cell_clients(ap).empty()) continue;
+    const std::size_t degree = neighbors[static_cast<std::size_t>(ap)].size();
+    Cell cell;
+    cell.ap = ap;
+    cell.hidden = sinr && degree + 1 < n;
+    if (cell.hidden) {
+      // Digits: color, units, then per AP b out of range 0 (no overlap)
+      // or 1 + color * (deg_b + 1) + contender count.
+      std::uint64_t radix = k * (unit_max * degree + 1);
+      cell.packed = true;
+      for (int b = 0; b < n_aps; ++b) {
+        if (b == ap || graph.adjacent(ap, b)) continue;
+        cell.out_of_range.push_back(b);
+        const std::uint64_t digit =
+            1 + k * (neighbors[static_cast<std::size_t>(b)].size() + 1);
+        cell.packed = cell.packed && radix <= UINT64_MAX / digit;
+        radix *= digit;
+      }
+    } else {
+      cell.table.assign(2 * (unit_max * degree + 1),
+                        std::numeric_limits<double>::quiet_NaN());
+    }
+    cells.push_back(std::move(cell));
+  }
+
+  // The odometer, AP 0 fastest: assignments are scored, and ties go to
+  // the first, in lexicographic order. Per AP it counts, under the
+  // current assignment, its contenders (the activity 1/(count + 1) it
+  // interferes with) and the units of its share.
+  std::vector<std::size_t> idx(n, 0);
+  net::ChannelAssignment current(n, colors.front());
+  std::vector<int> count(n, 0);
+  std::vector<int> share_units(n, 0);
   KaiResult best;
   best.exact = true;
   best.total_bps = -1.0;
   while (true) {
-    for (int i = 1; i < n_aps; ++i) {
-      base[static_cast<std::size_t>(i)] =
-          colors[idx[static_cast<std::size_t>(i)]];
-    }
-    oracle.total_bps_batch(base, flips, scores);
-    best.evaluations += static_cast<long long>(flips.size());
-    for (std::size_t c = 0; c < colors.size(); ++c) {
-      if (scores[c] > best.total_bps) {
-        best.total_bps = scores[c];
-        best.assignment = base;
-        best.assignment[0] = colors[c];
+    for (std::size_t x = 0; x < n; ++x) {
+      const std::size_t own = idx[x] * k;
+      count[x] = 0;
+      share_units[x] = 0;
+      for (const int b : neighbors[x]) {
+        count[x] += conflict[own + idx[static_cast<std::size_t>(b)]];
+        share_units[x] += units[own + idx[static_cast<std::size_t>(b)]];
       }
     }
-    int pos = 1;
+    double total = 0.0;
+    for (Cell& cell : cells) {
+      const std::size_t ap = static_cast<std::size_t>(cell.ap);
+      if (cell.hidden) {
+        if (!cell.packed) {
+          total += oracle.cell_value(current, cell.ap);
+          continue;
+        }
+        const std::size_t own = idx[ap];
+        std::uint64_t key = own * (unit_max * neighbors[ap].size() + 1) +
+                            static_cast<std::uint64_t>(share_units[ap]);
+        for (const int b : cell.out_of_range) {
+          const std::size_t nb = static_cast<std::size_t>(b);
+          const std::uint64_t span = neighbors[nb].size() + 1;
+          key = key * (1 + k * span) +
+                (conflict[own * k + idx[nb]] == 0
+                     ? 0
+                     : 1 + idx[nb] * span +
+                           static_cast<std::uint64_t>(count[nb]));
+        }
+        auto seen = cell.seen.find(key);
+        if (seen == cell.seen.end()) {
+          seen = cell.seen.emplace(key, oracle.cell_value(current, cell.ap))
+                     .first;
+        }
+        total += seen->second;
+        continue;
+      }
+      const std::size_t wide = current[ap].is_bonded() ? 1 : 0;
+      double& entry = cell.table[wide * cell.table.size() / 2 +
+                                 static_cast<std::size_t>(share_units[ap])];
+      if (std::isnan(entry)) entry = oracle.cell_value(current, cell.ap);
+      total += entry;
+    }
+    ++best.evaluations;
+    if (total > best.total_bps) {
+      best.total_bps = total;
+      best.assignment = current;
+    }
+    int pos = 0;
     while (pos < n_aps) {
-      if (++idx[static_cast<std::size_t>(pos)] < colors.size()) break;
+      if (++idx[static_cast<std::size_t>(pos)] < k) break;
       idx[static_cast<std::size_t>(pos)] = 0;
       ++pos;
     }
     if (pos == n_aps) break;
+    for (int a = 0; a <= pos; ++a) {
+      current[static_cast<std::size_t>(a)] =
+          colors[idx[static_cast<std::size_t>(a)]];
+    }
   }
   return best;
 }

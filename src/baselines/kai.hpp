@@ -1,12 +1,13 @@
 // Kai et al., "To Bond or not to Bond" — optimal joint channel/width
 // allocation as a yardstick baseline, and the repository's one
 // exhaustive search. For small deployments the optimum is exact: every
-// assignment of the plan's colors, scored through the memoizing
-// CachedOracle's batched scan. Above the exact budget it falls back to a
-// bounded multi-restart steepest-ascent search over single-AP color
-// flips, which is not guaranteed optimal and says so in the result. The
-// gap-to-optimal report (dcb::run_gap_report) uses the exact branch
-// only.
+// assignment of the plan's colors, each scored as a sum of per-cell
+// values that the memoizing CachedOracle computes once per distinct cell
+// context (CachedOracle::cell_value). Above the exact budget it falls
+// back to a bounded multi-restart steepest-ascent search over single-AP
+// color flips on the oracle's batched scan, which is not guaranteed
+// optimal and says so in the result. The gap-to-optimal report
+// (dcb::run_gap_report) uses the exact branch only.
 #pragma once
 
 #include "core/oracle_cache.hpp"
@@ -39,6 +40,11 @@ struct KaiResult {
 /// The exact branch on its own: scores all |colors|^n_aps assignments
 /// in lexicographic order (AP 0's color varies fastest) and returns the
 /// first one reaching the maximum, with `evaluations` = |colors|^n_aps.
+/// Each total is bit-identical to oracle.total_bps: the cells' values
+/// summed in ascending AP order, where a cell's value is read from a
+/// per-call table keyed by what it depends on (its width and contention
+/// units, plus with SINR on the channel and activity of every hidden
+/// interferer) and filled through oracle.cell_value on first use.
 /// Throws std::invalid_argument when that count exceeds
 /// `max_evaluations`.
 KaiResult kai_exact_allocation(const core::CachedOracle& oracle,

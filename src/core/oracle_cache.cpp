@@ -18,6 +18,26 @@ std::uint64_t channel_code(const net::Channel& c) {
 
 std::uint64_t double_bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
+// AP `ap`'s contender count under `assignment`: its graph neighbours
+// whose channel overlaps its own.
+int contender_count(const net::InterferenceGraph& graph,
+                    const net::ChannelAssignment& assignment, int ap) {
+  const net::Channel& own = assignment[static_cast<std::size_t>(ap)];
+  int count = 0;
+  for (int b = 0; b < graph.num_aps(); ++b) {
+    if (b != ap && graph.adjacent(ap, b) &&
+        own.conflicts(assignment[static_cast<std::size_t>(b)])) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+// The exact expression NetSnapshot::unweighted_shares evaluates.
+double unweighted_share(int count) {
+  return 1.0 / (static_cast<double>(count) + 1.0);
+}
+
 // The channel AP `b` holds under `base` with AP `flip_ap` moved to
 // `flip` (flip_ap < 0 leaves the base as is).
 const net::Channel& flipped(const net::ChannelAssignment& base, int b,
@@ -116,7 +136,9 @@ struct CellWork {
 // idea as the cell kernel's BatchScratch in sim/netkernel_batch.cpp).
 struct ScanScratch {
   std::vector<std::uint64_t> key;       // one memo key under construction
-  std::vector<double> act;              // per-candidate activity vectors
+  // Per-candidate activity vectors (total_bps_batch), or the one that
+  // cell_value fills.
+  std::vector<double> act;
   std::vector<Touch> touches;           // candidate by candidate
   std::vector<std::size_t> touch_end;   // per candidate: its touches' end
   std::vector<int> ylist;  // activity-changed APs (≠ a) of one candidate
@@ -184,18 +206,9 @@ const CachedOracle::BatchBase& CachedOracle::analyze(
   bb.conflict_count.resize(static_cast<std::size_t>(n_aps));
   bb.activity.resize(static_cast<std::size_t>(n_aps));
   for (int ap = 0; ap < n_aps; ++ap) {
-    const net::Channel& own = base[static_cast<std::size_t>(ap)];
-    int count = 0;
-    for (int b = 0; b < n_aps; ++b) {
-      if (b != ap && graph.adjacent(ap, b) &&
-          own.conflicts(base[static_cast<std::size_t>(b)])) {
-        ++count;
-      }
-    }
+    const int count = contender_count(graph, base, ap);
     bb.conflict_count[static_cast<std::size_t>(ap)] = count;
-    // The exact expression unweighted_shares evaluates.
-    bb.activity[static_cast<std::size_t>(ap)] =
-        1.0 / (static_cast<double>(count) + 1.0);
+    bb.activity[static_cast<std::size_t>(ap)] = unweighted_share(count);
   }
   ++stats_.share_evals;
   bb.cells.clear();
@@ -203,7 +216,6 @@ const CachedOracle::BatchBase& CachedOracle::analyze(
   bb.cell_value.clear();
   bb.cell_cache.clear();
   bb.total = 0.0;
-  const bool sinr = wlan_.config().sinr_interference;
   const bool weighted = wlan_.config().weighted_contention;
   const net::Channel no_flip = net::Channel::basic(0);
   for (int ap = 0; ap < n_aps; ++ap) {
@@ -211,52 +223,105 @@ const CachedOracle::BatchBase& CachedOracle::analyze(
     const double share =
         weighted ? weighted_share_flip(graph, base, ap, -1, no_flip)
                  : bb.activity[static_cast<std::size_t>(ap)];
-    flip_key_into(build_key_, graph, sinr, base, ap, -1, no_flip, share,
-                  bb.activity.data());
-    // The share-independent context: the memo key without its share
-    // word. A context any earlier base scored is rescaled from its scan
-    // cache, which is bit-identical to a full evaluation.
-    build_ctx_.assign(build_key_.begin(), build_key_.end());
-    build_ctx_.erase(build_ctx_.begin() + 1);
-    auto& memo = memo_[static_cast<std::size_t>(ap)];
-    auto& scans = scan_memo_[static_cast<std::size_t>(ap)];
-    const auto hit = memo.find(KeyView(build_key_));
-    auto scan = scans.find(KeyView(build_ctx_));
-    double value = 0.0;
-    if (scan == scans.end()) {
-      sim::CellScanCache cache;
-      const sim::CellLane lane{share, bb.activity.data(), -1, no_flip};
-      snap_.evaluate_cells_batch(ap, base,
-                                 std::span<const sim::CellLane>(&lane, 1),
-                                 traffic_, weights_,
-                                 std::span<double>(&value, 1), &cache,
-                                 kernel);
-      scan = scans.emplace(CellKey(build_ctx_.begin(), build_ctx_.end()),
-                           std::move(cache))
-                 .first;
-      ++stats_.cell_evals;
-    } else if (hit == memo.end()) {
-      snap_.rescale_cell_shares(ap, std::span<const double>(&share, 1),
-                                scan->second, traffic_, weights_,
-                                std::span<double>(&value, 1), kernel);
-    }
-    if (hit != memo.end()) {
-      ++stats_.cell_hits;
-      value = hit->second;
-    } else {
-      // Seed the persistent cell memo: candidate lanes and later bases
-      // whose cell key matches replay this value instead of re-running
-      // the kernel.
-      memo.emplace(CellKey(build_key_.begin(), build_key_.end()), value);
-    }
+    const sim::CellScanCache* cache = nullptr;
+    const double value =
+        score_cell(base, ap, share, bb.activity.data(), kernel, &cache);
     bb.cells.push_back(ap);
     bb.cell_share.push_back(share);
     bb.cell_value.push_back(value);
-    bb.cell_cache.push_back(&scan->second);
+    bb.cell_cache.push_back(cache);
     bb.total += value;
   }
   bb.built = true;
   return bb;
+}
+
+double CachedOracle::score_cell(const net::ChannelAssignment& assignment,
+                                int ap, double share,
+                                const double* activity,
+                                sim::BatchKernel kernel,
+                                const sim::CellScanCache** cache) const {
+  const net::Channel no_flip = net::Channel::basic(0);
+  flip_key_into(build_key_, snap_.graph(), wlan_.config().sinr_interference,
+                assignment, ap, -1, no_flip, share, activity);
+  auto& memo = memo_[static_cast<std::size_t>(ap)];
+  const auto hit = memo.find(KeyView(build_key_));
+  if (hit != memo.end()) {
+    ++stats_.cell_hits;
+    if (cache == nullptr) return hit->second;
+  }
+  // The share-independent context: the memo key without its share word.
+  // A context any earlier call scored is rescaled from its scan cache,
+  // which is bit-identical to a full evaluation.
+  build_ctx_.assign(build_key_.begin(), build_key_.end());
+  build_ctx_.erase(build_ctx_.begin() + 1);
+  auto& scans = scan_memo_[static_cast<std::size_t>(ap)];
+  auto scan = scans.find(KeyView(build_ctx_));
+  double value = 0.0;
+  if (scan == scans.end()) {
+    sim::CellScanCache fresh;
+    const sim::CellLane lane{share, activity, -1, no_flip};
+    snap_.evaluate_cells_batch(ap, assignment,
+                               std::span<const sim::CellLane>(&lane, 1),
+                               traffic_, weights_,
+                               std::span<double>(&value, 1), &fresh, kernel);
+    scan = scans.emplace(CellKey(build_ctx_.begin(), build_ctx_.end()),
+                         std::move(fresh))
+               .first;
+    ++stats_.cell_evals;
+  } else if (hit == memo.end()) {
+    snap_.rescale_cell_shares(ap, std::span<const double>(&share, 1),
+                              scan->second, traffic_, weights_,
+                              std::span<double>(&value, 1), kernel);
+  }
+  if (hit != memo.end()) {
+    value = hit->second;
+  } else {
+    // Seed the persistent cell memo: candidate lanes and later calls
+    // whose cell key matches replay this value instead of re-running the
+    // kernel.
+    memo.emplace(CellKey(build_key_.begin(), build_key_.end()), value);
+  }
+  if (cache != nullptr) *cache = &scan->second;
+  return value;
+}
+
+double CachedOracle::cell_value(const net::ChannelAssignment& assignment,
+                                int ap) const {
+  const int n_aps = snap_.num_aps();
+  if (static_cast<int>(assignment.size()) != n_aps) {
+    throw std::invalid_argument("assignment size != AP count");
+  }
+  if (ap < 0 || ap >= n_aps) {
+    throw std::invalid_argument("cell AP out of range");
+  }
+  if (snap_.cell_clients(ap).empty()) return 0.0;  // as total_bps skips it
+  const net::InterferenceGraph& graph = snap_.graph();
+  const bool sinr = wlan_.config().sinr_interference;
+  const bool weighted = wlan_.config().weighted_contention;
+  // The unweighted shares the cell reads: its own when that is its
+  // medium share, and with SINR on those of its hidden interferers (the
+  // APs outside its carrier-sense range whose channel overlaps its own).
+  // Every other entry reaches the key and the kernel, if at all, only
+  // multiplied by a zero overlap, so it may stay 0.
+  const net::Channel& own = assignment[static_cast<std::size_t>(ap)];
+  std::vector<double>& act = scan_scratch().act;
+  act.assign(static_cast<std::size_t>(n_aps), 0.0);
+  for (int b = 0; b < n_aps; ++b) {
+    if (b == ap ? !weighted
+                : sinr && !graph.adjacent(ap, b) &&
+                      assignment[static_cast<std::size_t>(b)].conflicts(own)) {
+      act[static_cast<std::size_t>(b)] =
+          unweighted_share(contender_count(graph, assignment, b));
+    }
+  }
+  const double share =
+      weighted ? weighted_share_flip(graph, assignment, ap, -1,
+                                     net::Channel::basic(0))
+               : act[static_cast<std::size_t>(ap)];
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return score_cell(assignment, ap, share, act.data(),
+                    sim::BatchKernel::kAuto, nullptr);
 }
 
 void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
@@ -359,8 +424,7 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
                    static_cast<int>(ch_x.conflicts(ch_old));
         }
       }
-      act_j[static_cast<std::size_t>(x)] =
-          1.0 / (static_cast<double>(count) + 1.0);
+      act_j[static_cast<std::size_t>(x)] = unweighted_share(count);
     }
     if (sinr) {
       s.ylist.clear();

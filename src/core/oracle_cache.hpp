@@ -10,9 +10,11 @@
 //    precomputed SNRs / rx-power matrix / MCS threshold tables) is built
 //    ONCE per (wlan, association) and reused across all candidate
 //    evaluations;
-//  * every score goes through one pipeline: a per-assignment base
-//    analysis (activity shares, contender counts, per-cell values) that
-//    single-AP flips of it perturb incrementally;
+//  * every score goes through one per-cell pipeline (memo key, cell
+//    memo, scan-cache memo, kernel), run for every cell of a
+//    per-assignment base analysis (activity shares, contender counts,
+//    per-cell values) that single-AP flips of it perturb incrementally,
+//    or for one cell alone (`cell_value`);
 //  * per-cell results are memoized keyed by everything a cell's goodput
 //    can depend on once the association is fixed — the cell's own
 //    channel, its medium share, and (when `sinr_interference` is on) the
@@ -30,8 +32,9 @@
 // reference/sim/wlan_reference.hpp), and cache hits replay a previously
 // computed double unchanged. `snapshot()` also serves the epoch's width
 // fallback (core::decide_width), so one snapshot scores both. Every
-// call holds one mutex throughout, so a CachedOracle may be shared
-// between threads; its calls then run one at a time.
+// call holds one mutex while it reads or fills the memos and the base,
+// so a CachedOracle may be shared between threads; its scoring then
+// runs one call at a time.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +49,12 @@
 namespace acorn::core {
 
 struct OracleCacheStats {
-  // Base cells evaluated in full; every other base cell is rescaled from
-  // a memoized scan cache or replayed from the cell memo.
+  // Cells of bases and of cell_value calls evaluated in full; every
+  // other such cell is rescaled from a memoized scan cache or replayed
+  // from the cell memo.
   std::uint64_t cell_evals = 0;
-  std::uint64_t cell_hits = 0;    // cell memo replays (bases and lanes)
+  // Cell memo replays (bases, batch lanes and cell_value calls).
+  std::uint64_t cell_hits = 0;
   std::uint64_t share_evals = 0;  // activity vectors: one per base build
   std::uint64_t share_hits = 0;   // calls that found their base built
   // Candidate flips (total_bps_batch).
@@ -109,6 +114,14 @@ class CachedOracle {
                        sim::BatchKernel kernel =
                            sim::BatchKernel::kAuto) const;
 
+  /// The term total_bps(assignment) adds for cell `ap` (exactly 0.0 for
+  /// a cell without clients), so the cells' terms summed in ascending
+  /// AP order from 0.0 bit-equal total_bps(assignment). Scores that one
+  /// cell through the memos and the kernel as a base analysis does,
+  /// without building a base: the cost is the cell's own share, the
+  /// activity of its hidden interferers and one memo lookup on a hit.
+  double cell_value(const net::ChannelAssignment& assignment, int ap) const;
+
   const net::Association& association() const { return assoc_; }
   const net::InterferenceGraph& graph() const { return snap_.graph(); }
   const sim::NetSnapshot& snapshot() const { return snap_; }
@@ -156,6 +169,17 @@ class CachedOracle {
   const BatchBase& analyze(const net::ChannelAssignment& base,
                            sim::BatchKernel kernel) const;
 
+  // The value of non-empty cell `ap` under `assignment` at medium share
+  // `share`, with `activity` holding the unweighted share of each of the
+  // cell's hidden interferers: its memo key, then a cell memo replay,
+  // else a rescale from the scan-cache memo, else the kernel. A non-null
+  // `cache` receives the cell's scan cache, which a memo replay then
+  // looks up (or builds) too. Called with mutex_ held.
+  double score_cell(const net::ChannelAssignment& assignment, int ap,
+                    double share, const double* activity,
+                    sim::BatchKernel kernel,
+                    const sim::CellScanCache** cache) const;
+
   const sim::Wlan& wlan_;
   net::Association assoc_;
   mac::TrafficType traffic_;
@@ -172,7 +196,7 @@ class CachedOracle {
   // address-stable under rehash and a stored cache is never mutated.
   mutable std::vector<KeyMap<sim::CellScanCache>> scan_memo_;
   mutable BatchBase base_;
-  // analyze's key and context buffers.
+  // score_cell's key and context buffers.
   mutable std::vector<std::uint64_t> build_key_;
   mutable std::vector<std::uint64_t> build_ctx_;
   mutable OracleCacheStats stats_;

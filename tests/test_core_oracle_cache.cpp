@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
 
+#include "baselines/simple.hpp"
 #include "core/controller.hpp"
 #include "core/estimated_oracle.hpp"
+#include "dcb/random_drop.hpp"
 #include "sim/wlan_reference.hpp"
 #include "testutil.hpp"
 #include "util/rng.hpp"
@@ -193,6 +198,80 @@ TEST(CachedOracle, WeightsCanReorderAssignments) {
   EXPECT_TRUE(flipped)
       << "no weight vector reordered any assignment pair — the weighted "
          "objective is not reaching the optimizer";
+}
+
+// cell_value(f, ap) is the term total_bps(f) adds for cell `ap`: the
+// terms summed in ascending AP order from 0.0 bit-equal the total,
+// whichever of the two fills the memos first, and a cell without
+// clients reads exactly 0.0. The scripted floors put every AP pair at
+// one loss (all contending or all out of range); the random drops mix
+// neighbours with hidden interferers.
+TEST(CachedOracle, CellValueSumsToTotal) {
+  util::Rng rng(0xCE11);
+  int empty_cells = 0;
+  for (int trial = 0; trial < 64; ++trial) {
+    const bool sinr = trial % 2 == 1;
+    const bool weighted = trial / 2 % 2 == 1;
+    const bool client_weights = trial / 4 % 2 == 1;
+    const mac::TrafficType traffic =
+        trial / 8 % 2 == 1 ? mac::TrafficType::kTcp : mac::TrafficType::kUdp;
+    const bool drop = trial / 16 % 2 == 1;
+    std::optional<sim::Wlan> wlan;
+    net::Association assoc;
+    if (drop) {
+      dcb::RandomDropConfig cfg;
+      cfg.num_aps = 5;
+      cfg.num_clients = 6;
+      sim::WlanConfig wlan_cfg;
+      wlan_cfg.sinr_interference = sinr;
+      wlan_cfg.weighted_contention = weighted;
+      wlan.emplace(dcb::random_drop(cfg, rng).build(wlan_cfg));
+      assoc = baselines::rss_associate_all(*wlan);
+    } else {
+      const ScenarioBuilder b = random_builder(rng, sinr, weighted);
+      wlan.emplace(b.build());
+      assoc = random_association(b, rng);
+    }
+    std::vector<double> weights;
+    if (client_weights) {
+      for (int c = 0; c < wlan->topology().num_clients(); ++c) {
+        weights.push_back(rng.uniform(0.0, 2.0));
+      }
+    }
+    const CachedOracle cached(*wlan, assoc, traffic, weights);
+    const int n_aps = wlan->topology().num_aps();
+    const ChannelAllocator alloc{net::ChannelPlan(4)};
+    for (int rep = 0; rep < 6; ++rep) {
+      const net::ChannelAssignment f = alloc.random_assignment(n_aps, rng);
+      const double first = rep % 2 == 0 ? cached.total_bps(f) : 0.0;
+      double sum = 0.0;
+      for (int ap = 0; ap < n_aps; ++ap) {
+        const double term = cached.cell_value(f, ap);
+        if (cached.snapshot().cell_clients(ap).empty()) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(term), 0u);
+          ++empty_cells;
+        }
+        sum += term;
+      }
+      const double total = rep % 2 == 0 ? first : cached.total_bps(f);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sum),
+                std::bit_cast<std::uint64_t>(total))
+          << "trial " << trial << " rep " << rep << ": " << sum << " vs "
+          << total;
+    }
+  }
+  EXPECT_GT(empty_cells, 0);
+}
+
+TEST(CachedOracle, CellValueRejectsABadApOrAssignment) {
+  const ScenarioBuilder b = testutil::topology1_builder();
+  const sim::Wlan wlan = b.build();
+  const CachedOracle cached(wlan, b.intended_association());
+  const net::ChannelAssignment f(2, net::Channel::basic(0));
+  EXPECT_THROW(cached.cell_value(f, 2), std::invalid_argument);
+  EXPECT_THROW(cached.cell_value(f, -1), std::invalid_argument);
+  EXPECT_THROW(cached.cell_value({net::Channel::basic(0)}, 0),
+               std::invalid_argument);
 }
 
 TEST(CachedOracle, RejectsWrongWeightVectorSize) {

@@ -148,6 +148,129 @@ TEST(Kai, ExactSearchMatchesReferenceOdometer) {
       }
     }
   }
+  // The offline_gap shape: 5 APs and 15 clients on the default dense
+  // floor, where most drops mix neighbours with APs out of range.
+  for (const std::uint64_t drop_seed : {1u, 2u}) {
+    for (const bool sinr : {false, true}) {
+      for (const bool weighted : {false, true}) {
+        dcb::RandomDropConfig cfg;
+        cfg.num_aps = 5;
+        cfg.num_clients = 15;
+        util::Rng rng(drop_seed);
+        sim::WlanConfig wlan_cfg;
+        wlan_cfg.sinr_interference = sinr;
+        wlan_cfg.weighted_contention = weighted;
+        const sim::Wlan wlan = dcb::random_drop(cfg, rng).build(wlan_cfg);
+        expect_matches_reference(
+            wlan, rss_associate_all(wlan), plan, mac::TrafficType::kUdp, {},
+            "5 APs seed " + std::to_string(drop_seed) + " sinr " +
+                std::to_string(sinr) + " weighted " +
+                std::to_string(weighted));
+      }
+    }
+  }
+}
+
+TEST(Kai, ExactSearchMatchesReferenceWhereEveryApHearsEveryOther) {
+  // With SINR on but every AP in every other's carrier-sense range, no
+  // cell has a hidden interferer: each cell's value is fixed by its
+  // width and contention, so the search scores it from a table holding
+  // at most 2 widths x (2 x 3 + 1) contention levels, and the oracle
+  // sees one cell_value call per entry instead of one per assignment.
+  for (const bool weighted : {false, true}) {
+    testutil::ScenarioBuilder b;
+    b.cells = {
+        testutil::CellSpec{{testutil::kGoodLinkLoss,
+                            testutil::kMarginalLinkLoss}},
+        testutil::CellSpec{{testutil::kMediumLinkLoss}},
+        testutil::CellSpec{{testutil::kWeakLinkLoss,
+                            testutil::kGoodLinkLoss + 2.0}},
+        testutil::CellSpec{{testutil::kPoorLinkLoss}},
+    };
+    b.ap_ap_loss_db = 85.0;
+    b.cross_loss_db = 100.0;
+    b.config.sinr_interference = true;
+    b.config.weighted_contention = weighted;
+    const sim::Wlan wlan = b.build();
+    const net::Association assoc = b.intended_association();
+    const core::CachedOracle oracle(wlan, assoc);
+    ASSERT_EQ(oracle.graph().max_degree(), 3);
+    for (int a = 0; a < 4; ++a) ASSERT_EQ(oracle.graph().degree(a), 3);
+    expect_matches_reference(wlan, assoc, net::ChannelPlan(4),
+                             mac::TrafficType::kUdp, {},
+                             weighted ? "heard, weighted" : "heard");
+    const KaiResult got = kai_exact_allocation(oracle, net::ChannelPlan(4));
+    EXPECT_EQ(got.evaluations, 1296);
+    const core::OracleCacheStats stats = oracle.stats();
+    EXPECT_LE(stats.cell_hits + stats.cell_evals, 4u * 2u * 7u);
+  }
+}
+
+TEST(Kai, ExactSearchMatchesReferenceWhenConflictsAreForced) {
+  // Two basic channels and one bond for six APs: every optimum shares
+  // spectrum, so it rests on contention levels a conflict-free optimum
+  // never reaches (a 20 MHz neighbour inside a 40 MHz bond costs half a
+  // slot under weighted contention). The scripted floor puts every AP in
+  // every other's range; the drops on a wider floor leave gaps in the
+  // graph, so an AP's contention moves with digits far from its own.
+  const net::ChannelPlan plan(2);
+  std::uint64_t seed = 70;
+  for (const bool sinr : {false, true}) {
+    for (const bool weighted : {false, true}) {
+      testutil::ScenarioBuilder b;
+      for (int ap = 0; ap < 6; ++ap) {
+        b.cells.push_back(testutil::CellSpec{
+            {testutil::kGoodLinkLoss + ap, testutil::kWeakLinkLoss - ap}});
+      }
+      b.ap_ap_loss_db = 85.0;
+      b.cross_loss_db = 100.0;
+      b.config.sinr_interference = sinr;
+      b.config.weighted_contention = weighted;
+      const sim::Wlan floor = b.build();
+      const std::string what = " sinr " + std::to_string(sinr) +
+                               " weighted " + std::to_string(weighted);
+      util::Rng rng(++seed);
+      std::vector<double> weights;
+      for (int c = 0; c < floor.topology().num_clients(); ++c) {
+        weights.push_back(rng.uniform());
+      }
+      expect_matches_reference(floor, b.intended_association(), plan,
+                               mac::TrafficType::kUdp, weights,
+                               "forced floor" + what);
+      for (int drop = 0; drop < 2; ++drop) {
+        dcb::RandomDropConfig cfg;
+        cfg.num_aps = 6;
+        cfg.num_clients = 12;
+        cfg.area_m = 120.0;
+        sim::WlanConfig wlan_cfg;
+        wlan_cfg.sinr_interference = sinr;
+        wlan_cfg.weighted_contention = weighted;
+        const sim::Wlan wlan = dcb::random_drop(cfg, rng).build(wlan_cfg);
+        expect_matches_reference(wlan, rss_associate_all(wlan), plan,
+                                 mac::TrafficType::kTcp, {},
+                                 "forced drop" + what);
+      }
+    }
+  }
+}
+
+TEST(Kai, ExactSearchMatchesReferenceWhenACellKeyOverflowsAWord) {
+  // 70 APs out of each other's range on one channel: with SINR on every
+  // cell hears 69 hidden interferers, more than a 64-bit packed key of
+  // a cell's inputs can hold, so each cell is scored through the
+  // oracle. One color leaves one assignment to search.
+  testutil::ScenarioBuilder b;
+  for (int ap = 0; ap < 70; ++ap) {
+    b.cells.push_back(testutil::CellSpec{{testutil::kMediumLinkLoss}});
+  }
+  b.ap_ap_loss_db = 140.0;
+  b.cross_loss_db = 110.0;
+  b.config.sinr_interference = true;
+  const sim::Wlan wlan = b.build();
+  const net::Association assoc = b.intended_association();
+  ASSERT_EQ(core::CachedOracle(wlan, assoc).graph().max_degree(), 0);
+  expect_matches_reference(wlan, assoc, net::ChannelPlan(1),
+                           mac::TrafficType::kUdp, {}, "70 hidden APs");
 }
 
 TEST(Kai, ExactSearchMatchesReferenceOnOneAp) {
