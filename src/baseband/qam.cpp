@@ -1,7 +1,6 @@
 #include "baseband/qam.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -21,13 +20,19 @@ double gray_to_level(unsigned gray_bits, int m) {
   return 2.0 * static_cast<double>(bin) - (levels - 1);
 }
 
-unsigned level_to_gray(double value, int m) {
-  const int levels = 1 << m;
-  // Slice to the nearest level index.
-  int idx = static_cast<int>(std::lround((value + (levels - 1)) / 2.0));
-  idx = std::clamp(idx, 0, levels - 1);
-  const auto bin = static_cast<unsigned>(idx);
-  return bin ^ (bin >> 1);
+// Slice one axis of M bits to the Gray label of its nearest level. On the
+// index scale x = (value + (levels - 1)) / 2 the index is the number of
+// thresholds i - 1/2 (i = 1 .. levels - 1) that x reaches: clamp(lround(x))
+// wherever lround fits an int, saturating beyond it (+inf slices to the
+// top level), and 0 for a NaN, which reaches none.
+template <int M>
+unsigned level_to_gray(double value) {
+  constexpr int kLevels = 1 << M;
+  const double x = (value + (kLevels - 1)) / 2.0;
+  unsigned idx = 0;
+#pragma GCC unroll 8
+  for (int i = 1; i < kLevels; ++i) idx += x >= i - 0.5 ? 1u : 0u;
+  return idx ^ (idx >> 1);
 }
 
 double normalization(phy::Modulation mod) {
@@ -40,27 +45,30 @@ double normalization(phy::Modulation mod) {
   throw std::invalid_argument("unknown modulation");
 }
 
-// Full constellation enumeration (point + bit label per index), built
-// once per modulation so the soft demapper does not rebuild it per call.
-struct Constellation {
-  std::vector<Cx> points;            // 2^k entries
-  std::vector<std::uint8_t> labels;  // 2^k * k bit labels
-  int k = 0;
+// A byte other than 0 or 1 would index past the constellation table (and
+// the bit-serial mapper would build an off-grid point from it).
+void require_binary(std::span<const std::uint8_t> bits) {
+  std::uint8_t any = 0;
+  for (const std::uint8_t b : bits) any |= b;
+  if (any > 1) throw std::invalid_argument("bits must be 0 or 1");
+}
 
-  explicit Constellation(phy::Modulation mod)
-      : k(phy::bits_per_symbol(mod)) {
-    const int m = 1 << k;
-    points.resize(static_cast<std::size_t>(m));
-    labels.resize(static_cast<std::size_t>(m * k));
+// The 2^k points of a modulation, indexed by their k label bits read
+// first to last (I bits, then Q bits), built once by qam_map_symbol so
+// the table mapper and the soft demapper's levels are bit-equal to it.
+struct Constellation {
+  std::vector<Cx> points;
+
+  explicit Constellation(phy::Modulation mod) {
+    const int k = phy::bits_per_symbol(mod);
+    points.resize(std::size_t{1} << k);
     std::vector<std::uint8_t> bits(static_cast<std::size_t>(k));
-    for (int v = 0; v < m; ++v) {
+    for (std::size_t v = 0; v < points.size(); ++v) {
       for (int b = 0; b < k; ++b) {
         bits[static_cast<std::size_t>(b)] =
-            static_cast<std::uint8_t>((v >> (k - 1 - b)) & 1);
-        labels[static_cast<std::size_t>(v * k + b)] =
-            bits[static_cast<std::size_t>(b)];
+            static_cast<std::uint8_t>((v >> (k - 1 - b)) & 1u);
       }
-      points[static_cast<std::size_t>(v)] = qam_map_symbol(bits, mod);
+      points[v] = qam_map_symbol(bits, mod);
     }
   }
 };
@@ -79,6 +87,113 @@ const Constellation& constellation(phy::Modulation mod) {
   throw std::invalid_argument("unknown modulation");
 }
 
+// Table-map `n` whole symbols of K bits each.
+template <int K>
+void map_symbols(const std::uint8_t* bits, std::size_t n, const Cx* points,
+                 Cx* out) {
+  for (std::size_t s = 0; s < n; ++s, bits += K) {
+    unsigned v = 0;
+#pragma GCC unroll 8
+    for (int b = 0; b < K; ++b) v = (v << 1) | bits[b];
+    out[s] = points[v];
+  }
+}
+
+// Hard-demap symbols of a square constellation with M bits per axis.
+template <int M>
+void demap_symbols(std::span<const Cx> symbols, double norm,
+                   std::uint8_t* out) {
+  for (const Cx y : symbols) {
+    const unsigned i_bits = level_to_gray<M>(y.real() / norm);
+    const unsigned q_bits = level_to_gray<M>(y.imag() / norm);
+#pragma GCC unroll 4
+    for (int b = 0; b < M; ++b) {
+      out[b] = static_cast<std::uint8_t>((i_bits >> (M - 1 - b)) & 1u);
+      out[M + b] = static_cast<std::uint8_t>((q_bits >> (M - 1 - b)) & 1u);
+    }
+    out += 2 * M;
+  }
+}
+
+void demap_symbols(std::span<const Cx> symbols, phy::Modulation mod,
+                   std::uint8_t* out) {
+  switch (mod) {
+    case phy::Modulation::kBpsk:
+      for (const Cx y : symbols) *out++ = y.real() < 0.0 ? 1 : 0;
+      return;
+    case phy::Modulation::kQpsk:
+      return demap_symbols<1>(symbols, normalization(mod), out);
+    case phy::Modulation::kQam16:
+      return demap_symbols<2>(symbols, normalization(mod), out);
+    case phy::Modulation::kQam64:
+      return demap_symbols<3>(symbols, normalization(mod), out);
+  }
+  throw std::invalid_argument("unknown modulation");
+}
+
+// Squared distances from `x` to the 2^B levels of one axis, reduced to
+// their minimum (returned) and, for each of the axis's B label bits, to
+// the minimum over the levels whose bit is 0 (`lo`) and 1 (`hi`). Each is
+// a std::min chain seeded at 1e300, so a NaN distance never wins.
+template <int B>
+inline double axis_minima(double x, const double* level, double* lo,
+                          double* hi) {
+  double all = 1e300;
+#pragma GCC unroll 8
+  for (int b = 0; b < B; ++b) lo[b] = hi[b] = 1e300;
+#pragma GCC unroll 8
+  for (int v = 0; v < (1 << B); ++v) {
+    const double d = x - level[v];
+    const double d2 = d * d;
+    all = std::min(all, d2);
+#pragma GCC unroll 8
+    for (int b = 0; b < B; ++b) {
+      double& best = ((v >> (B - 1 - b)) & 1) != 0 ? hi[b] : lo[b];
+      best = std::min(best, d2);
+    }
+  }
+  return all;
+}
+
+// Max-log soft demap of a Gray square constellation whose first BI label
+// bits pick the I level and last BQ the Q level (BPSK: BQ = 0, Q level 0).
+// A point's squared distance is fl(fl(dI^2) + fl(dQ^2)), and rounding is
+// monotone, so its minimum over the points whose I bit b is 0 equals
+// fl(min of dI^2 over those I levels + min of dQ^2 over all Q levels),
+// capped at the 1e300 seed: bit-equal to scoring all 2^k points.
+template <int BI, int BQ>
+void soft_demap(std::span<const Cx> symbols,
+                std::span<const double> noise_vars, const Constellation& c,
+                double* llrs) {
+  constexpr int kIs = 1 << BI;
+  constexpr int kQs = 1 << BQ;
+  double level_i[kIs];
+  double level_q[kQs];
+  for (int i = 0; i < kIs; ++i) level_i[i] = c.points[i * kQs].real();
+  for (int q = 0; q < kQs; ++q) level_q[q] = c.points[q].imag();
+  double lo_i[BI];
+  double hi_i[BI];
+  double lo_q[BQ > 0 ? BQ : 1];
+  double hi_q[BQ > 0 ? BQ : 1];
+  for (std::size_t s = 0; s < symbols.size(); ++s) {
+    const double inv_var = 1.0 / std::max(noise_vars[s], 1e-12);
+    const double all_i =
+        axis_minima<BI>(symbols[s].real(), level_i, lo_i, hi_i);
+    const double all_q =
+        axis_minima<BQ>(symbols[s].imag(), level_q, lo_q, hi_q);
+    for (int b = 0; b < BI; ++b) {
+      *llrs++ = (std::min(1e300, hi_i[b] + all_q) -
+                 std::min(1e300, lo_i[b] + all_q)) *
+                inv_var;
+    }
+    for (int b = 0; b < BQ; ++b) {
+      *llrs++ = (std::min(1e300, all_i + hi_q[b]) -
+                 std::min(1e300, all_i + lo_q[b])) *
+                inv_var;
+    }
+  }
+}
+
 }  // namespace
 
 Cx qam_map_symbol(std::span<const std::uint8_t> bits, phy::Modulation mod) {
@@ -86,6 +201,7 @@ Cx qam_map_symbol(std::span<const std::uint8_t> bits, phy::Modulation mod) {
   if (static_cast<int>(bits.size()) != k) {
     throw std::invalid_argument("wrong bit count for symbol");
   }
+  require_binary(bits);
   const double norm = normalization(mod);
   if (mod == phy::Modulation::kBpsk) {
     return Cx(bits[0] ? -1.0 : 1.0, 0.0);
@@ -102,24 +218,10 @@ Cx qam_map_symbol(std::span<const std::uint8_t> bits, phy::Modulation mod) {
 
 void qam_demap_symbol(Cx symbol, phy::Modulation mod,
                       std::span<std::uint8_t> out) {
-  const int k = phy::bits_per_symbol(mod);
-  if (static_cast<int>(out.size()) != k) {
+  if (static_cast<int>(out.size()) != phy::bits_per_symbol(mod)) {
     throw std::invalid_argument("wrong output size for symbol");
   }
-  if (mod == phy::Modulation::kBpsk) {
-    out[0] = symbol.real() < 0.0 ? 1 : 0;
-    return;
-  }
-  const double norm = normalization(mod);
-  const int half = k / 2;
-  const unsigned i_bits = level_to_gray(symbol.real() / norm, half);
-  const unsigned q_bits = level_to_gray(symbol.imag() / norm, half);
-  for (int b = 0; b < half; ++b) {
-    out[static_cast<std::size_t>(b)] =
-        static_cast<std::uint8_t>((i_bits >> (half - 1 - b)) & 1u);
-    out[static_cast<std::size_t>(half + b)] =
-        static_cast<std::uint8_t>((q_bits >> (half - 1 - b)) & 1u);
-  }
+  demap_symbols(std::span<const Cx>(&symbol, 1), mod, out.data());
 }
 
 void qam_modulate_into(std::span<const std::uint8_t> bits,
@@ -129,18 +231,30 @@ void qam_modulate_into(std::span<const std::uint8_t> bits,
   if (symbols.size() != n_symbols) {
     throw std::invalid_argument("symbol buffer size must be ceil(bits/k)");
   }
+  require_binary(bits);
+  const Cx* points = constellation(mod).points.data();
   const std::size_t whole = bits.size() / k;
-  for (std::size_t s = 0; s < whole; ++s) {
-    symbols[s] = qam_map_symbol(bits.subspan(s * k, k), mod);
+  switch (mod) {
+    case phy::Modulation::kBpsk:
+      map_symbols<1>(bits.data(), whole, points, symbols.data());
+      break;
+    case phy::Modulation::kQpsk:
+      map_symbols<2>(bits.data(), whole, points, symbols.data());
+      break;
+    case phy::Modulation::kQam16:
+      map_symbols<4>(bits.data(), whole, points, symbols.data());
+      break;
+    case phy::Modulation::kQam64:
+      map_symbols<6>(bits.data(), whole, points, symbols.data());
+      break;
   }
   if (whole < n_symbols) {
-    // Zero-pad the trailing partial symbol on the stack (k <= 6).
-    std::array<std::uint8_t, 8> last{};
-    const std::size_t rem = bits.size() - whole * k;
-    std::copy_n(bits.begin() + static_cast<std::ptrdiff_t>(whole * k), rem,
-                last.begin());
-    symbols[whole] = qam_map_symbol(
-        std::span<const std::uint8_t>(last.data(), k), mod);
+    // The trailing partial symbol, zero-padded (k <= 6).
+    unsigned v = 0;
+    for (std::size_t b = whole * k; b < whole * k + k; ++b) {
+      v = (v << 1) | (b < bits.size() ? bits[b] : 0u);
+    }
+    symbols[whole] = points[v];
   }
 }
 
@@ -159,39 +273,20 @@ void qam_soft_demodulate_into(std::span<const Cx> symbols,
   if (symbols.size() != noise_vars.size()) {
     throw std::invalid_argument("one noise variance per symbol required");
   }
-  const Constellation& c = constellation(mod);
-  const int k = c.k;
-  const int m = 1 << k;
-  if (llrs.size() != symbols.size() * static_cast<std::size_t>(k)) {
+  const auto k = static_cast<std::size_t>(phy::bits_per_symbol(mod));
+  if (llrs.size() != symbols.size() * k) {
     throw std::invalid_argument("LLR buffer size must be symbols * k");
   }
-  // One distance pass per symbol: computing |y - p_v|^2 inside the bit
-  // loop redoes the complex arithmetic k times (6x for 64-QAM), which
-  // dominated the soft chain's per-packet profile.
-  double best0[8];
-  double best1[8];
-  for (std::size_t s = 0; s < symbols.size(); ++s) {
-    const double inv_var = 1.0 / std::max(noise_vars[s], 1e-12);
-    const Cx sym = symbols[s];
-    for (int b = 0; b < k; ++b) {
-      best0[b] = 1e300;
-      best1[b] = 1e300;
-    }
-    for (int v = 0; v < m; ++v) {
-      const double d2 = std::norm(sym - c.points[static_cast<std::size_t>(v)]);
-      const std::uint8_t* lab = &c.labels[static_cast<std::size_t>(v * k)];
-      for (int b = 0; b < k; ++b) {
-        if (lab[b] == 0) {
-          best0[b] = std::min(best0[b], d2);
-        } else {
-          best1[b] = std::min(best1[b], d2);
-        }
-      }
-    }
-    for (int b = 0; b < k; ++b) {
-      llrs[s * static_cast<std::size_t>(k) + static_cast<std::size_t>(b)] =
-          (best1[b] - best0[b]) * inv_var;
-    }
+  const Constellation& c = constellation(mod);
+  switch (mod) {
+    case phy::Modulation::kBpsk:
+      return soft_demap<1, 0>(symbols, noise_vars, c, llrs.data());
+    case phy::Modulation::kQpsk:
+      return soft_demap<1, 1>(symbols, noise_vars, c, llrs.data());
+    case phy::Modulation::kQam16:
+      return soft_demap<2, 2>(symbols, noise_vars, c, llrs.data());
+    case phy::Modulation::kQam64:
+      return soft_demap<3, 3>(symbols, noise_vars, c, llrs.data());
   }
 }
 
@@ -210,9 +305,7 @@ void qam_demodulate_into(std::span<const Cx> symbols, phy::Modulation mod,
   if (bits.size() != symbols.size() * k) {
     throw std::invalid_argument("bit buffer size must be symbols * k");
   }
-  for (std::size_t s = 0; s < symbols.size(); ++s) {
-    qam_demap_symbol(symbols[s], mod, bits.subspan(s * k, k));
-  }
+  demap_symbols(symbols, mod, bits.data());
 }
 
 std::vector<std::uint8_t> qam_demodulate(std::span<const Cx> symbols,

@@ -1,8 +1,17 @@
 #include "baseband/scrambler.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace acorn::baseband {
+
+namespace {
+
+// The keystream period of the maximal-length 7-bit LFSR, 2^7 - 1.
+constexpr std::size_t kPeriod = 127;
+
+}  // namespace
 
 Scrambler::Scrambler(std::uint8_t seed) : state_(0) { reset(seed); }
 
@@ -33,9 +42,20 @@ void Scrambler::process_into(std::span<const std::uint8_t> bits,
   if (out.size() != bits.size()) {
     throw std::invalid_argument("scrambler output size mismatch");
   }
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    out[i] = static_cast<std::uint8_t>((bits[i] ^ next_bit()) & 1u);
+  // One keystream period from the current state; drawing it brings the
+  // LFSR back to that state, so the stream is this block over and over.
+  std::array<std::uint8_t, kPeriod> key;
+  for (std::uint8_t& k : key) k = next_bit();
+  const std::size_t n = bits.size();
+  for (std::size_t start = 0; start < n; start += kPeriod) {
+    const std::size_t len = std::min(kPeriod, n - start);
+    const std::uint8_t* in = bits.data() + start;
+    std::uint8_t* dst = out.data() + start;
+    for (std::size_t i = 0; i < len; ++i) {
+      dst[i] = static_cast<std::uint8_t>((in[i] ^ key[i]) & 1u);
+    }
   }
+  for (std::size_t i = 0; i < n % kPeriod; ++i) next_bit();
 }
 
 std::vector<std::uint8_t> scramble(std::span<const std::uint8_t> bits,

@@ -24,7 +24,9 @@ class Scrambler {
   std::vector<std::uint8_t> process(std::span<const std::uint8_t> bits);
 
   /// Allocation-free variant: `out.size()` must equal `bits.size()`.
-  /// In-place operation (out aliasing bits) is fine.
+  /// In-place operation (out aliasing bits) is fine. Draws one 127-bit
+  /// keystream period from the current state and XORs it blockwise; the
+  /// output and the state it leaves equal `bits.size()` next_bit() calls.
   void process_into(std::span<const std::uint8_t> bits,
                     std::span<std::uint8_t> out);
 

@@ -285,8 +285,7 @@ void levels_from_hard(std::span<const std::uint8_t> coded,
     // metric is an affine transform of the reference Hamming metric:
     // bit-exact decisions. Any byte that is neither 0 nor 1 costs both
     // hypotheses equally in the reference, i.e. acts as an erasure.
-    levels[i] = r == 0 ? std::int16_t{1}
-                       : (r == 1 ? std::int16_t{-1} : std::int16_t{0});
+    levels[i] = static_cast<std::int16_t>((r == 0) - (r == 1));
   }
 }
 

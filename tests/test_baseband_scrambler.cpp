@@ -76,5 +76,36 @@ TEST(Scrambler, ProcessContinuesKeystream) {
   }
 }
 
+TEST(Scrambler, BlockProcessMatchesNextBit) {
+  // process_into XORs whole keystream periods; bit for bit it must equal
+  // the serial LFSR for every length, in place or not, and leave the
+  // state where the serial walk does, across consecutive calls.
+  util::Rng rng(2);
+  for (std::size_t n = 0; n <= 400; ++n) {
+    const auto seed = static_cast<std::uint8_t>(1 + n % 127);
+    std::vector<std::uint8_t> bits(n);
+    for (auto& b : bits) b = static_cast<std::uint8_t>(rng.next_u64() & 1u);
+    Scrambler block(seed);
+    Scrambler serial(seed);
+    std::vector<std::uint8_t> out(n);
+    block.process_into(bits, out);
+    std::vector<std::uint8_t> want(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      want[i] = static_cast<std::uint8_t>(bits[i] ^ serial.next_bit());
+    }
+    ASSERT_EQ(out, want) << "length " << n;
+    // A second call continues the keystream, here in place.
+    std::vector<std::uint8_t> again = bits;
+    block.process_into(again, again);
+    for (std::size_t i = 0; i < n; ++i) {
+      want[i] = static_cast<std::uint8_t>(bits[i] ^ serial.next_bit());
+    }
+    ASSERT_EQ(again, want) << "second call, length " << n;
+    for (int i = 0; i < 130; ++i) {
+      ASSERT_EQ(block.next_bit(), serial.next_bit()) << "length " << n;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace acorn::baseband

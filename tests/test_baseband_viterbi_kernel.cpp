@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <random>
 #include <vector>
@@ -283,6 +284,59 @@ std::size_t decode_alloc_count(bool soft, int iterations) {
   const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(out, bits);
   return after - before;
+}
+
+TEST(ViterbiKernelLevels, HardLevelsForEveryByte) {
+  // 0 -> +1, 1 -> -1, any other byte (kErasedBit included) -> 0.
+  std::vector<std::uint8_t> coded(256);
+  for (std::size_t i = 0; i < coded.size(); ++i) {
+    coded[i] = static_cast<std::uint8_t>(i);
+  }
+  std::vector<std::int16_t> levels(coded.size(), 7);
+  viterbi::levels_from_hard(coded, levels.data());
+  for (std::size_t i = 0; i < coded.size(); ++i) {
+    const std::int16_t want = i == 0 ? 1 : (i == 1 ? -1 : 0);
+    EXPECT_EQ(levels[i], want) << "byte " << i;
+  }
+}
+
+TEST(ViterbiKernelLevels, SoftLevelsMatchLrintLoop) {
+  // The quantizer is peak-scaled round-to-nearest-even (std::lrint) with
+  // saturation: exact .5 ties round to even, NaN and infinities follow
+  // whatever std::lrint returns for them.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::vector<double>> cases = {
+      {255.0, 0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 254.5, -254.5, 0.0, -0.0},
+      {510.0, 1.0, 3.0, 5.0, -1.0, -3.0, -5.0, 509.0},  // scale 1/2: ties
+      {255.0, nan, 3.0, -nan, -7.25},
+      {inf, 1.0, -2.0, 0.0, -inf, nan},
+      {-inf, 3.0},
+      {nan, nan},
+      {1e-310, -5e-324, 2.5e-310},
+  };
+  std::mt19937_64 gen(21);
+  std::uniform_real_distribution<double> u(-40.0, 40.0);
+  std::vector<double> random(1001);
+  for (double& x : random) x = std::round(u(gen) * 2.0) / 2.0;
+  cases.push_back(random);
+  for (const std::vector<double>& llrs : cases) {
+    double peak = 0.0;
+    for (const double x : llrs) peak = std::max(peak, std::abs(x));
+    std::vector<std::int16_t> want(llrs.size(), 0);
+    if (peak > 0.0) {
+      const double scale = static_cast<double>(viterbi::kSoftLevelMax) / peak;
+      for (std::size_t i = 0; i < llrs.size(); ++i) {
+        want[i] = static_cast<std::int16_t>(
+            std::clamp<long>(std::lrint(llrs[i] * scale),
+                             -viterbi::kSoftLevelMax, viterbi::kSoftLevelMax));
+      }
+    }
+    std::vector<std::int16_t> got(llrs.size(), 7);
+    viterbi::levels_from_soft(llrs, got.data());
+    EXPECT_EQ(got, want) << "case of " << llrs.size() << " LLRs, first "
+                         << llrs[0];
+  }
 }
 
 TEST(ViterbiKernelAllocation, WarmDecodeIsAllocationFree) {
