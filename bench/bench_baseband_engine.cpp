@@ -1,12 +1,19 @@
 // Monte-Carlo baseband engine throughput: fixed-configuration packet
 // sweeps through the uncoded (BERMAC) and coded (phy_chain) chains, the
-// workloads that dominate every paper figure. Appends packets/sec and
-// Msamples/sec records to BENCH_baseband.json so the perf trajectory is
-// tracked across PRs (ACORN_BENCH_LABEL tags before/after runs).
+// workloads that dominate every paper figure, and the chain's vector
+// kernels on their own (the OFDM FFT sizes and the 3-tap channel).
+// Appends packets/sec and Msamples/sec records to BENCH_baseband.json so
+// the perf trajectory is tracked across PRs (ACORN_BENCH_LABEL tags
+// before/after runs). A kernel row's `packets` counts transforms or
+// channel transmissions.
 #include <cstdio>
+#include <span>
+#include <vector>
 
 #include "baseband/bermac.hpp"
+#include "baseband/channel.hpp"
 #include "baseband/convolutional.hpp"
+#include "baseband/fft.hpp"
 #include "baseband/ofdm.hpp"
 #include "baseband/phy_chain.hpp"
 #include "common.hpp"
@@ -83,6 +90,61 @@ void run_chain_case(const char* name, int mcs, int packet_bytes,
                          opts.threads);
 }
 
+// One shared plan's transforms over a batch of 16 random vectors, the
+// batch refilled between timed passes so that repeated transforms never
+// overflow or decay into denormals; the batch stays in L1 like the OFDM
+// chain's one-symbol buffer.
+void run_fft_case(const char* name, std::size_t n, bool inverse,
+                  const bench::BenchOptions& opts) {
+  constexpr std::size_t kBatch = 16;
+  const int passes = opts.smoke ? 100 : 12500;
+  util::Rng rng(bench::kDefaultSeed);
+  std::vector<baseband::Cx> pristine(kBatch * n);
+  for (auto& x : pristine) x = baseband::Cx(rng.normal(), rng.normal());
+  std::vector<baseband::Cx> work(pristine.size());
+  const baseband::FftPlan& plan = baseband::fft_plan(n);
+  double seconds = 0.0;
+  for (int p = 0; p < passes; ++p) {
+    work = pristine;
+    const bench::Stopwatch timer;
+    for (std::size_t b = 0; b < kBatch; ++b) {
+      const std::span<baseband::Cx> v(work.data() + b * n, n);
+      if (inverse) {
+        plan.inverse(v);
+      } else {
+        plan.forward(v);
+      }
+    }
+    seconds += timer.seconds();
+  }
+  const std::int64_t transforms = static_cast<std::int64_t>(passes) * kBatch;
+  std::printf("%-22s %8.1f ns/transform\n", name,
+              seconds / static_cast<double>(transforms) * 1e9);
+  bench::emit_throughput("bench_baseband_engine", name, seconds, transforms,
+                         transforms * static_cast<std::int64_t>(n), 1);
+}
+
+// FadingChannel::transmit_into (3-tap convolution plus AWGN) on one
+// packet's worth of samples: 12,000, about a 1500-byte coded packet.
+void run_channel_case(const char* name, const bench::BenchOptions& opts) {
+  constexpr std::size_t kSamples = 12000;
+  const int packets = opts.smoke ? 20 : 2000;
+  util::Rng rng(bench::kDefaultSeed);
+  baseband::ChannelConfig cfg;
+  cfg.num_taps = 3;
+  baseband::FadingChannel channel(cfg, rng);
+  std::vector<baseband::Cx> tx(kSamples);
+  for (auto& x : tx) x = baseband::Cx(rng.normal(), rng.normal());
+  std::vector<baseband::Cx> rx(kSamples + 2);
+  const bench::Stopwatch timer;
+  for (int p = 0; p < packets; ++p) channel.transmit_into(tx, rx, rng);
+  const double s = timer.seconds();
+  std::printf("%-22s %8.1f pkt/s  (%.1f ns/sample)\n", name, packets / s,
+              s / (static_cast<double>(packets) * kSamples) * 1e9);
+  bench::emit_throughput("bench_baseband_engine", name, s, packets,
+                         packets * static_cast<std::int64_t>(kSamples), 1);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -96,5 +158,8 @@ int main(int argc, char** argv) {
   run_chain_case("phy_chain_mcs2_hard", 2, 300, 95.0, false, opts);
   run_chain_case("phy_chain_mcs2_soft", 2, 300, 95.0, true, opts);
   run_chain_case("phy_chain_mcs7_soft", 7, 1500, 80.0, true, opts);
+  run_fft_case("fft64_forward", 64, false, opts);
+  run_fft_case("fft128_inverse", 128, true, opts);
+  run_channel_case("channel_transmit_3tap", opts);
   return 0;
 }

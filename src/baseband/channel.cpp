@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
+#include "baseband/vector_kernel.hpp"
 #include "util/units.hpp"
 
 namespace acorn::baseband {
@@ -48,44 +50,80 @@ double FadingChannel::noise_variance_mw() const {
   return util::dbm_to_mw(psd_dbm) * config_.sample_rate_hz;
 }
 
+namespace {
+
+typedef double V4 __attribute__((vector_size(32)));
+
+ACORN_VECTOR_INLINE V4 load4(const double* p) {
+  V4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// x * h for two complex samples (re, im, re, im) and one tap
+// hv = (hr, hi, hr, hi): (xr*hr - xi*hi, xr*hi + xi*hr), the scalar
+// product's operations in its order.
+ACORN_VECTOR_INLINE V4 cmul2(V4 x, V4 hv) {
+  const V4 hs = __builtin_shufflevector(hv, hv, 1, 0, 3, 2);
+  const V4 p = __builtin_shufflevector(x, x, 0, 0, 2, 2) * hv;
+  const V4 q = __builtin_shufflevector(x, x, 1, 1, 3, 3) * hs;
+  return __builtin_shufflevector(p - q, p + q, 0, 5, 2, 7);
+}
+
+// Output m = sum over taps l with 0 <= m - l < n_tx of x[m - l] * h[l],
+// accumulated in increasing l: ((x[m]*h0 + x[m-1]*h1) + x[m-2]*h2) ...
+// An output past the input's end starts from +0.0 instead of x[m]*h0.
+// This is the order in which tap-major passes (a product pass for h0
+// over a zero-filled tail, then one += pass per further tap) build it,
+// so the result equals theirs bit for bit; here each output is
+// accumulated in registers, two at a time.
+ACORN_TARGET_CLONES
+void fir_kernel(const double* x, std::size_t n_tx, const double* h,
+                std::size_t nt, double* o) {
+  const std::size_t n_out = n_tx + nt - 1;
+  const auto one = [&](std::size_t m) {
+    const std::size_t l_end = std::min(m + 1, nt);
+    std::size_t l = m < n_tx ? 0 : m - n_tx + 1;
+    double re = 0.0;
+    double im = 0.0;
+    if (l == 0) {
+      re = x[2 * m] * h[0] - x[2 * m + 1] * h[1];
+      im = x[2 * m] * h[1] + x[2 * m + 1] * h[0];
+      l = 1;
+    }
+    for (; l < l_end; ++l) {
+      const double xr = x[2 * (m - l)];
+      const double xi = x[2 * (m - l) + 1];
+      re += xr * h[2 * l] - xi * h[2 * l + 1];
+      im += xr * h[2 * l + 1] + xi * h[2 * l];
+    }
+    o[2 * m] = re;
+    o[2 * m + 1] = im;
+  };
+  // Outputs nt - 1 .. n_tx - 1 see every tap.
+  std::size_t m = 0;
+  for (; m < nt - 1 && m < n_out; ++m) one(m);
+  for (; m + 1 < n_tx; m += 2) {
+    V4 acc = cmul2(load4(x + 2 * m), V4{h[0], h[1], h[0], h[1]});
+    for (std::size_t l = 1; l < nt; ++l) {
+      acc += cmul2(load4(x + 2 * (m - l)), V4{h[2 * l], h[2 * l + 1],
+                                              h[2 * l], h[2 * l + 1]});
+    }
+    std::memcpy(o + 2 * m, &acc, sizeof acc);
+  }
+  for (; m < n_out; ++m) one(m);
+}
+
+}  // namespace
+
 void FadingChannel::propagate_into(std::span<const Cx> tx,
                                    std::span<Cx> out) const {
   if (out.size() != tx.size() + taps_.size() - 1) {
     throw std::invalid_argument("output size must be tx + taps - 1");
   }
-  // Flat-double multiply-accumulate through raw pointers: the
-  // std::complex operator* NaN fix-up, 16-byte complex loads/stores and
-  // span indexing all keep the compiler from tightening this loop, and
-  // it runs once per sample per tap. Tap-major order keeps every pass a
-  // contiguous stream.
-  double* const o = reinterpret_cast<double*>(out.data());
-  const double* const x = reinterpret_cast<const double*>(tx.data());
-  const Cx* const h = taps_.data();
-  const std::size_t nt = taps_.size();
-  const std::size_t n_tx = tx.size();
-  {
-    const double hr = h[0].real();
-    const double hi = h[0].imag();
-    for (std::size_t n = 0; n < n_tx; ++n) {
-      const double xr = x[2 * n];
-      const double xi = x[2 * n + 1];
-      o[2 * n] = xr * hr - xi * hi;
-      o[2 * n + 1] = xr * hi + xi * hr;
-    }
-  }
-  std::fill(out.begin() + static_cast<std::ptrdiff_t>(n_tx), out.end(),
-            Cx{});
-  for (std::size_t l = 1; l < nt; ++l) {
-    const double hr = h[l].real();
-    const double hi = h[l].imag();
-    double* const ol = o + 2 * l;
-    for (std::size_t n = 0; n < n_tx; ++n) {
-      const double xr = x[2 * n];
-      const double xi = x[2 * n + 1];
-      ol[2 * n] += xr * hr - xi * hi;
-      ol[2 * n + 1] += xr * hi + xi * hr;
-    }
-  }
+  fir_kernel(reinterpret_cast<const double*>(tx.data()), tx.size(),
+             reinterpret_cast<const double*>(taps_.data()), taps_.size(),
+             reinterpret_cast<double*>(out.data()));
 }
 
 std::vector<Cx> FadingChannel::propagate(std::span<const Cx> tx) const {

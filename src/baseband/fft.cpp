@@ -4,32 +4,185 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+
+#include "baseband/vector_kernel.hpp"
 
 namespace acorn::baseband {
 
 bool is_power_of_two(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
+namespace {
+
+typedef double V2 __attribute__((vector_size(16)));
+typedef double V4 __attribute__((vector_size(32)));
+
+template <typename V>
+ACORN_VECTOR_INLINE V load(const double* p) {
+  V v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+template <typename V>
+ACORN_VECTOR_INLINE void store(double* p, V v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+// A vector holds two complex points, (re, im, re, im). Every lane does
+// the IEEE operations of the one-lane reference butterfly, in its order.
+// The inverse's 1/N multiplies the last stage's outputs as they are
+// stored: the same products as the reference's separate pass over them.
+
+// n == 2: one butterfly.
+template <bool kScale>
+ACORN_VECTOR_INLINE void single_stage(double* d, V2 scale) {
+  const V2 a = load<V2>(d);
+  const V2 b = load<V2>(d + 2);
+  V2 x = a + b;
+  V2 y = a - b;
+  if constexpr (kScale) {
+    x *= scale;
+    y *= scale;
+  }
+  store(d, x);
+  store(d + 2, y);
+}
+
+// Stages 1 and 2 on each block of four points. Their twiddles are 1 and
+// -i (+i for the inverse), so the only multiplies are the rotation's
+// +/-1, as in the reference: v = (conj * im, -conj * re).
+template <bool kScale>
+ACORN_VECTOR_INLINE void first_two_stages(double* d, std::size_t n, V4 rot,
+                                          V4 scale) {
+  for (std::size_t i = 0; i < 2 * n; i += 8) {
+    const V4 x = load<V4>(d + i);      // points 0, 1
+    const V4 y = load<V4>(d + i + 4);  // points 2, 3
+    const V4 a = __builtin_shufflevector(x, y, 0, 1, 4, 5);  // 0, 2
+    const V4 b = __builtin_shufflevector(x, y, 2, 3, 6, 7);  // 1, 3
+    const V4 s = a + b;  // stage 1: s0 = p0 + p1, s2 = p2 + p3
+    const V4 t = a - b;  //          s1 = p0 - p1, s3 = p2 - p3
+    const V4 r = __builtin_shufflevector(t, t, 3, 2, 3, 2) * rot;
+    const V4 lo = __builtin_shufflevector(s, t, 0, 1, 4, 5);  // s0, s1
+    const V4 hi = __builtin_shufflevector(s, r, 2, 3, 4, 5);  // s2, v
+    V4 u = lo + hi;
+    V4 w = lo - hi;
+    if constexpr (kScale) {
+      u *= scale;
+      w *= scale;
+    }
+    store(d + i, u);
+    store(d + i + 4, w);
+  }
+}
+
+// One stage of span 2 * half >= 8, two butterflies (k, k + 1) per
+// vector: v = b * w as (br*wr - bi*wi, br*wi + bi*wr), from `w` holding
+// (wr_k, wi_k) pairs and `ws` the same twiddles swapped.
+template <bool kScale>
+ACORN_VECTOR_INLINE void stage(double* d, std::size_t n, std::size_t half,
+                               const double* w, V4 scale) {
+  const double* const ws = w + 2 * half;
+  for (std::size_t i = 0; i < 2 * n; i += 4 * half) {
+    double* const lo = d + i;
+    double* const hi = lo + 2 * half;
+    for (std::size_t k = 0; k < 2 * half; k += 4) {
+      const V4 b = load<V4>(hi + k);
+      const V4 br = __builtin_shufflevector(b, b, 0, 0, 2, 2);
+      const V4 bi = __builtin_shufflevector(b, b, 1, 1, 3, 3);
+      const V4 p = br * load<V4>(w + k);   // br*wr, br*wi
+      const V4 q = bi * load<V4>(ws + k);  // bi*wi, bi*wr
+      const V4 v = __builtin_shufflevector(p - q, p + q, 0, 5, 2, 7);
+      const V4 a = load<V4>(lo + k);
+      V4 x = a + v;
+      V4 y = a - v;
+      if constexpr (kScale) {
+        x *= scale;
+        y *= scale;
+      }
+      store(lo + k, x);
+      store(hi + k, y);
+    }
+  }
+}
+
+ACORN_TARGET_CLONES
+void transform_kernel(double* d, std::size_t n, const std::uint32_t* swaps,
+                      std::size_t n_swaps, const double* tw, bool inverse) {
+  for (std::size_t s = 0; s < n_swaps; s += 2) {
+    double* const a = d + 2 * swaps[s];
+    double* const b = d + 2 * swaps[s + 1];
+    const V2 t = load<V2>(a);
+    store(a, load<V2>(b));
+    store(b, t);
+  }
+  const double conj = inverse ? -1.0 : 1.0;
+  const double sc = 1.0 / static_cast<double>(n);
+  const V4 scale = {sc, sc, sc, sc};
+  if (n == 1) {
+    if (inverse) store(d, load<V2>(d) * V2{sc, sc});
+    return;
+  }
+  if (n == 2) {
+    if (inverse) {
+      single_stage<true>(d, V2{sc, sc});
+    } else {
+      single_stage<false>(d, V2{sc, sc});
+    }
+    return;
+  }
+  const V4 rot = {conj, -conj, conj, -conj};
+  if (inverse && n == 4) {
+    first_two_stages<true>(d, n, rot, scale);
+  } else {
+    first_two_stages<false>(d, n, rot, scale);
+  }
+  for (std::size_t half = 4; half < n; half <<= 1) {
+    if (inverse && 2 * half == n) {
+      stage<true>(d, n, half, tw, scale);
+    } else {
+      stage<false>(d, n, half, tw, scale);
+    }
+    tw += 4 * half;
+  }
+}
+
+}  // namespace
+
 FftPlan::FftPlan(std::size_t n) : n_(n) {
   if (!is_power_of_two(n)) {
     throw std::invalid_argument("FFT size must be a power of two");
   }
-  bitrev_.resize(n);
   const int bits = std::countr_zero(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 1; i < n; ++i) {
     std::size_t r = 0;
     for (int b = 0; b < bits; ++b) r |= ((i >> b) & 1u) << (bits - 1 - b);
-    bitrev_[i] = static_cast<std::uint32_t>(r);
+    if (i < r) {
+      swaps_.push_back(static_cast<std::uint32_t>(i));
+      swaps_.push_back(static_cast<std::uint32_t>(r));
+    }
   }
-  twiddle_.resize(n > 1 ? n - 1 : 0);
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len / 2;
-    for (std::size_t k = 0; k < half; ++k) {
-      const double angle =
-          -2.0 * M_PI * static_cast<double>(k) / static_cast<double>(len);
-      twiddle_[half - 1 + k] = Cx(std::cos(angle), std::sin(angle));
+  for (int dir = 0; dir < 2; ++dir) {
+    // The reference conjugates each twiddle as conj * wi; so does this.
+    const double conj = dir == 0 ? 1.0 : -1.0;
+    std::vector<double>& tw = twiddles_[dir];
+    for (std::size_t len = 8; len <= n; len <<= 1) {
+      const std::size_t half = len / 2;
+      const std::size_t base = tw.size();
+      tw.resize(base + 2 * len);
+      for (std::size_t k = 0; k < half; ++k) {
+        const double angle =
+            -2.0 * M_PI * static_cast<double>(k) / static_cast<double>(len);
+        const Cx w(std::cos(angle), std::sin(angle));
+        const double wi = conj * w.imag();
+        tw[base + 2 * k] = w.real();
+        tw[base + 2 * k + 1] = wi;
+        tw[base + len + 2 * k] = wi;
+        tw[base + len + 2 * k + 1] = w.real();
+      }
     }
   }
 }
@@ -38,83 +191,9 @@ void FftPlan::transform(std::span<Cx> data, bool inverse) const {
   if (data.size() != n_) {
     throw std::invalid_argument("data size does not match the FFT plan");
   }
-  // Work on flat double pairs through raw pointers (the array-oriented
-  // access std::complex guarantees): both std::span indexing and 16-byte
-  // std::complex loads/stores keep GCC from tightening the butterfly
-  // loop — together they cost ~7x here.
-  const std::size_t n = n_;
-  Cx* const d = data.data();
-  double* const dd = reinterpret_cast<double*>(data.data());
-  const std::uint32_t* const br = bitrev_.data();
-  const double* const tw = reinterpret_cast<const double*>(twiddle_.data());
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t j = br[i];
-    if (i < j) std::swap(d[i], d[j]);
-  }
-  // Manual real/imag arithmetic: std::complex operator* carries NaN
-  // fix-up branches that roughly double the butterfly cost.
-  const double conj = inverse ? -1.0 : 1.0;
-  // The first two stages use twiddles 1 and -i only (+i when inverse),
-  // so their butterflies are pure add/sub/swap — a third of all
-  // butterflies with no multiplies at all.
-  if (n >= 2) {
-    for (std::size_t i = 0; i < 2 * n; i += 4) {
-      const double ar = dd[i];
-      const double ai = dd[i + 1];
-      const double br_ = dd[i + 2];
-      const double bi_ = dd[i + 3];
-      dd[i] = ar + br_;
-      dd[i + 1] = ai + bi_;
-      dd[i + 2] = ar - br_;
-      dd[i + 3] = ai - bi_;
-    }
-  }
-  if (n >= 4) {
-    for (std::size_t i = 0; i < 2 * n; i += 8) {
-      const double a0r = dd[i];
-      const double a0i = dd[i + 1];
-      const double b0r = dd[i + 4];
-      const double b0i = dd[i + 5];
-      dd[i] = a0r + b0r;
-      dd[i + 1] = a0i + b0i;
-      dd[i + 4] = a0r - b0r;
-      dd[i + 5] = a0i - b0i;
-      const double a1r = dd[i + 2];
-      const double a1i = dd[i + 3];
-      const double vr = conj * dd[i + 7];
-      const double vi = -conj * dd[i + 6];
-      dd[i + 2] = a1r + vr;
-      dd[i + 3] = a1i + vi;
-      dd[i + 6] = a1r - vr;
-      dd[i + 7] = a1i - vi;
-    }
-  }
-  for (std::size_t len = 8; len <= n; len <<= 1) {
-    const std::size_t half = len / 2;
-    const double* const w = tw + 2 * (half - 1);
-    for (std::size_t i = 0; i < n; i += len) {
-      double* const lo = dd + 2 * i;
-      double* const hi = dd + 2 * (i + half);
-      for (std::size_t k = 0; k < half; ++k) {
-        const double wr = w[2 * k];
-        const double wi = conj * w[2 * k + 1];
-        const double br_ = hi[2 * k];
-        const double bi_ = hi[2 * k + 1];
-        const double vr = br_ * wr - bi_ * wi;
-        const double vi = br_ * wi + bi_ * wr;
-        const double ar = lo[2 * k];
-        const double ai = lo[2 * k + 1];
-        lo[2 * k] = ar + vr;
-        lo[2 * k + 1] = ai + vi;
-        hi[2 * k] = ar - vr;
-        hi[2 * k + 1] = ai - vi;
-      }
-    }
-  }
-  if (inverse) {
-    const double scale = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < 2 * n; ++i) dd[i] *= scale;
-  }
+  transform_kernel(reinterpret_cast<double*>(data.data()), n_,
+                   swaps_.data(), swaps_.size(), twiddles_[inverse].data(),
+                   inverse);
 }
 
 void FftPlan::forward(std::span<Cx> data) const {

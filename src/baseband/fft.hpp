@@ -1,15 +1,15 @@
 // Iterative radix-2 FFT/IFFT used by the OFDM sample chain (64-point for
 // 20 MHz, 128-point for 40 MHz channels) and the Welch PSD estimator.
 //
-// Transforms run through an FftPlan: bit-reversal and twiddle-factor
-// tables precomputed once per size. Each twiddle is evaluated directly
-// (cos/sin of the exact angle) rather than accumulated with `w *= wlen`
-// as the old in-place kernel did, so long butterflies no longer drift —
-// a 4096-point round trip stays at ~1e-13 instead of ~1e-9 — and the
-// hot loop does one table load instead of a complex multiply per
-// butterfly. Plans are immutable after construction; the process-wide
-// cache hands out shared plans and is safe to use from the parallel
-// packet drivers.
+// Transforms run through an FftPlan: the bit-reversal swap list and the
+// twiddle tables are precomputed once per size. Each twiddle is
+// evaluated directly (cos/sin of the exact angle) rather than
+// accumulated with `w *= wlen`, so long butterflies do not drift — a
+// 4096-point round trip stays at ~1e-13 instead of ~1e-9. The kernel
+// runs two complex butterflies per 32-byte vector and is bit-identical
+// to the one-lane transform kept in reference/baseband/fft_reference.
+// Plans are immutable after construction; the process-wide cache hands
+// out shared plans and is safe to use from the parallel packet drivers.
 #pragma once
 
 #include <complex>
@@ -43,12 +43,13 @@ class FftPlan {
   void transform(std::span<Cx> data, bool inverse) const;
 
   std::size_t n_;
-  std::vector<std::uint32_t> bitrev_;  // bitrev_[i] = bit-reversed i
-  // Forward twiddles for every stage, concatenated: the stage with
-  // butterfly span `len` owns entries [len/2 - 1, len - 1), holding
-  // exp(-2*pi*i*k/len) for k in [0, len/2). The inverse transform
-  // conjugates on the fly.
-  std::vector<Cx> twiddle_;
+  // The bit reversal as index pairs (i, j = bit-reversed i), i < j.
+  std::vector<std::uint32_t> swaps_;
+  // Per direction (0 forward, 1 inverse), the twiddles of the stages
+  // with butterfly span len >= 8, stage after stage: len doubles
+  // (wr_k, wi_k), then len doubles (wi_k, wr_k), for k in [0, len/2),
+  // where wr + i*wi = exp(-2*pi*i*k/len), conjugated for the inverse.
+  std::vector<double> twiddles_[2];
 };
 
 /// Shared plan for size n from the process-wide cache (created on first

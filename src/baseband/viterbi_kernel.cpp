@@ -3,15 +3,22 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
+
+#include "baseband/vector_kernel.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>  // declares the AVX2 builtins DecisionBits256 uses
+#endif
 
 // The SIMD kernel needs __builtin_shufflevector (GCC >= 12, any Clang)
-// and the little-endian byte order the decision packer assumes. The
-// scalar butterfly below is the fallback everywhere else, or when
+// and SSE2's byte movemask for its decision words. The scalar butterfly
+// below is the fallback everywhere else, or when
 // ACORN_VITERBI_FORCE_SCALAR is defined (used to bench/test the
 // fallback on SIMD-capable hosts).
 #if !defined(ACORN_VITERBI_FORCE_SCALAR) && \
     (defined(__clang__) || (defined(__GNUC__) && __GNUC__ >= 12)) && \
-    defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    defined(__SSE2__)
 #define ACORN_VITERBI_SIMD 1
 #else
 #define ACORN_VITERBI_SIMD 0
@@ -95,59 +102,130 @@ void forward_scalar(const std::int16_t* levels, std::size_t steps,
 
 #if ACORN_VITERBI_SIMD
 
-// The generic 16-lane vectors lower to SSE2 pairs on baseline x86-64;
-// target_clones adds an AVX2 clone picked by the dynamic linker at load
-// time, so one portable binary still uses the full 256-bit units where
-// they exist. GCC's -Wpsabi ABI note about 32-byte vector returns is
-// irrelevant here (every vector-typed helper is internal to this
-// translation unit) and is silenced per-file in CMakeLists.txt.
-// target_clones dispatches through an IFUNC resolver that the dynamic
-// loader runs before sanitizer runtimes initialize — ThreadSanitizer
-// binaries segfault on it — so clone only in uninstrumented builds.
-#if defined(__SANITIZE_THREAD__)
-#define ACORN_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define ACORN_TSAN 1
-#endif
-#endif
-#if defined(__x86_64__) && defined(__GLIBC__) && !defined(ACORN_TSAN)
-#define ACORN_TARGET_CLONES __attribute__((target_clones("avx2", "default")))
-#else
-#define ACORN_TARGET_CLONES
-#endif
-
 namespace {
 
 typedef std::int16_t V16 __attribute__((vector_size(32)));
-typedef std::uint8_t V8 __attribute__((vector_size(16)));
+typedef char V32b __attribute__((vector_size(32)));
+typedef char V16b __attribute__((vector_size(16)));
 
-inline V16 load_signs(const std::int16_t* s) {
-  V16 v;
-  std::memcpy(&v, s, sizeof v);
+// Relabelled state order. The kernel keeps the 64 metrics in four
+// 16-lane registers, and lane l = 8*H + 4*W2 + 2*W1 + W0 (H picks the
+// 128-bit half). State s (bits s5..s0) lives in register 2*s4 + s0, at
+// lane H = s5, W2 = s1, W1 = s2, W0 = s3. Registers 0/1 and 2/3 are then
+// the even/odd predecessors of the same butterflies, lane for lane, so
+// the ACS reads its inputs with no deinterleave. Its outputs come out
+// in the order the step's shift left it (new state j + 32*hi sits in
+// register 2*j3 + hi at lane H = j4, W2 = j0, W1 = j1, W0 = j2); one
+// in-lane 16-bit interleave and one exchange of 128-bit halves put them
+// back into this order for the next step.
+constexpr int reg_of(int s) { return ((s >> 4) & 1) << 1 | (s & 1); }
+constexpr int lane_of(int s) {
+  return ((s >> 5) & 1) << 3 | ((s >> 1) & 1) << 2 | ((s >> 2) & 1) << 1 |
+         ((s >> 3) & 1);
+}
+// Butterfly j whose even predecessor 2j sits at lane `lane` of register
+// 2*g: the inverse of reg_of/lane_of on even states.
+constexpr int butterfly_of(int g, int lane) {
+  return ((lane >> 3) & 1) << 4 | g << 3 | (lane & 1) << 2 |
+         ((lane >> 1) & 1) << 1 | ((lane >> 2) & 1);
+}
+
+// Branch signs of register pair 0's lanes. Pair 1 holds butterflies
+// j + 8, and kS0[j + 8] = -kS0[j], kS1[j + 8] = -kS1[j], so its t is
+// pair 0's negated: it takes the same vector with + and - swapped.
+struct PairSigns {
+  std::int16_t s0[16];
+  std::int16_t s1[16];
+};
+constexpr PairSigns pair0_signs() {
+  PairSigns p{};
+  for (int l = 0; l < 16; ++l) {
+    p.s0[l] = kS0[butterfly_of(0, l)];
+    p.s1[l] = kS1[butterfly_of(0, l)];
+  }
+  return p;
+}
+constexpr PairSigns kPair0 = pair0_signs();
+static_assert(kS0[8] == -kS0[0] && kS1[8] == -kS1[0] &&
+              kS0[29] == -kS0[21] && kS1[29] == -kS1[21]);
+
+// Byte b of a register pair's decision mask belongs to new state b (the
+// j outputs) or 32 + b (the j + 32 outputs): the low byte of the int16
+// compare lane that holds it, in register g = b3 of the pair. Every
+// byte stays in its 128-bit half (b4 = H).
+struct DecisionBytes {
+  int index[32];     // byte of the pair (d0, d1) viewed as 64 bytes
+  char packed[32];   // byte of the AVX2 saturating pack, within a half
+};
+constexpr DecisionBytes decision_bytes() {
+  DecisionBytes d{};
+  for (int b = 0; b < 32; ++b) {
+    const int g = (b >> 3) & 1;
+    const int lane = (b >> 4) << 3 | (b & 1) << 2 | ((b >> 1) & 1) << 1 |
+                     ((b >> 2) & 1);
+    d.index[b] = 32 * g + 2 * lane;
+    // The pack puts, in each half, d0's eight lanes, then d1's.
+    d.packed[b] = static_cast<char>(8 * g + (lane & 7));
+  }
+  return d;
+}
+constexpr DecisionBytes kDecisionBytes = decision_bytes();
+
+template <typename V>
+ACORN_VECTOR_INLINE V load(const void* p) {
+  V v;
+  std::memcpy(&v, p, sizeof v);
   return v;
 }
 
-// 16-bit mask of the lane sign bits of an int16 comparison result
-// (lanes are 0 or -1): narrow to bytes, pick one weight bit per lane,
-// fold each 8-byte half with the multiply-accumulate trick (the weights
-// are distinct powers of two, so the byte sum cannot carry).
-inline std::uint64_t mask16(V16 d) {
-  const V8 bytes = __builtin_convertvector(d, V8);
-  const V8 w = {1, 2, 4, 8, 16, 32, 64, 128, 1, 2, 4, 8, 16, 32, 64, 128};
-  const V8 sel = bytes & w;
-  std::uint64_t lo;
-  std::uint64_t hi;
-  std::memcpy(&lo, &sel, 8);
-  std::memcpy(&hi, reinterpret_cast<const char*>(&sel) + 8, 8);
-  const std::uint64_t fold_lo = (lo * 0x0101010101010101ull) >> 56;
-  const std::uint64_t fold_hi = (hi * 0x0101010101010101ull) >> 56;
-  return fold_lo | (fold_hi << 8);
+ACORN_VECTOR_INLINE void store(void* p, V16 v) {
+  std::memcpy(p, &v, sizeof v);
 }
 
-inline V16 vmin(V16 a, V16 b) { return a < b ? a : b; }
+// A register pair's 32 decision bits in state order, from its compare
+// results (lanes 0 or -1). Generic vectors have no byte movemask, so it
+// comes from the x86 builtins. SSE2's takes 16 bytes: the bytes are
+// gathered within their halves, and the upper half costs a cross-lane
+// extract.
+struct DecisionBits128 {
+  template <std::size_t... I>
+  ACORN_VECTOR_INLINE static V32b gather(V16 d0, V16 d1,
+                                         std::index_sequence<I...>) {
+    return __builtin_shufflevector(reinterpret_cast<V32b>(d0),
+                                   reinterpret_cast<V32b>(d1),
+                                   kDecisionBytes.index[I]...);
+  }
+  ACORN_VECTOR_INLINE std::uint32_t operator()(V16 d0, V16 d1) const {
+    const V32b v = gather(d0, d1, std::make_index_sequence<32>{});
+    const V16b lo = __builtin_shufflevector(v, v, 0, 1, 2, 3, 4, 5, 6, 7, 8,
+                                            9, 10, 11, 12, 13, 14, 15);
+    const V16b hi = __builtin_shufflevector(v, v, 16, 17, 18, 19, 20, 21,
+                                            22, 23, 24, 25, 26, 27, 28, 29,
+                                            30, 31);
+    return static_cast<std::uint32_t>(__builtin_ia32_pmovmskb128(lo)) |
+           static_cast<std::uint32_t>(__builtin_ia32_pmovmskb128(hi)) << 16;
+  }
+};
 
-inline std::int16_t hmin(V16 v) {
+#if ACORN_VECTOR_CLONES
+// AVX2: one saturating byte pack, one byte shuffle within halves and one
+// 32-byte movemask. Only ever inlined into the AVX2 forward_simd, the
+// one place its builtins are expanded.
+struct DecisionBits256 {
+  ACORN_VECTOR_INLINE std::uint32_t operator()(V16 d0, V16 d1) const {
+    typedef short H16 __attribute__((vector_size(32)));
+    const V32b packed = __builtin_ia32_packsswb256(reinterpret_cast<H16>(d0),
+                                                   reinterpret_cast<H16>(d1));
+    const V32b order = load<V32b>(kDecisionBytes.packed);
+    return static_cast<std::uint32_t>(__builtin_ia32_pmovmskb256(
+        __builtin_ia32_pshufb256(packed, order)));
+  }
+};
+#endif
+
+ACORN_VECTOR_INLINE V16 vmin(V16 a, V16 b) { return a < b ? a : b; }
+
+ACORN_VECTOR_INLINE std::int16_t hmin(V16 v) {
   v = vmin(v, __builtin_shufflevector(v, v, 8, 9, 10, 11, 12, 13, 14, 15,
                                       0, 1, 2, 3, 4, 5, 6, 7));
   v = vmin(v, __builtin_shufflevector(v, v, 4, 5, 6, 7, 0, 1, 2, 3, 12, 13,
@@ -159,82 +237,122 @@ inline std::int16_t hmin(V16 v) {
   return v[0];
 }
 
-ACORN_TARGET_CLONES
-void forward_simd(const std::int16_t* levels, std::size_t steps,
-                  std::uint64_t* decisions, std::int16_t* final_metric) {
-  const V16 s0a = load_signs(kS0);
-  const V16 s0b = load_signs(kS0 + 16);
-  const V16 s1a = load_signs(kS1);
-  const V16 s1b = load_signs(kS1 + 16);
+template <typename DecisionBits>
+ACORN_VECTOR_INLINE void forward_body(const std::int16_t* levels,
+                                      std::size_t steps,
+                                      std::uint64_t* decisions,
+                                      std::int16_t* final_metric) {
+  const DecisionBits decision_bits;
+  const V16 s0 = load<V16>(kPair0.s0);
+  const V16 s1 = load<V16>(kPair0.s1);
 
-  alignas(32) std::int16_t init[kNumStates];
-  init_metrics(init);
-  V16 c0;
-  V16 c1;
-  V16 c2;
-  V16 c3;
-  std::memcpy(&c0, init, 32);
-  std::memcpy(&c1, init + 16, 32);
-  std::memcpy(&c2, init + 32, 32);
-  std::memcpy(&c3, init + 48, 32);
+  V16 e0;  // even predecessors, pair 0
+  V16 o0;  // odd predecessors, pair 0
+  V16 e1;
+  V16 o1;
+  {
+    std::int16_t init[kNumStates];
+    std::int16_t m[4][16];
+    init_metrics(init);
+    for (int s = 0; s < kNumStates; ++s) m[reg_of(s)][lane_of(s)] = init[s];
+    e0 = load<V16>(m[0]);
+    o0 = load<V16>(m[1]);
+    e1 = load<V16>(m[2]);
+    o1 = load<V16>(m[3]);
+  }
 
-  for (std::size_t step = 0; step < steps; ++step) {
+  // One trellis step on the registers above; normalization comes after
+  // every kNormInterval-th step, outside the loop below.
+  const auto acs = [&](std::size_t step) __attribute__((always_inline)) {
     const std::int16_t l0 = levels[2 * step];
     const std::int16_t l1 = levels[2 * step + 1];
-    const V16 ta = s0a * l0 + s1a * l1;  // t_j, butterflies 0..15
-    const V16 tb = s0b * l0 + s1b * l1;  // t_j, butterflies 16..31
+    const V16 t = s0 * l0 + s1 * l1;  // pair 0's t_j; pair 1's is -t_j
 
-    // Deinterleave old metrics into even (state 2j) and odd (2j+1).
-    const V16 ea = __builtin_shufflevector(c0, c1, 0, 2, 4, 6, 8, 10, 12,
-                                           14, 16, 18, 20, 22, 24, 26, 28,
-                                           30);
-    const V16 oa = __builtin_shufflevector(c0, c1, 1, 3, 5, 7, 9, 11, 13,
-                                           15, 17, 19, 21, 23, 25, 27, 29,
-                                           31);
-    const V16 eb = __builtin_shufflevector(c2, c3, 0, 2, 4, 6, 8, 10, 12,
-                                           14, 16, 18, 20, 22, 24, 26, 28,
-                                           30);
-    const V16 ob = __builtin_shufflevector(c2, c3, 1, 3, 5, 7, 9, 11, 13,
-                                           15, 17, 19, 21, 23, 25, 27, 29,
-                                           31);
+    // New state j: even + t vs odd - t; strict < keeps the even
+    // predecessor on ties, exactly like the scalar butterfly. New state
+    // j + 32: the signs swap. (The j outputs are finished before the
+    // j + 32 ones start: that keeps the live vectors within the 16 ymm
+    // registers, so the metrics never round-trip through the stack.)
+    const V16 ce0 = e0 + t;
+    const V16 co0 = o0 - t;
+    const V16 ce1 = e1 - t;
+    const V16 co1 = o1 + t;
+    const std::uint32_t dec_lo = decision_bits(co0 < ce0, co1 < ce1);
+    const V16 lo0 = vmin(co0, ce0);
+    const V16 lo1 = vmin(co1, ce1);
+    const V16 ch0 = e0 - t;
+    const V16 oh0 = o0 + t;
+    const V16 ch1 = e1 + t;
+    const V16 oh1 = o1 - t;
+    const std::uint32_t dec_hi = decision_bits(oh0 < ch0, oh1 < ch1);
+    decisions[step] = dec_lo | static_cast<std::uint64_t>(dec_hi) << 32;
+    const V16 hi0 = vmin(oh0, ch0);
+    const V16 hi1 = vmin(oh1, ch1);
 
-    // New states j (low half): even + t vs odd - t; strict < keeps the
-    // even predecessor on ties, exactly like the scalar butterfly.
-    const V16 ce_a = ea + ta;
-    const V16 co_a = oa - ta;
-    const V16 dl_a = co_a < ce_a;
-    c0 = vmin(co_a, ce_a);
-    const V16 ce_b = eb + tb;
-    const V16 co_b = ob - tb;
-    const V16 dl_b = co_b < ce_b;
-    c1 = vmin(co_b, ce_b);
-    // New states j+32 (high half): signs swap.
-    const V16 ch_a = ea - ta;
-    const V16 oh_a = oa + ta;
-    const V16 dh_a = oh_a < ch_a;
-    c2 = vmin(oh_a, ch_a);
-    const V16 ch_b = eb - tb;
-    const V16 oh_b = ob + tb;
-    const V16 dh_b = oh_b < ch_b;
-    c3 = vmin(oh_b, ch_b);
+    // Back to the relabelled order: interleave the two pairs' lanes,
+    // then exchange 128-bit halves between the j and j + 32 outputs.
+    const V16 a = __builtin_shufflevector(lo0, lo1, 0, 16, 1, 17, 2, 18, 3,
+                                          19, 8, 24, 9, 25, 10, 26, 11, 27);
+    const V16 b = __builtin_shufflevector(lo0, lo1, 4, 20, 5, 21, 6, 22, 7,
+                                          23, 12, 28, 13, 29, 14, 30, 15,
+                                          31);
+    const V16 c = __builtin_shufflevector(hi0, hi1, 0, 16, 1, 17, 2, 18, 3,
+                                          19, 8, 24, 9, 25, 10, 26, 11, 27);
+    const V16 d = __builtin_shufflevector(hi0, hi1, 4, 20, 5, 21, 6, 22, 7,
+                                          23, 12, 28, 13, 29, 14, 30, 15,
+                                          31);
+    e0 = __builtin_shufflevector(a, c, 0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18,
+                                 19, 20, 21, 22, 23);
+    o0 = __builtin_shufflevector(b, d, 0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18,
+                                 19, 20, 21, 22, 23);
+    e1 = __builtin_shufflevector(a, c, 8, 9, 10, 11, 12, 13, 14, 15, 24, 25,
+                                 26, 27, 28, 29, 30, 31);
+    o1 = __builtin_shufflevector(b, d, 8, 9, 10, 11, 12, 13, 14, 15, 24, 25,
+                                 26, 27, 28, 29, 30, 31);
+  };
 
-    decisions[step] = mask16(dl_a) | (mask16(dl_b) << 16) |
-                      (mask16(dh_a) << 32) | (mask16(dh_b) << 48);
-
-    if ((step + 1) % kNormInterval == 0) {
-      const std::int16_t lo = hmin(vmin(vmin(c0, c1), vmin(c2, c3)));
-      c0 -= lo;
-      c1 -= lo;
-      c2 -= lo;
-      c3 -= lo;
+  for (std::size_t step = 0; step < steps;) {
+    const std::size_t end = std::min(steps, step + kNormInterval);
+    for (; step < end; ++step) acs(step);
+    if (step % kNormInterval == 0) {
+      const std::int16_t lo = hmin(vmin(vmin(e0, o0), vmin(e1, o1)));
+      e0 -= lo;
+      o0 -= lo;
+      e1 -= lo;
+      o1 -= lo;
     }
   }
 
-  std::memcpy(final_metric, &c0, 32);
-  std::memcpy(final_metric + 16, &c1, 32);
-  std::memcpy(final_metric + 32, &c2, 32);
-  std::memcpy(final_metric + 48, &c3, 32);
+  std::int16_t m[4][16];
+  store(m[0], e0);
+  store(m[1], o0);
+  store(m[2], e1);
+  store(m[3], o1);
+  for (int s = 0; s < kNumStates; ++s) {
+    final_metric[s] = m[reg_of(s)][lane_of(s)];
+  }
 }
+
+// One body in two versions, picked at load time by the same IFUNC
+// dispatch as ACORN_TARGET_CLONES; they differ only in how a step's
+// compare results become its decision word.
+#if ACORN_VECTOR_CLONES
+__attribute__((target("avx2"))) void forward_simd(
+    const std::int16_t* levels, std::size_t steps, std::uint64_t* decisions,
+    std::int16_t* final_metric) {
+  forward_body<DecisionBits256>(levels, steps, decisions, final_metric);
+}
+__attribute__((target("default"))) void forward_simd(
+    const std::int16_t* levels, std::size_t steps, std::uint64_t* decisions,
+    std::int16_t* final_metric) {
+  forward_body<DecisionBits128>(levels, steps, decisions, final_metric);
+}
+#else
+void forward_simd(const std::int16_t* levels, std::size_t steps,
+                  std::uint64_t* decisions, std::int16_t* final_metric) {
+  forward_body<DecisionBits128>(levels, steps, decisions, final_metric);
+}
+#endif
 
 }  // namespace
 

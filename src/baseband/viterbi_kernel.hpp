@@ -27,14 +27,14 @@
 // everything in int16 range (see kUnreachable / kNormInterval bounds in
 // the .cpp).
 //
-// Two implementations share the exact same integer arithmetic: a
-// portable GCC/Clang vector-extension kernel (16-lane int16
-// add-compare-select, compiled when the compiler supports
-// __builtin_shufflevector) and a scalar fallback. forward() dispatches
-// at compile time; both are exposed so tests can pit them against each
-// other and against the pre-butterfly reference decoder, which lives
-// outside the shipped libraries in the test-only acorn_reference
-// (reference/baseband/).
+// Two implementations share the exact same integer arithmetic: a GCC/
+// Clang vector-extension kernel (16-lane int16 add-compare-select over a
+// relabelled state order, with x86 byte movemasks for the decision
+// words; compiled for x86 with SSE2, in an AVX2 and a baseline version)
+// and a scalar fallback. forward() dispatches at compile time; both are
+// exposed so tests can pit them against each other and against the
+// pre-butterfly reference decoder, which lives outside the shipped
+// libraries in the test-only acorn_reference (reference/baseband/).
 #pragma once
 
 #include <cstddef>

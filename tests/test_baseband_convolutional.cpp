@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <stdexcept>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -246,6 +248,112 @@ TEST(SoftDepuncture, ErasuresAreZeroLlrs) {
   // Hmm: rate 3/4 keeps 4 of every 6; with coded_len 4 the kept count is
   // punctured_length(4, 3/4). Validate shape through the library itself.
   EXPECT_EQ(out.size(), 4u);
+}
+
+// Oracle for the word-at-a-time encoder and the period-wise
+// (de)puncturers: the 802.11 shift register one input bit at a time
+// (bit 6 holds the current input, bit 0 the one six steps back; each
+// output is the parity of the register under its generator, 0133 or
+// 0171), and the puncturing pattern walked one coded bit at a time.
+std::vector<std::uint8_t> shift_register_encode(
+    const std::vector<std::uint8_t>& bits, bool terminate) {
+  std::vector<std::uint8_t> out;
+  unsigned reg = 0;
+  const auto push = [&](unsigned u) {
+    reg = (u & 1u) << 6 | reg >> 1;
+    out.push_back(static_cast<std::uint8_t>(std::popcount(reg & 0133u) & 1));
+    out.push_back(static_cast<std::uint8_t>(std::popcount(reg & 0171u) & 1));
+  };
+  for (const std::uint8_t b : bits) push(b);
+  if (terminate) {
+    for (int i = 0; i < 6; ++i) push(0);
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> keep_pattern(phy::CodeRate rate) {
+  switch (rate) {
+    case phy::CodeRate::kRate12: return {1, 1};
+    case phy::CodeRate::kRate23: return {1, 1, 1, 0};
+    case phy::CodeRate::kRate34: return {1, 1, 1, 0, 0, 1};
+    case phy::CodeRate::kRate56: return {1, 1, 1, 0, 0, 1, 1, 0, 0, 1};
+  }
+  return {};
+}
+
+std::vector<std::uint8_t> pattern_walk_puncture(
+    const std::vector<std::uint8_t>& coded, phy::CodeRate rate) {
+  const std::vector<std::uint8_t> keep = keep_pattern(rate);
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i < coded.size(); ++i) {
+    if (keep[i % keep.size()]) out.push_back(coded[i]);
+  }
+  return out;
+}
+
+// Punctured positions back to `erased`, kept ones in order.
+template <typename T>
+std::vector<T> pattern_walk_depuncture(const std::vector<T>& punctured,
+                                       phy::CodeRate rate,
+                                       std::size_t coded_len, T erased) {
+  const std::vector<std::uint8_t> keep = keep_pattern(rate);
+  std::vector<T> out(coded_len, erased);
+  std::size_t cursor = 0;
+  for (std::size_t i = 0; i < coded_len; ++i) {
+    if (keep[i % keep.size()]) out[i] = punctured[cursor++];
+  }
+  return out;
+}
+
+TEST(ConvolutionalOracle, EncodeAndPunctureMatchBitSerialReference) {
+  // Every payload length 0-300 (word and byte boundaries, partial tail
+  // words and periods), with and without the tail, at all four rates,
+  // and both depuncturers back. Input bytes other than 0 and 1 must
+  // count by their low bit only.
+  const ConvolutionalCode code;
+  util::Rng rng(0xE4C0);
+  const phy::CodeRate rates[] = {phy::CodeRate::kRate12,
+                                 phy::CodeRate::kRate23,
+                                 phy::CodeRate::kRate34,
+                                 phy::CodeRate::kRate56};
+  for (std::size_t n = 0; n <= 300; ++n) {
+    for (const bool terminate : {true, false}) {
+      std::vector<std::uint8_t> bits(n);
+      for (auto& b : bits) {
+        b = static_cast<std::uint8_t>(n % 3 == 0 ? rng.next_u64() & 0xFFu
+                                                 : rng.next_u64() & 1u);
+      }
+      const std::vector<std::uint8_t> want =
+          shift_register_encode(bits, terminate);
+      std::vector<std::uint8_t> coded(
+          ConvolutionalCode::encoded_length(n, terminate), 9);
+      code.encode_into(bits, coded, terminate);
+      ASSERT_EQ(coded, want) << n << " bits, terminate " << terminate;
+      for (const phy::CodeRate rate : rates) {
+        const std::vector<std::uint8_t> kept =
+            pattern_walk_puncture(want, rate);
+        std::vector<std::uint8_t> got(punctured_length(coded.size(), rate), 9);
+        ASSERT_EQ(got.size(), kept.size());
+        puncture_into(coded, rate, got);
+        ASSERT_EQ(got, kept) << n << " bits, terminate " << terminate
+                             << ", rate " << static_cast<int>(rate);
+        std::vector<std::uint8_t> restored(coded.size(), 9);
+        depuncture_into(kept, rate, restored);
+        ASSERT_EQ(restored, pattern_walk_depuncture(kept, rate, coded.size(),
+                                                    kErasedBit))
+            << n << " bits, rate " << static_cast<int>(rate);
+        std::vector<double> soft(kept.size());
+        for (std::size_t i = 0; i < soft.size(); ++i) {
+          soft[i] = kept[i] != 0 ? -1.5 - static_cast<double>(i) : 2.5;
+        }
+        std::vector<double> soft_restored(coded.size(), 9.0);
+        depuncture_soft_into(soft, rate, soft_restored);
+        ASSERT_EQ(soft_restored,
+                  pattern_walk_depuncture(soft, rate, coded.size(), 0.0))
+            << n << " bits, rate " << static_cast<int>(rate);
+      }
+    }
+  }
 }
 
 }  // namespace

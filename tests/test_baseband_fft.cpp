@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
+#include "baseband/fft_reference.hpp"
 #include "util/rng.hpp"
 
 namespace acorn::baseband {
@@ -156,6 +160,108 @@ TEST(Ifft, NormalizationGivesUnitRoundTrip) {
   const auto time = ifft(grid);
   for (const Cx& x : time) {
     EXPECT_NEAR(std::abs(x), 1.0 / 64.0, 1e-12);
+  }
+}
+
+// The vector kernel against the one-lane reference transform
+// (reference/baseband/fft_reference.hpp), byte for byte.
+
+// The NaN the hardware produces for inf - inf (on x86 its sign bit is
+// set). IEEE 754 leaves open which NaN an operation on two NaNs returns,
+// and a compiler may swap the operands of an addition, so the inputs
+// carry only this NaN: every NaN inside either transform then has the
+// same bytes, whichever operand each add propagates.
+double hardware_nan() {
+  volatile double inf = std::numeric_limits<double>::infinity();
+  return inf - inf;
+}
+
+// A value from the special set: signed zeros, infinities, NaN,
+// denormals and magnitudes near overflow.
+double special_value(util::Rng& rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double pool[] = {0.0,     -0.0,     inf,      -inf,    hardware_nan(),
+                         5e-324,  -5e-324,  2.5e-310, -1e-308, 1e308,
+                         -1e308,  1.7e308,  -1.7e308, 1.0,     -1.0};
+  return pool[rng.uniform_int(0, std::ssize(pool) - 1)];
+}
+
+// Kind 0: normal draws. Kind 1: normal draws with a fifth of the
+// components replaced by special values. Kind 2: special values only.
+// Kind 3: finite specials only (zeros, denormals, huge values), whose
+// sums overflow to infinities and then NaNs inside the transform.
+std::vector<Cx> oracle_input(util::Rng& rng, std::size_t n, int kind) {
+  std::vector<Cx> data(n);
+  const auto component = [&]() -> double {
+    switch (kind) {
+      case 1:
+        return rng.uniform() < 0.2 ? special_value(rng) : rng.normal();
+      case 2:
+        return special_value(rng);
+      case 3: {
+        const double finite[] = {0.0, -0.0, 5e-324, -2.5e-310, 1.7e308,
+                                 -1.7e308, 1e-300};
+        return finite[rng.uniform_int(0, 6)];
+      }
+      default:
+        return rng.normal();
+    }
+  };
+  for (Cx& x : data) {
+    const double re = component();
+    x = Cx(re, component());
+  }
+  return data;
+}
+
+bool same_bytes(const std::vector<Cx>& a, const std::vector<Cx>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Cx)) == 0;
+}
+
+TEST(FftOracle, ForwardAndInverseMatchReferenceBytes) {
+  util::Rng rng(0xFF7);
+  for (std::size_t n = 1; n <= 1024; n *= 2) {
+    const FftPlan plan(n);
+    const reference::ScalarFftPlan ref(n);
+    for (int kind = 0; kind < 4; ++kind) {
+      for (int trial = 0; trial < 8; ++trial) {
+        const std::vector<Cx> input = oracle_input(rng, n, kind);
+        std::vector<Cx> got = input;
+        std::vector<Cx> want = input;
+        plan.forward(got);
+        ref.forward(want);
+        ASSERT_TRUE(same_bytes(got, want))
+            << "forward n " << n << " kind " << kind << " trial " << trial;
+        got = input;
+        want = input;
+        plan.inverse(got);
+        ref.inverse(want);
+        ASSERT_TRUE(same_bytes(got, want))
+            << "inverse n " << n << " kind " << kind << " trial " << trial;
+      }
+    }
+  }
+}
+
+TEST(FftOracle, SharedPlansMatchReferenceAtOfdmSizes) {
+  // The plans the OFDM chain uses, on many random symbols.
+  util::Rng rng(0x64128);
+  for (const std::size_t n : {64u, 128u}) {
+    const reference::ScalarFftPlan ref(n);
+    for (int trial = 0; trial < 500; ++trial) {
+      const std::vector<Cx> input = oracle_input(rng, n, trial % 2);
+      std::vector<Cx> got = input;
+      std::vector<Cx> want = input;
+      if (trial % 4 < 2) {
+        fft_in_place(got);
+        ref.forward(want);
+      } else {
+        ifft_in_place(got);
+        ref.inverse(want);
+      }
+      ASSERT_TRUE(same_bytes(got, want)) << "n " << n << " trial " << trial;
+    }
   }
 }
 

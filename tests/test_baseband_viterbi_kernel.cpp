@@ -258,6 +258,65 @@ TEST(ViterbiKernelForward, SimdMatchesScalarExactly) {
   }
 }
 
+// forward against forward_scalar on one level stream: every decision
+// word and every final metric.
+void expect_forward_matches_scalar(const std::vector<std::int16_t>& levels,
+                                   const char* what) {
+  const std::size_t steps = levels.size() / 2;
+  std::vector<std::uint64_t> dec_a(steps);
+  std::vector<std::uint64_t> dec_b(steps);
+  std::array<std::int16_t, viterbi::kNumStates> met_a;
+  std::array<std::int16_t, viterbi::kNumStates> met_b;
+  viterbi::forward(levels.data(), steps, dec_a.data(), met_a.data());
+  viterbi::forward_scalar(levels.data(), steps, dec_b.data(), met_b.data());
+  for (std::size_t i = 0; i < steps; ++i) {
+    ASSERT_EQ(dec_a[i], dec_b[i]) << what << ", " << steps << " steps, step "
+                                  << i;
+  }
+  ASSERT_TRUE(std::equal(met_a.begin(), met_a.end(), met_b.begin()))
+      << what << ", " << steps << " steps";
+}
+
+TEST(ViterbiKernelForward, SimdMatchesScalarOnTiesAndExtremes) {
+  // Uniform soft levels rarely tie; hard levels in {-1, 0, +1} tie at
+  // most states on every step, so the even-predecessor tie-break is hit
+  // everywhere. The all-erasure stream ties every comparison; alternating
+  // full-scale levels are the int16 overflow budget's worst case; 12,006
+  // steps is a 1500-byte packet.
+  std::mt19937_64 gen(0x71E5u);
+  std::uniform_int_distribution<int> hard(-1, 1);
+  std::uniform_int_distribution<int> soft(-viterbi::kSoftLevelMax,
+                                          viterbi::kSoftLevelMax);
+  const std::size_t interval = viterbi::kNormInterval;
+  const std::size_t step_cases[] = {1,        2,        interval - 1,
+                                    interval, interval + 1, 10 * interval,
+                                    401,      12006};
+  const std::int16_t top = viterbi::kSoftLevelMax;
+  for (const std::size_t steps : step_cases) {
+    std::vector<std::int16_t> levels(2 * steps);
+    for (int trial = 0; trial < 4; ++trial) {
+      for (auto& l : levels) l = static_cast<std::int16_t>(hard(gen));
+      expect_forward_matches_scalar(levels, "hard levels");
+    }
+    std::fill(levels.begin(), levels.end(), std::int16_t{0});
+    expect_forward_matches_scalar(levels, "all erasures");
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+      levels[i] = static_cast<std::int16_t>(i % 2 == 0 ? top : -top);
+    }
+    expect_forward_matches_scalar(levels, "alternating +/-max per level");
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+      levels[i] = static_cast<std::int16_t>((i / 2) % 2 == 0 ? top : -top);
+    }
+    expect_forward_matches_scalar(levels, "alternating +/-max per step");
+    for (auto& l : levels) {
+      l = static_cast<std::int16_t>((gen() & 1) != 0 ? top : -top);
+    }
+    expect_forward_matches_scalar(levels, "random +/-max");
+    for (auto& l : levels) l = static_cast<std::int16_t>(soft(gen));
+    expect_forward_matches_scalar(levels, "uniform soft levels");
+  }
+}
+
 std::size_t decode_alloc_count(bool soft, int iterations) {
   const ConvolutionalCode code;
   std::mt19937_64 gen(0xA110Cu);
