@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <thread>
 
@@ -63,6 +64,14 @@ class Stopwatch {
  private:
   std::chrono::steady_clock::time_point start_;
 };
+
+/// CPU time of the calling thread, in seconds.
+inline double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
 
 /// `text` without anything that would break a JSON string (quotes,
 /// backslashes, control bytes) and without edge spaces.
@@ -152,11 +161,13 @@ inline void emit_row(const char* default_path, const std::string& bench,
 
 /// A row of BENCH_baseband.json. `samples` counts complex baseband
 /// samples pushed through the chain, so msamples_per_sec tracks the
-/// sample-level work independent of packet size.
+/// sample-level work independent of packet size. `extra_json` must be
+/// empty or start with ','.
 inline void emit_throughput(const std::string& bench,
                             const std::string& case_name, double seconds,
                             std::int64_t packets, std::int64_t samples,
-                            int threads) {
+                            int threads,
+                            const std::string& extra_json = std::string()) {
   const double pps = seconds > 0.0 ? static_cast<double>(packets) / seconds
                                    : 0.0;
   const double msps = seconds > 0.0
@@ -167,7 +178,8 @@ inline void emit_throughput(const std::string& bench,
                 ",\"threads\":%d,\"packets\":%lld,\"seconds\":%.6f,"
                 "\"packets_per_sec\":%.1f,\"msamples_per_sec\":%.3f",
                 threads, static_cast<long long>(packets), seconds, pps, msps);
-  emit_row("BENCH_baseband.json", bench, case_name, nullptr, fields);
+  emit_row("BENCH_baseband.json", bench, case_name, nullptr,
+           fields + extra_json);
 }
 
 /// A row of BENCH_network.json for the network-layer scenario sweeps:

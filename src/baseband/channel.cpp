@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
-#include "baseband/vector_kernel.hpp"
 #include "util/units.hpp"
+#include "util/vector_kernel.hpp"
 
 namespace acorn::baseband {
 
@@ -54,11 +53,8 @@ namespace {
 
 typedef double V4 __attribute__((vector_size(32)));
 
-ACORN_VECTOR_INLINE V4 load4(const double* p) {
-  V4 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
+using util::vload;
+using util::vstore;
 
 // x * h for two complex samples (re, im, re, im) and one tap
 // hv = (hr, hi, hr, hi): (xr*hr - xi*hi, xr*hi + xi*hr), the scalar
@@ -104,12 +100,12 @@ void fir_kernel(const double* x, std::size_t n_tx, const double* h,
   std::size_t m = 0;
   for (; m < nt - 1 && m < n_out; ++m) one(m);
   for (; m + 1 < n_tx; m += 2) {
-    V4 acc = cmul2(load4(x + 2 * m), V4{h[0], h[1], h[0], h[1]});
+    V4 acc = cmul2(vload<V4>(x + 2 * m), V4{h[0], h[1], h[0], h[1]});
     for (std::size_t l = 1; l < nt; ++l) {
-      acc += cmul2(load4(x + 2 * (m - l)), V4{h[2 * l], h[2 * l + 1],
-                                              h[2 * l], h[2 * l + 1]});
+      acc += cmul2(vload<V4>(x + 2 * (m - l)), V4{h[2 * l], h[2 * l + 1],
+                                                  h[2 * l], h[2 * l + 1]});
     }
-    std::memcpy(o + 2 * m, &acc, sizeof acc);
+    vstore(o + 2 * m, acc);
   }
   for (; m < n_out; ++m) one(m);
 }

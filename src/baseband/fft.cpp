@@ -4,12 +4,11 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 
-#include "baseband/vector_kernel.hpp"
+#include "util/vector_kernel.hpp"
 
 namespace acorn::baseband {
 
@@ -20,17 +19,8 @@ namespace {
 typedef double V2 __attribute__((vector_size(16)));
 typedef double V4 __attribute__((vector_size(32)));
 
-template <typename V>
-ACORN_VECTOR_INLINE V load(const double* p) {
-  V v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-template <typename V>
-ACORN_VECTOR_INLINE void store(double* p, V v) {
-  std::memcpy(p, &v, sizeof v);
-}
+using util::vload;
+using util::vstore;
 
 // A vector holds two complex points, (re, im, re, im). Every lane does
 // the IEEE operations of the one-lane reference butterfly, in its order.
@@ -40,16 +30,16 @@ ACORN_VECTOR_INLINE void store(double* p, V v) {
 // n == 2: one butterfly.
 template <bool kScale>
 ACORN_VECTOR_INLINE void single_stage(double* d, V2 scale) {
-  const V2 a = load<V2>(d);
-  const V2 b = load<V2>(d + 2);
+  const V2 a = vload<V2>(d);
+  const V2 b = vload<V2>(d + 2);
   V2 x = a + b;
   V2 y = a - b;
   if constexpr (kScale) {
     x *= scale;
     y *= scale;
   }
-  store(d, x);
-  store(d + 2, y);
+  vstore(d, x);
+  vstore(d + 2, y);
 }
 
 // Stages 1 and 2 on each block of four points. Their twiddles are 1 and
@@ -59,8 +49,8 @@ template <bool kScale>
 ACORN_VECTOR_INLINE void first_two_stages(double* d, std::size_t n, V4 rot,
                                           V4 scale) {
   for (std::size_t i = 0; i < 2 * n; i += 8) {
-    const V4 x = load<V4>(d + i);      // points 0, 1
-    const V4 y = load<V4>(d + i + 4);  // points 2, 3
+    const V4 x = vload<V4>(d + i);      // points 0, 1
+    const V4 y = vload<V4>(d + i + 4);  // points 2, 3
     const V4 a = __builtin_shufflevector(x, y, 0, 1, 4, 5);  // 0, 2
     const V4 b = __builtin_shufflevector(x, y, 2, 3, 6, 7);  // 1, 3
     const V4 s = a + b;  // stage 1: s0 = p0 + p1, s2 = p2 + p3
@@ -74,8 +64,8 @@ ACORN_VECTOR_INLINE void first_two_stages(double* d, std::size_t n, V4 rot,
       u *= scale;
       w *= scale;
     }
-    store(d + i, u);
-    store(d + i + 4, w);
+    vstore(d + i, u);
+    vstore(d + i + 4, w);
   }
 }
 
@@ -90,21 +80,21 @@ ACORN_VECTOR_INLINE void stage(double* d, std::size_t n, std::size_t half,
     double* const lo = d + i;
     double* const hi = lo + 2 * half;
     for (std::size_t k = 0; k < 2 * half; k += 4) {
-      const V4 b = load<V4>(hi + k);
+      const V4 b = vload<V4>(hi + k);
       const V4 br = __builtin_shufflevector(b, b, 0, 0, 2, 2);
       const V4 bi = __builtin_shufflevector(b, b, 1, 1, 3, 3);
-      const V4 p = br * load<V4>(w + k);   // br*wr, br*wi
-      const V4 q = bi * load<V4>(ws + k);  // bi*wi, bi*wr
+      const V4 p = br * vload<V4>(w + k);   // br*wr, br*wi
+      const V4 q = bi * vload<V4>(ws + k);  // bi*wi, bi*wr
       const V4 v = __builtin_shufflevector(p - q, p + q, 0, 5, 2, 7);
-      const V4 a = load<V4>(lo + k);
+      const V4 a = vload<V4>(lo + k);
       V4 x = a + v;
       V4 y = a - v;
       if constexpr (kScale) {
         x *= scale;
         y *= scale;
       }
-      store(lo + k, x);
-      store(hi + k, y);
+      vstore(lo + k, x);
+      vstore(hi + k, y);
     }
   }
 }
@@ -115,15 +105,15 @@ void transform_kernel(double* d, std::size_t n, const std::uint32_t* swaps,
   for (std::size_t s = 0; s < n_swaps; s += 2) {
     double* const a = d + 2 * swaps[s];
     double* const b = d + 2 * swaps[s + 1];
-    const V2 t = load<V2>(a);
-    store(a, load<V2>(b));
-    store(b, t);
+    const V2 t = vload<V2>(a);
+    vstore(a, vload<V2>(b));
+    vstore(b, t);
   }
   const double conj = inverse ? -1.0 : 1.0;
   const double sc = 1.0 / static_cast<double>(n);
   const V4 scale = {sc, sc, sc, sc};
   if (n == 1) {
-    if (inverse) store(d, load<V2>(d) * V2{sc, sc});
+    if (inverse) vstore(d, vload<V2>(d) * V2{sc, sc});
     return;
   }
   if (n == 2) {

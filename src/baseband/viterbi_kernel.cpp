@@ -5,20 +5,15 @@
 #include <cstring>
 #include <utility>
 
-#include "baseband/vector_kernel.hpp"
+#include "util/vector_kernel.hpp"
 
 #if defined(__x86_64__)
 #include <immintrin.h>  // declares the AVX2 builtins DecisionBits256 uses
 #endif
 
-// The SIMD kernel needs __builtin_shufflevector (GCC >= 12, any Clang)
-// and SSE2's byte movemask for its decision words. The scalar butterfly
-// below is the fallback everywhere else, or when
-// ACORN_VITERBI_FORCE_SCALAR is defined (used to bench/test the
-// fallback on SIMD-capable hosts).
-#if !defined(ACORN_VITERBI_FORCE_SCALAR) && \
-    (defined(__clang__) || (defined(__GNUC__) && __GNUC__ >= 12)) && \
-    defined(__SSE2__)
+// The SIMD kernel takes its decision words from SSE2's byte movemask;
+// on targets without SSE2 the scalar butterfly below is the kernel.
+#if defined(__SSE2__)
 #define ACORN_VITERBI_SIMD 1
 #else
 #define ACORN_VITERBI_SIMD 0
@@ -171,16 +166,8 @@ constexpr DecisionBytes decision_bytes() {
 }
 constexpr DecisionBytes kDecisionBytes = decision_bytes();
 
-template <typename V>
-ACORN_VECTOR_INLINE V load(const void* p) {
-  V v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-ACORN_VECTOR_INLINE void store(void* p, V16 v) {
-  std::memcpy(p, &v, sizeof v);
-}
+using util::vload;
+using util::vstore;
 
 // A register pair's 32 decision bits in state order, from its compare
 // results (lanes 0 or -1). Generic vectors have no byte movemask, so it
@@ -216,7 +203,7 @@ struct DecisionBits256 {
     typedef short H16 __attribute__((vector_size(32)));
     const V32b packed = __builtin_ia32_packsswb256(reinterpret_cast<H16>(d0),
                                                    reinterpret_cast<H16>(d1));
-    const V32b order = load<V32b>(kDecisionBytes.packed);
+    const V32b order = vload<V32b>(kDecisionBytes.packed);
     return static_cast<std::uint32_t>(__builtin_ia32_pmovmskb256(
         __builtin_ia32_pshufb256(packed, order)));
   }
@@ -243,8 +230,8 @@ ACORN_VECTOR_INLINE void forward_body(const std::int16_t* levels,
                                       std::uint64_t* decisions,
                                       std::int16_t* final_metric) {
   const DecisionBits decision_bits;
-  const V16 s0 = load<V16>(kPair0.s0);
-  const V16 s1 = load<V16>(kPair0.s1);
+  const V16 s0 = vload<V16>(kPair0.s0);
+  const V16 s1 = vload<V16>(kPair0.s1);
 
   V16 e0;  // even predecessors, pair 0
   V16 o0;  // odd predecessors, pair 0
@@ -255,10 +242,10 @@ ACORN_VECTOR_INLINE void forward_body(const std::int16_t* levels,
     std::int16_t m[4][16];
     init_metrics(init);
     for (int s = 0; s < kNumStates; ++s) m[reg_of(s)][lane_of(s)] = init[s];
-    e0 = load<V16>(m[0]);
-    o0 = load<V16>(m[1]);
-    e1 = load<V16>(m[2]);
-    o1 = load<V16>(m[3]);
+    e0 = vload<V16>(m[0]);
+    o0 = vload<V16>(m[1]);
+    e1 = vload<V16>(m[2]);
+    o1 = vload<V16>(m[3]);
   }
 
   // One trellis step on the registers above; normalization comes after
@@ -324,10 +311,10 @@ ACORN_VECTOR_INLINE void forward_body(const std::int16_t* levels,
   }
 
   std::int16_t m[4][16];
-  store(m[0], e0);
-  store(m[1], o0);
-  store(m[2], e1);
-  store(m[3], o1);
+  vstore(m[0], e0);
+  vstore(m[1], o0);
+  vstore(m[2], e1);
+  vstore(m[3], o1);
   for (int s = 0; s < kNumStates; ++s) {
     final_metric[s] = m[reg_of(s)][lane_of(s)];
   }

@@ -187,11 +187,11 @@ double CachedOracle::total_bps(const net::ChannelAssignment& assignment) const {
     throw std::invalid_argument("assignment size != AP count");
   }
   const std::lock_guard<std::mutex> lock(mutex_);
-  return analyze(assignment, sim::BatchKernel::kAuto).total;
+  return analyze(assignment).total;
 }
 
 const CachedOracle::BatchBase& CachedOracle::analyze(
-    const net::ChannelAssignment& base, sim::BatchKernel kernel) const {
+    const net::ChannelAssignment& base) const {
   BatchBase& bb = base_;
   if (bb.built && bb.assignment == base) {
     ++stats_.share_hits;
@@ -225,7 +225,7 @@ const CachedOracle::BatchBase& CachedOracle::analyze(
                  : bb.activity[static_cast<std::size_t>(ap)];
     const sim::CellScanCache* cache = nullptr;
     const double value =
-        score_cell(base, ap, share, bb.activity.data(), kernel, &cache);
+        score_cell(base, ap, share, bb.activity.data(), &cache);
     bb.cells.push_back(ap);
     bb.cell_share.push_back(share);
     bb.cell_value.push_back(value);
@@ -239,7 +239,6 @@ const CachedOracle::BatchBase& CachedOracle::analyze(
 double CachedOracle::score_cell(const net::ChannelAssignment& assignment,
                                 int ap, double share,
                                 const double* activity,
-                                sim::BatchKernel kernel,
                                 const sim::CellScanCache** cache) const {
   const net::Channel no_flip = net::Channel::basic(0);
   flip_key_into(build_key_, snap_.graph(), wlan_.config().sinr_interference,
@@ -264,7 +263,7 @@ double CachedOracle::score_cell(const net::ChannelAssignment& assignment,
     snap_.evaluate_cells_batch(ap, assignment,
                                std::span<const sim::CellLane>(&lane, 1),
                                traffic_, weights_,
-                               std::span<double>(&value, 1), &fresh, kernel);
+                               std::span<double>(&value, 1), &fresh);
     scan = scans.emplace(CellKey(build_ctx_.begin(), build_ctx_.end()),
                          std::move(fresh))
                .first;
@@ -272,7 +271,7 @@ double CachedOracle::score_cell(const net::ChannelAssignment& assignment,
   } else if (hit == memo.end()) {
     snap_.rescale_cell_shares(ap, std::span<const double>(&share, 1),
                               scan->second, traffic_, weights_,
-                              std::span<double>(&value, 1), kernel);
+                              std::span<double>(&value, 1));
   }
   if (hit != memo.end()) {
     value = hit->second;
@@ -320,14 +319,12 @@ double CachedOracle::cell_value(const net::ChannelAssignment& assignment,
                                      net::Channel::basic(0))
                : act[static_cast<std::size_t>(ap)];
   const std::lock_guard<std::mutex> lock(mutex_);
-  return score_cell(assignment, ap, share, act.data(),
-                    sim::BatchKernel::kAuto, nullptr);
+  return score_cell(assignment, ap, share, act.data(), nullptr);
 }
 
 void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
                                    std::span<const FlipCandidate> candidates,
-                                   std::span<double> out,
-                                   sim::BatchKernel kernel) const {
+                                   std::span<double> out) const {
   const int n_aps = snap_.num_aps();
   if (static_cast<int>(base.size()) != n_aps) {
     throw std::invalid_argument("assignment size != AP count");
@@ -348,7 +345,7 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
   const std::size_t n_cands = candidates.size();
 
   const std::lock_guard<std::mutex> lock(mutex_);
-  const BatchBase& bb = analyze(base, kernel);
+  const BatchBase& bb = analyze(base);
   ScanScratch& s = scan_scratch();
   const std::size_t n_cells = bb.cells.size();
   ++stats_.batch_calls;
@@ -541,7 +538,7 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
       stats_.batch_full_evals += w.full_lanes.size();
       w.full_vals.resize(w.full_lanes.size());
       snap_.evaluate_cells_batch(x, bb.assignment, w.full_lanes, traffic_,
-                                 weights_, w.full_vals, nullptr, kernel);
+                                 weights_, w.full_vals);
       // Publish into the persistent memo so later batches and bases
       // replay these values for free.
       auto& memo = memo_[static_cast<std::size_t>(x)];
@@ -553,7 +550,7 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
     if (!w.rescale_shares.empty()) {
       w.rescale_vals.resize(w.rescale_shares.size());
       snap_.rescale_cell_shares(x, w.rescale_shares, *bb.cell_cache[idx],
-                                traffic_, weights_, w.rescale_vals, kernel);
+                                traffic_, weights_, w.rescale_vals);
     }
   }
 

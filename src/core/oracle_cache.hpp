@@ -110,9 +110,7 @@ class CachedOracle {
   /// allocates nothing.
   void total_bps_batch(const net::ChannelAssignment& base,
                        std::span<const FlipCandidate> candidates,
-                       std::span<double> out,
-                       sim::BatchKernel kernel =
-                           sim::BatchKernel::kAuto) const;
+                       std::span<double> out) const;
 
   /// The term total_bps(assignment) adds for cell `ap` (exactly 0.0 for
   /// a cell without clients), so the cells' terms summed in ascending
@@ -166,8 +164,7 @@ class CachedOracle {
 
   // base_ holding the analysis of `base`; rebuilt unless it already
   // does. Called with mutex_ held.
-  const BatchBase& analyze(const net::ChannelAssignment& base,
-                           sim::BatchKernel kernel) const;
+  const BatchBase& analyze(const net::ChannelAssignment& base) const;
 
   // The value of non-empty cell `ap` under `assignment` at medium share
   // `share`, with `activity` holding the unweighted share of each of the
@@ -177,7 +174,6 @@ class CachedOracle {
   // looks up (or builds) too. Called with mutex_ held.
   double score_cell(const net::ChannelAssignment& assignment, int ap,
                     double share, const double* activity,
-                    sim::BatchKernel kernel,
                     const sim::CellScanCache** cache) const;
 
   const sim::Wlan& wlan_;

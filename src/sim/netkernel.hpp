@@ -33,14 +33,6 @@
 
 namespace acorn::sim {
 
-/// Kernel selection for the batched candidate evaluators: kAuto picks
-/// the vector-extension SIMD kernel where the build enables it (with a
-/// target_clones avx2 clone on x86-64 glibc, exactly like the Viterbi
-/// trellis kernel), kScalar forces the bit-identical scalar fallback.
-/// Both produce the same doubles; the knob exists so tests and benches
-/// can pin them against each other on any host.
-enum class BatchKernel { kAuto, kScalar };
-
 /// One lane of a batched cell evaluation: the cell is scored under the
 /// base assignment with AP `flip_ap` moved to `flip_channel` (flip_ap <
 /// 0 scores the base assignment itself). `medium_share` is the cell's
@@ -71,8 +63,9 @@ struct CellScanCache {
 
 /// Immutable link-state snapshot for one (wlan, association) pair. The
 /// wlan must outlive the snapshot. Thread-safe: all methods are const and
-/// touch no mutable state, so one snapshot may serve many worker threads
-/// (the allocator's candidate scan, the sweep driver).
+/// touch no shared mutable state (the batched evaluators' scratch is per
+/// thread), so one snapshot may serve many threads, such as the sweep
+/// driver's scenario workers.
 class NetSnapshot {
  public:
   NetSnapshot(const Wlan& wlan, net::Association assoc);
@@ -125,20 +118,20 @@ class NetSnapshot {
   /// client order, or the client_weights-weighted sum when weights are
   /// supplied — bit-identical to evaluate_cell(...) followed by the
   /// CachedOracle weighting loop. Vectorized across lanes (hidden-
-  /// interference accumulation, MCS threshold scan, delay/ATD and
-  /// transport arithmetic); the per-lane transcendental calls (log10,
-  /// the coded-PER chain) run through the exact scalar routines the
-  /// one-at-a-time path uses, with identical inputs, so SIMD and scalar
-  /// kernels agree to the bit. When `capture` is non-null (single-lane
-  /// base evaluations) the share-independent per-client products are
-  /// stored for later rescale_cell_shares calls.
+  /// interference accumulation, delay/ATD and UDP transport arithmetic,
+  /// four lanes to a vector, each lane in evaluate_cell's operation
+  /// order); the per-lane MCS threshold scan and transcendental calls
+  /// (log10, the coded-PER chain, TCP's pow) run through the exact
+  /// scalar routines the one-at-a-time path uses, with identical inputs.
+  /// When `capture` is non-null (single-lane base evaluations) the
+  /// share-independent per-client products are stored for later
+  /// rescale_cell_shares calls.
   void evaluate_cells_batch(int ap, const net::ChannelAssignment& base,
                             std::span<const CellLane> lanes,
                             mac::TrafficType traffic,
                             std::span<const double> client_weights,
                             std::span<double> out_value,
-                            CellScanCache* capture = nullptr,
-                            BatchKernel kernel = BatchKernel::kAuto) const;
+                            CellScanCache* capture = nullptr) const;
 
   /// Share-only batched re-evaluation of cell `ap`: for every lane l,
   /// out_value[l] is the oracle-level cell value at medium share
@@ -150,12 +143,7 @@ class NetSnapshot {
                            const CellScanCache& cache,
                            mac::TrafficType traffic,
                            std::span<const double> client_weights,
-                           std::span<double> out_value,
-                           BatchKernel kernel = BatchKernel::kAuto) const;
-
-  /// True when the SIMD batch kernel is compiled in (kAuto differs from
-  /// kScalar in code path, never in results).
-  static bool batch_simd_enabled();
+                           std::span<double> out_value) const;
 
  private:
   /// Per-subcarrier hidden-interference power (mW) at `client` on

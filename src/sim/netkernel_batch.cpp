@@ -10,15 +10,15 @@
 // lane dimension out as contiguous arrays and run the pure-arithmetic
 // stages — hidden-interference accumulation, the airtime/ATD chain,
 // the share division and UDP transport scaling — as 4-wide double
-// vectors (GCC/Clang vector extensions, target_clones avx2 dispatch on
-// x86-64 glibc, same pattern as baseband/viterbi_kernel). Everything
-// transcendental (log10 of the SINR penalty, the coded-PER chain,
-// TCP's pow/sqrt) goes through the exact scalar routines the
-// one-at-a-time path calls, with bit-identical inputs, so the SIMD and
-// scalar kernels — and the batched and serial scans above them — agree
-// to the last bit. A per-client PER memo additionally collapses lanes
-// that land on the same (MCS row, SNR) to ONE coded-PER evaluation,
-// which is most lanes of a same-width color sweep.
+// vectors, one of the vector kernels of util/vector_kernel.hpp. Each
+// lane does the IEEE operations of NetSnapshot::evaluate_cell in its
+// order, and everything transcendental (log10 of the SINR penalty, the
+// coded-PER chain, TCP's pow/sqrt) goes through the exact scalar
+// routines the one-at-a-time path calls, with bit-identical inputs, so
+// the batched and serial scans agree to the last bit. A per-client PER
+// memo additionally collapses lanes that land on the same (MCS row, SNR)
+// to ONE coded-PER evaluation, which is most lanes of a same-width color
+// sweep.
 #include "sim/netkernel.hpp"
 
 #include <algorithm>
@@ -31,39 +31,14 @@
 #include "mac/traffic.hpp"
 #include "phy/mcs.hpp"
 #include "util/units.hpp"
-
-// The SIMD kernel needs GCC >= 12 or Clang for the vector extensions
-// used here (the baseband kernel's floor). ACORN_NETKERNEL_FORCE_SCALAR
-// benches/tests the scalar fallback on SIMD-capable hosts.
-#if !defined(ACORN_NETKERNEL_FORCE_SCALAR) && \
-    (defined(__clang__) || (defined(__GNUC__) && __GNUC__ >= 12))
-#define ACORN_NETKERNEL_SIMD 1
-#else
-#define ACORN_NETKERNEL_SIMD 0
-#endif
-
-// target_clones dispatches through an IFUNC resolver that runs before
-// sanitizer runtimes initialize — ThreadSanitizer binaries segfault on
-// it — so clone only in uninstrumented builds (same guard as the
-// Viterbi kernel).
-#if defined(__SANITIZE_THREAD__)
-#define ACORN_NETKERNEL_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define ACORN_NETKERNEL_TSAN 1
-#endif
-#endif
-#if ACORN_NETKERNEL_SIMD && defined(__x86_64__) && defined(__GLIBC__) && \
-    !defined(ACORN_NETKERNEL_TSAN)
-#define ACORN_NETKERNEL_TARGET_CLONES \
-  __attribute__((target_clones("avx2", "default")))
-#else
-#define ACORN_NETKERNEL_TARGET_CLONES
-#endif
+#include "util/vector_kernel.hpp"
 
 namespace acorn::sim {
 
 namespace {
+
+using util::vload;
+using util::vstore;
 
 // Per-lane resolved evaluation context for one cell.
 struct LaneCtx {
@@ -80,92 +55,69 @@ inline double airtime_fixed_s(const mac::MacTiming& t) {
   return overhead_us * 1e-6 / t.ampdu_frames;
 }
 
-#if ACORN_NETKERNEL_SIMD
-
 typedef double v4df __attribute__((vector_size(32)));
 typedef long long v4di __attribute__((vector_size(32)));
 
 // std::min(a, b) = (b < a) ? b : a as an exact bitwise select.
-inline v4df vmin(v4df a, v4df b) {
+ACORN_VECTOR_INLINE v4df vmin(v4df a, v4df b) {
   const v4di m = b < a;
   return std::bit_cast<v4df>((std::bit_cast<v4di>(b) & m) |
                              (std::bit_cast<v4di>(a) & ~m));
 }
 
-inline v4df vload(const double* p) {
-  v4df v;
-  __builtin_memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void vstore(double* p, v4df v) { __builtin_memcpy(p, &v, sizeof(v)); }
-
-inline v4df vbroadcast(double x) { return v4df{x, x, x, x}; }
+ACORN_VECTOR_INLINE v4df vbroadcast(double x) { return v4df{x, x, x, x}; }
 
 // delay/ATD chain over one 4-lane chunk: per-lane
 //   airtime = fixed_s + payload_bits / rate
 //   attempts = 1 / (1 - min(per, per_cap))
 //   atd += airtime * attempts / payload_bits
 // — the exact op sequence of mac::per_bit_delay_s.
-ACORN_NETKERNEL_TARGET_CLONES
+ACORN_TARGET_CLONES
 void delay_accumulate_simd(const double* rate, const double* per,
                            double fixed_s, double per_cap,
                            double payload_bits, double* atd) {
   const v4df bits = vbroadcast(payload_bits);
-  const v4df airtime = vbroadcast(fixed_s) + bits / vload(rate);
-  const v4df p = vmin(vload(per), vbroadcast(per_cap));
+  const v4df airtime = vbroadcast(fixed_s) + bits / vload<v4df>(rate);
+  const v4df p = vmin(vload<v4df>(per), vbroadcast(per_cap));
   const v4df attempts = vbroadcast(1.0) / (vbroadcast(1.0) - p);
-  vstore(atd, vload(atd) + airtime * attempts / bits);
+  vstore(atd, vload<v4df>(atd) + airtime * attempts / bits);
 }
 
 // One hidden-interference term over a 4-lane chunk:
 //   total += captured * activity * rx / subcarriers.
-ACORN_NETKERNEL_TARGET_CLONES
+ACORN_TARGET_CLONES
 void hidden_term_simd(const double* captured, const double* act, double rx,
                       const double* subc, double* total) {
-  vstore(total, vload(total) +
-                    vload(captured) * vload(act) * vbroadcast(rx) /
-                        vload(subc));
+  const v4df term = vload<v4df>(captured) * vload<v4df>(act) *
+                    vbroadcast(rx) / vload<v4df>(subc);
+  vstore(total, vload<v4df>(total) + term);
 }
 
 // UDP transport accumulation over a 4-lane chunk: value += w * (eff *
 // mac) — eff * mac is the entire UDP transport_goodput_bps body.
-ACORN_NETKERNEL_TARGET_CLONES
+ACORN_TARGET_CLONES
 void udp_accumulate_simd(const double* mac_bps, double udp_eff, double w,
                          bool weighted, double* value) {
-  const v4df g = vbroadcast(udp_eff) * vload(mac_bps);
-  vstore(value,
-         vload(value) + (weighted ? vbroadcast(w) * g : g));
+  const v4df g = vbroadcast(udp_eff) * vload<v4df>(mac_bps);
+  vstore(value, vload<v4df>(value) + (weighted ? vbroadcast(w) * g : g));
 }
 
 // Share-only TCP rescale over a 4-lane chunk:
 //   g = min(c1 * mac, cap); value += w * g.
-ACORN_NETKERNEL_TARGET_CLONES
+ACORN_TARGET_CLONES
 void tcp_rescale_simd(const double* mac_bps, double c1, double cap, double w,
                       bool weighted, double* value) {
-  const v4df g = vmin(vbroadcast(c1) * vload(mac_bps), vbroadcast(cap));
-  vstore(value,
-         vload(value) + (weighted ? vbroadcast(w) * g : g));
+  const v4df g =
+      vmin(vbroadcast(c1) * vload<v4df>(mac_bps), vbroadcast(cap));
+  vstore(value, vload<v4df>(value) + (weighted ? vbroadcast(w) * g : g));
 }
 
-ACORN_NETKERNEL_TARGET_CLONES
+ACORN_TARGET_CLONES
 void divide_simd(const double* num, const double* den, double* out) {
-  vstore(out, vload(num) / vload(den));
+  vstore(out, vload<v4df>(num) / vload<v4df>(den));
 }
 
-#endif  // ACORN_NETKERNEL_SIMD
-
-// Scalar fallbacks: the same per-lane op sequences in plain loops (the
-// mac:: helpers are the original sources of those sequences).
-void delay_accumulate_scalar(const mac::MacTiming& timing, const double* rate,
-                             const double* per, int payload_bits,
-                             double* atd, std::size_t n) {
-  for (std::size_t l = 0; l < n; ++l) {
-    atd[l] += mac::per_bit_delay_s(timing, rate[l], payload_bits, per[l]);
-  }
-}
-
-// Per-call scratch, thread-local so concurrent scan workers never share
+// Per-call scratch, thread-local so concurrent callers never share it
 // and the steady-state hot path stays allocation-free.
 struct BatchScratch {
   std::vector<LaneCtx> ctx;
@@ -191,13 +143,11 @@ BatchScratch& scratch() {
 
 }  // namespace
 
-bool NetSnapshot::batch_simd_enabled() { return ACORN_NETKERNEL_SIMD != 0; }
-
 void NetSnapshot::evaluate_cells_batch(
     int ap, const net::ChannelAssignment& base,
     std::span<const CellLane> lanes, mac::TrafficType traffic,
     std::span<const double> client_weights, std::span<double> out_value,
-    CellScanCache* capture, BatchKernel kernel) const {
+    CellScanCache* capture) const {
   const std::size_t n_lanes = lanes.size();
   if (out_value.size() != n_lanes) {
     throw std::invalid_argument("out_value size != lane count");
@@ -215,12 +165,6 @@ void NetSnapshot::evaluate_cells_batch(
     std::fill(out_value.begin(), out_value.end(), 0.0);
     return;
   }
-#if ACORN_NETKERNEL_SIMD
-  const bool simd = kernel == BatchKernel::kAuto;
-#else
-  const bool simd = false;
-  (void)kernel;
-#endif
   const WlanConfig& config = wlan_->config();
   const bool sinr = config.sinr_interference;
   const std::size_t n_clients = clients.size();
@@ -294,17 +238,9 @@ void NetSnapshot::evaluate_cells_batch(
           s.act_at[l] = s.act_at[0];
           s.subc[l] = s.subc[0];
         }
-#if ACORN_NETKERNEL_SIMD
-        if (simd) {
-          for (std::size_t l = 0; l < padded; l += 4) {
-            hidden_term_simd(s.captured.data() + l, s.act_at.data() + l, rx,
-                             s.subc.data() + l, s.hid.data() + l);
-          }
-          continue;
-        }
-#endif
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-          s.hid[l] += s.captured[l] * s.act_at[l] * rx / s.subc[l];
+        for (std::size_t l = 0; l < padded; l += 4) {
+          hidden_term_simd(s.captured.data() + l, s.act_at.data() + l, rx,
+                           s.subc.data() + l, s.hid.data() + l);
         }
       }
       for (std::size_t l = 0; l < n_lanes; ++l) {
@@ -347,18 +283,11 @@ void NetSnapshot::evaluate_cells_batch(
       s.rate[l] = s.rate[0];
       s.per[l] = s.per[0];
     }
-#if ACORN_NETKERNEL_SIMD
-    if (simd) {
-      for (std::size_t l = 0; l < padded; l += 4) {
-        delay_accumulate_simd(s.rate.data() + l, s.per.data() + l, fixed_s,
-                              config.timing.per_cap, payload_bits,
-                              s.atd.data() + l);
-      }
-      continue;
+    for (std::size_t l = 0; l < padded; l += 4) {
+      delay_accumulate_simd(s.rate.data() + l, s.per.data() + l, fixed_s,
+                            config.timing.per_cap, payload_bits,
+                            s.atd.data() + l);
     }
-#endif
-    delay_accumulate_scalar(config.timing, s.rate.data(), s.per.data(),
-                            payload_bits_, s.atd.data(), n_lanes);
   }
 
   // per-client throughput = share / ATD (anomaly_throughput's division).
@@ -366,29 +295,18 @@ void NetSnapshot::evaluate_cells_batch(
   for (std::size_t l = 0; l < padded; ++l) {
     s.snr[l] = lanes[l < n_lanes ? l : 0].medium_share;  // reuse as share
   }
-#if ACORN_NETKERNEL_SIMD
-  if (simd) {
-    for (std::size_t l = 0; l < padded; l += 4) {
-      divide_simd(s.snr.data() + l, s.atd.data() + l, s.mac_bps.data() + l);
-    }
-  } else
-#endif
-  {
-    for (std::size_t l = 0; l < n_lanes; ++l) {
-      s.mac_bps[l] = s.snr[l] / s.atd[l];
-    }
+  for (std::size_t l = 0; l < padded; l += 4) {
+    divide_simd(s.snr.data() + l, s.atd.data() + l, s.mac_bps.data() + l);
   }
 
   // Transport accumulation in client order per lane — evaluate_cell's
   // goodput loop plus (when weights are supplied) the oracle's
-  // weighting, fused. TCP's pow/sqrt chain stays scalar in both kernels
+  // weighting, fused. TCP's pow/sqrt chain stays scalar
   // (transcendentals), UDP's pure multiply-add vectorizes.
-  std::fill(out_value.begin(), out_value.end(), 0.0);
   const mac::TrafficModel& model = config.traffic;
   const bool weighted = !client_weights.empty();
   const bool udp = traffic == mac::TrafficType::kUdp;
-#if ACORN_NETKERNEL_SIMD
-  if (simd && udp) {
+  if (udp) {
     // s.hid is free again after the SNR stage; reuse it as the padded
     // per-lane value accumulator, copied into out_value at the end.
     std::fill_n(s.hid.data(), padded, 0.0);
@@ -402,9 +320,8 @@ void NetSnapshot::evaluate_cells_batch(
       }
     }
     for (std::size_t l = 0; l < n_lanes; ++l) out_value[l] = s.hid[l];
-  } else
-#endif
-  {
+  } else {
+    std::fill(out_value.begin(), out_value.end(), 0.0);
     for (std::size_t i = 0; i < n_clients; ++i) {
       const double w =
           weighted ? client_weights[static_cast<std::size_t>(clients[i])]
@@ -439,7 +356,7 @@ void NetSnapshot::evaluate_cells_batch(
 void NetSnapshot::rescale_cell_shares(
     int ap, std::span<const double> shares, const CellScanCache& cache,
     mac::TrafficType traffic, std::span<const double> client_weights,
-    std::span<double> out_value, BatchKernel kernel) const {
+    std::span<double> out_value) const {
   const std::size_t n_lanes = shares.size();
   if (out_value.size() != n_lanes) {
     throw std::invalid_argument("out_value size != lane count");
@@ -449,12 +366,6 @@ void NetSnapshot::rescale_cell_shares(
     std::fill(out_value.begin(), out_value.end(), 0.0);
     return;
   }
-#if ACORN_NETKERNEL_SIMD
-  const bool simd = kernel == BatchKernel::kAuto;
-#else
-  const bool simd = false;
-  (void)kernel;
-#endif
   const mac::TrafficModel& model = wlan_->config().traffic;
   const bool weighted = !client_weights.empty();
   const bool udp = traffic == mac::TrafficType::kUdp;
@@ -469,40 +380,20 @@ void NetSnapshot::rescale_cell_shares(
   }
   for (std::size_t l = n_lanes; l < padded; ++l) s.mac_bps[l] = s.mac_bps[0];
 
-#if ACORN_NETKERNEL_SIMD
-  if (simd) {
-    for (std::size_t i = 0; i < n_clients; ++i) {
-      const double w =
-          weighted ? client_weights[static_cast<std::size_t>(clients[i])]
-                   : 0.0;
-      for (std::size_t l = 0; l < padded; l += 4) {
-        if (udp) {
-          udp_accumulate_simd(s.mac_bps.data() + l, model.udp_efficiency, w,
-                              weighted, s.hid.data() + l);
-        } else {
-          tcp_rescale_simd(s.mac_bps.data() + l, cache.tcp_c1[i],
-                           cache.tcp_cap[i], w, weighted, s.hid.data() + l);
-        }
-      }
-    }
-    for (std::size_t l = 0; l < n_lanes; ++l) out_value[l] = s.hid[l];
-    return;
-  }
-#endif
-  std::fill(out_value.begin(), out_value.end(), 0.0);
   for (std::size_t i = 0; i < n_clients; ++i) {
     const double w =
         weighted ? client_weights[static_cast<std::size_t>(clients[i])] : 0.0;
-    for (std::size_t l = 0; l < n_lanes; ++l) {
-      double g;
+    for (std::size_t l = 0; l < padded; l += 4) {
       if (udp) {
-        g = model.udp_efficiency * s.mac_bps[l];
+        udp_accumulate_simd(s.mac_bps.data() + l, model.udp_efficiency, w,
+                            weighted, s.hid.data() + l);
       } else {
-        g = std::min(cache.tcp_c1[i] * s.mac_bps[l], cache.tcp_cap[i]);
+        tcp_rescale_simd(s.mac_bps.data() + l, cache.tcp_c1[i],
+                         cache.tcp_cap[i], w, weighted, s.hid.data() + l);
       }
-      out_value[l] += weighted ? w * g : g;
     }
   }
+  for (std::size_t l = 0; l < n_lanes; ++l) out_value[l] = s.hid[l];
 }
 
 }  // namespace acorn::sim

@@ -4,9 +4,10 @@
 // batch-scanning ChannelAllocator::allocate overload produce EXACTLY the
 // doubles the one-candidate-at-a-time path produces — same winner
 // sequence, same trajectory, same final assignment — at any slice of
-// the candidates and on either kernel (SIMD vs scalar), across all four
-// sinr_interference x weighted_contention model combos and on
-// degenerate networks. Equality is ==, never near.
+// the candidates, across all four sinr_interference x
+// weighted_contention model combos and on degenerate networks. The
+// batched totals also equal the object-at-a-time reference evaluator's.
+// Equality is ==, never near.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 
 #include "core/allocation.hpp"
 #include "core/oracle_cache.hpp"
+#include "sim/wlan_reference.hpp"
 #include "testutil.hpp"
 #include "util/rng.hpp"
 
@@ -154,12 +156,6 @@ TEST(BatchScan, TotalBpsBatchBitIdenticalToSerialFlips) {
     const CachedOracle oracle(wlan, assoc);
     std::vector<double> batched(flips.size(), -1.0);
     oracle.total_bps_batch(base, flips, batched);
-    // Independent oracle for the scalar kernel so its values are really
-    // computed scalar, not replayed from the SIMD run's cell memo.
-    const CachedOracle oracle_scalar(wlan, assoc);
-    std::vector<double> scalar(flips.size(), -1.0);
-    oracle_scalar.total_bps_batch(base, flips, scalar,
-                                  sim::BatchKernel::kScalar);
     // The same flips in consecutive slices, each slice size on a fresh
     // oracle, the way the allocator's scan feeds them.
     const std::size_t slice_sizes[] = {1, 7, 16};
@@ -185,7 +181,12 @@ TEST(BatchScan, TotalBpsBatchBitIdenticalToSerialFlips) {
       EXPECT_EQ(want, batched[j])
           << "trial " << trial << " flip " << j << " (sinr=" << sinr
           << " weighted=" << weighted << ")";
-      EXPECT_EQ(want, scalar[j]) << "scalar kernel, flip " << j;
+      // The oracle is unweighted UDP, so its total is the reference
+      // evaluator's aggregate goodput, summed in the same cell order.
+      EXPECT_EQ(sim::reference::evaluate(wlan, assoc, flipped)
+                    .total_goodput_bps,
+                batched[j])
+          << "reference evaluator, trial " << trial << " flip " << j;
       for (std::size_t k = 0; k < sliced.size(); ++k) {
         EXPECT_EQ(want, sliced[k][j])
             << "slices of " << slice_sizes[k] << ", flip " << j;
@@ -195,7 +196,6 @@ TEST(BatchScan, TotalBpsBatchBitIdenticalToSerialFlips) {
     const OracleCacheStats stats = oracle.stats();
     EXPECT_EQ(stats.batch_calls, 1u);
     EXPECT_EQ(stats.batch_candidates, flips.size());
-    EXPECT_EQ(oracle_scalar.stats().batch_calls, 1u);
   }
   // Make sure the loop actually exercised a meaningful corpus.
   EXPECT_GT(checked, 500);
@@ -320,9 +320,7 @@ TEST(BatchScan, ScanCacheMemoServesLaterBasesBitIdentically) {
       const bool same_as_last = step > 0 && seq[step] == seq[step - 1];
       const std::uint64_t full_before = oracle.stats().cell_evals;
       std::vector<double> got(flips.size(), -1.0);
-      oracle.total_bps_batch(seq[step], flips, got,
-                             step % 3 == 2 ? sim::BatchKernel::kScalar
-                                           : sim::BatchKernel::kAuto);
+      oracle.total_bps_batch(seq[step], flips, got);
       const std::vector<double> want = serial_scores(mc, seq[step], flips);
       for (std::size_t j = 0; j < flips.size(); ++j) {
         ASSERT_EQ(want[j], got[j]) << "combo " << combo << " step " << step
@@ -394,7 +392,7 @@ TEST(BatchScan, ScanCacheMemoSharedAcrossThreads) {
 TEST(BatchScanAllocation, WarmCallOnUnchangedBaseIsAllocationFree) {
   // Once a base, its memo entries and the thread's scratch are warm,
   // scoring the same flips again, or the base itself through total_bps,
-  // allocates nothing, in every model combination and on both kernels.
+  // allocates nothing, in every model combination.
   util::Rng rng(0xA11C);
   const net::ChannelPlan plan(4);
   const std::vector<net::Channel> colors = plan.all_channels();
@@ -406,26 +404,21 @@ TEST(BatchScanAllocation, WarmCallOnUnchangedBaseIsAllocationFree) {
     const net::ChannelAssignment base = alloc.random_assignment(n_aps, rng);
     const CachedOracle oracle(mc.wlan, mc.assoc, mc.traffic, mc.weights);
     std::vector<double> out(flips.size(), -1.0);
-    for (const sim::BatchKernel kernel :
-         {sim::BatchKernel::kAuto, sim::BatchKernel::kScalar}) {
-      // The first call fills the memo, the second replays it.
-      oracle.total_bps_batch(base, flips, out, kernel);
-      oracle.total_bps_batch(base, flips, out, kernel);
-      const std::size_t before =
-          g_alloc_count.load(std::memory_order_relaxed);
-      for (int i = 0; i < 4; ++i) {
-        oracle.total_bps_batch(base, flips, out, kernel);
-      }
-      // total_bps on the same assignment leases the same base.
-      const double total = oracle.total_bps(base);
-      const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
-      EXPECT_EQ(after - before, 0u) << "combo " << combo;
-      // AP 0's flips come first, in color order; the one to its own
-      // color scores the base itself.
-      EXPECT_EQ(total, out[static_cast<std::size_t>(
-                           std::ranges::find(colors, base[0]) -
-                           colors.begin())]);
+    // The first call fills the memo, the second replays it.
+    oracle.total_bps_batch(base, flips, out);
+    oracle.total_bps_batch(base, flips, out);
+    const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+    for (int i = 0; i < 4; ++i) {
+      oracle.total_bps_batch(base, flips, out);
     }
+    // total_bps on the same assignment finds that base built.
+    const double total = oracle.total_bps(base);
+    const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u) << "combo " << combo;
+    // AP 0's flips come first, in color order; the one to its own color
+    // scores the base itself.
+    EXPECT_EQ(total, out[static_cast<std::size_t>(
+                         std::ranges::find(colors, base[0]) - colors.begin())]);
   }
 }
 
