@@ -175,7 +175,7 @@ inline void emit_throughput(const std::string& bench,
                           : 0.0;
   char fields[256];
   std::snprintf(fields, sizeof(fields),
-                ",\"threads\":%d,\"packets\":%lld,\"seconds\":%.6f,"
+                ",\"threads\":%d,\"packets\":%lld,\"seconds\":%.9f,"
                 "\"packets_per_sec\":%.1f,\"msamples_per_sec\":%.3f",
                 threads, static_cast<long long>(packets), seconds, pps, msps);
   emit_row("BENCH_baseband.json", bench, case_name, nullptr,
@@ -186,19 +186,22 @@ inline void emit_throughput(const std::string& bench,
 /// `evals` counts full-network Wlan evaluations pushed through the
 /// engine. The label is usually passed explicitly ("seed" for the
 /// reference evaluator rows, "after" for the flat engine) because one
-/// bench run times both implementations.
+/// bench run times both implementations. `extra_json` must be empty or
+/// start with ','.
 inline void emit_evals(const std::string& bench,
                        const std::string& case_name, double seconds,
                        std::int64_t evals, int threads,
-                       const char* label_override = nullptr) {
+                       const char* label_override = nullptr,
+                       const std::string& extra_json = std::string()) {
   const double eps = seconds > 0.0 ? static_cast<double>(evals) / seconds
                                    : 0.0;
   char fields[192];
   std::snprintf(fields, sizeof(fields),
-                ",\"threads\":%d,\"evals\":%lld,\"seconds\":%.6f,"
+                ",\"threads\":%d,\"evals\":%lld,\"seconds\":%.9f,"
                 "\"evals_per_sec\":%.1f",
                 threads, static_cast<long long>(evals), seconds, eps);
-  emit_row("BENCH_network.json", bench, case_name, label_override, fields);
+  emit_row("BENCH_network.json", bench, case_name, label_override,
+           fields + extra_json);
 }
 
 /// A row of BENCH_service.json for the acornd protocol benches: `events`
@@ -215,7 +218,7 @@ inline void emit_events(const std::string& bench,
                                    : 0.0;
   char fields[160];
   std::snprintf(fields, sizeof(fields),
-                ",\"events\":%lld,\"seconds\":%.6f,\"events_per_sec\":%.1f",
+                ",\"events\":%lld,\"seconds\":%.9f,\"events_per_sec\":%.1f",
                 static_cast<long long>(events), seconds, eps);
   emit_row("BENCH_service.json", bench, case_name, label_override,
            fields + extra_json);

@@ -68,7 +68,10 @@ double weighted_share_flip(const net::InterferenceGraph& graph,
 // channel outside its carrier-sense range, mirroring
 // NetSnapshot::hidden_mw's contribution terms; APs with zero overlap
 // contribute exactly nothing and are omitted): id, channel code,
-// activity bits.
+// activity bits. With SINR off the kernel reads x's channel only
+// through its width (the SNR column and the rate table), so the first
+// word is the width tag alone and every channel of one width shares
+// x's entries.
 void flip_key_into(std::vector<std::uint64_t>& out,
                    const net::InterferenceGraph& graph, bool sinr,
                    const net::ChannelAssignment& base, int x, int flip_ap,
@@ -76,7 +79,8 @@ void flip_key_into(std::vector<std::uint64_t>& out,
                    const double* activity) {
   const net::Channel& own = flipped(base, x, flip_ap, flip);
   out.clear();
-  out.push_back(channel_code(own));
+  out.push_back(sinr ? channel_code(own)
+                     : static_cast<std::uint64_t>(own.width()) << 32);
   out.push_back(double_bits(share));
   if (!sinr) return;
   for (int other = 0; other < graph.num_aps(); ++other) {
@@ -96,17 +100,8 @@ struct Touch {
   int slot;
 };
 
-// Without SINR coupling, the touch serving one (width, share) of a
-// cell's own flips.
-struct OwnFlip {
-  phy::ChannelWidth width;
-  std::uint64_t share_bits;
-  Touch touch;
-};
-
 // One base cell's lanes within a total_bps_batch call.
 struct CellWork {
-  std::vector<OwnFlip> own_flips;
   std::vector<sim::CellLane> full_lanes;
   std::vector<std::uint64_t> key_words;  // full lanes' memo keys, end to end
   std::vector<std::size_t> key_end;      // per full lane: its key's end
@@ -121,7 +116,6 @@ struct CellWork {
         .subspan(begin, key_end[lane] - begin);
   }
   void clear() {
-    own_flips.clear();
     full_lanes.clear();
     key_words.clear();
     key_end.clear();
@@ -442,34 +436,15 @@ void CachedOracle::total_bps_batch(const net::ChannelAssignment& base,
                      : act_j[static_cast<std::size_t>(a)];
         // Without SINR coupling the flipped cell's value depends on its
         // channel only through the width (rate table + SNR column), so
-        // a same-width same-share flip replays the base value, and
-        // same-width same-share lanes within the batch share one eval.
+        // a same-width same-share flip replays the base value; any
+        // other flip keys its lane by (width, share), which a lane or a
+        // memo entry of another primary may already hold.
         if (!sinr && ch_new.width() == ch_old.width() &&
             double_bits(share_new) == double_bits(bb.cell_share[idx])) {
           continue;
         }
-        if (sinr) {
-          s.touches.push_back(
-              full_lane_slot(idx, x, a, ch_new, share_new, act_j));
-          continue;
-        }
-        // In non-SINR mode every full lane and memo value on this cell
-        // is a flip of this cell's own AP, so (width, share) pins the
-        // value even across different primaries (the memo key cannot
-        // see that).
-        std::vector<OwnFlip>& own = s.cells[idx].own_flips;
-        const auto same = std::ranges::find_if(own, [&](const OwnFlip& f) {
-          return f.width == ch_new.width() &&
-                 f.share_bits == double_bits(share_new);
-        });
-        if (same != own.end()) {
-          s.touches.push_back(same->touch);
-        } else {
-          own.push_back(OwnFlip{
-              ch_new.width(), double_bits(share_new),
-              full_lane_slot(idx, x, a, ch_new, share_new, act_j)});
-          s.touches.push_back(own.back().touch);
-        }
+        s.touches.push_back(
+            full_lane_slot(idx, x, a, ch_new, share_new, act_j));
         continue;
       }
       double share_new;

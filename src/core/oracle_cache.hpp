@@ -19,7 +19,10 @@
 //    can depend on once the association is fixed — the cell's own
 //    channel, its medium share, and (when `sinr_interference` is on) the
 //    hidden-interferer signature (channel + activity of every co-channel
-//    AP outside carrier-sense range). A single-AP channel flip therefore
+//    AP outside carrier-sense range). With `sinr_interference` off the
+//    kernel reads the cell's channel only through its width, so the key
+//    holds the width alone: a cell has at most two scan contexts and
+//    one memo entry per (width, share). A single-AP channel flip therefore
 //    only re-evaluates the flipped cell plus the cells whose contender
 //    set or hidden-interference term actually changed; every other cell
 //    is replayed or rescaled.
@@ -127,8 +130,9 @@ class CachedOracle {
 
  private:
   // A cell's memo key: the invalidation signature described above,
-  // packed into 64-bit words (channel code, bit pattern of the medium
-  // share, then per hidden interferer: id, channel code, activity bits).
+  // packed into 64-bit words (channel code, or with SINR off the width
+  // tag alone; bit pattern of the medium share; then per hidden
+  // interferer: id, channel code, activity bits).
   // Every word but the share one is the cell's share-independent
   // context, which alone determines its sim::CellScanCache. The maps
   // below also look keys up by span, so keys are built in reusable

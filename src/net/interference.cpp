@@ -45,11 +45,8 @@ InterferenceGraph::InterferenceGraph(const Topology& topo,
   }
 }
 
-bool InterferenceGraph::adjacent(int ap_a, int ap_b) const {
-  if (ap_a < 0 || ap_a >= n_aps_ || ap_b < 0 || ap_b >= n_aps_) {
-    throw std::out_of_range("InterferenceGraph ap id");
-  }
-  return adj_[static_cast<std::size_t>(ap_a * n_aps_ + ap_b)] != 0;
+void InterferenceGraph::throw_bad_ap_id() {
+  throw std::out_of_range("InterferenceGraph ap id");
 }
 
 std::vector<int> InterferenceGraph::neighbors(int ap) const {

@@ -31,7 +31,15 @@ class InterferenceGraph {
                     const InterferenceConfig& config = {});
 
   int num_aps() const { return n_aps_; }
-  bool adjacent(int ap_a, int ap_b) const;
+  /// Whether the two APs share an edge; throws std::out_of_range unless
+  /// both ids are in [0, num_aps()). Inline: the oracle and the cell
+  /// kernels call it in their inner loops.
+  bool adjacent(int ap_a, int ap_b) const {
+    if (ap_a < 0 || ap_a >= n_aps_ || ap_b < 0 || ap_b >= n_aps_) {
+      throw_bad_ap_id();
+    }
+    return adj_[static_cast<std::size_t>(ap_a * n_aps_ + ap_b)] != 0;
+  }
   std::vector<int> neighbors(int ap) const;
   int degree(int ap) const;
   /// The maximum node degree Delta used in the paper's O(1/(Delta+1))
@@ -39,6 +47,8 @@ class InterferenceGraph {
   int max_degree() const;
 
  private:
+  [[noreturn]] static void throw_bad_ap_id();
+
   int n_aps_;
   std::vector<char> adj_;  // row-major adjacency
 };

@@ -263,6 +263,54 @@ TEST(CachedOracle, CellValueSumsToTotal) {
   EXPECT_GT(empty_cells, 0);
 }
 
+// Without SINR the kernel reads a cell's channel only through its width,
+// so the memo keys the cell by width: a second basic channel at the same
+// share replays the first one's value instead of running the kernel.
+// With SINR on, an AP out of the cell's range that overlaps only the
+// first channel interferes there alone, and the two stay two entries.
+TEST(CachedOracle, CellMemoKeysByWidthWithoutSinr) {
+  for (const bool sinr : {false, true}) {
+    ScenarioBuilder b;
+    b.cells = {CellSpec{{testutil::kGoodLinkLoss, testutil::kMediumLinkLoss}},
+               CellSpec{{testutil::kMediumLinkLoss}}};
+    b.ap_ap_loss_db = 110.0;
+    b.cross_loss_db = 100.0;
+    b.config.sinr_interference = sinr;
+    const sim::Wlan wlan = b.build();
+    const net::Association assoc = b.intended_association();
+    const CachedOracle cached(wlan, assoc);
+    ASSERT_FALSE(cached.graph().adjacent(0, 1));
+    const net::ChannelAssignment first = {net::Channel::basic(0),
+                                          net::Channel::basic(0)};
+    const net::ChannelAssignment second = {net::Channel::basic(1),
+                                           net::Channel::basic(0)};
+    const double v1 = cached.cell_value(first, 0);
+    const OracleCacheStats s1 = cached.stats();
+    const double v2 = cached.cell_value(second, 0);
+    const OracleCacheStats s2 = cached.stats();
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    EXPECT_EQ(bits(v1),
+              bits(sim::reference::evaluate(wlan, assoc, first)
+                       .per_ap[0]
+                       .goodput_bps))
+        << "sinr " << sinr;
+    EXPECT_EQ(bits(v2),
+              bits(sim::reference::evaluate(wlan, assoc, second)
+                       .per_ap[0]
+                       .goodput_bps))
+        << "sinr " << sinr;
+    if (sinr) {
+      EXPECT_EQ(s2.cell_hits, s1.cell_hits);
+      EXPECT_EQ(s2.cell_evals, s1.cell_evals + 1);
+      EXPECT_LT(v1, v2);
+    } else {
+      EXPECT_EQ(s2.cell_hits, s1.cell_hits + 1);
+      EXPECT_EQ(s2.cell_evals, s1.cell_evals);
+      EXPECT_EQ(bits(v1), bits(v2));
+    }
+  }
+}
+
 TEST(CachedOracle, CellValueRejectsABadApOrAssignment) {
   const ScenarioBuilder b = testutil::topology1_builder();
   const sim::Wlan wlan = b.build();
