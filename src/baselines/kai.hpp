@@ -44,8 +44,12 @@ struct KaiResult {
 /// summed in ascending AP order, where a cell's value is read from a
 /// per-call table keyed by what it depends on (its width and contention
 /// units, plus with SINR on the channel and activity of every hidden
-/// interferer) and filled through oracle.cell_value on first use.
-/// Throws std::invalid_argument when that count exceeds
+/// interferer) and filled through oracle.cell_value on first use. The
+/// search runs one row per assignment of APs 1..n_aps-1 and scores AP
+/// 0's colors in it at once, from per-AP contention it keeps by integer
+/// deltas; it calls oracle.cell_value where and in the order a plain
+/// odometer would, so the oracle's counters read the same. Throws
+/// std::invalid_argument when the assignment count exceeds
 /// `max_evaluations`.
 KaiResult kai_exact_allocation(const core::CachedOracle& oracle,
                                const net::ChannelPlan& plan,
